@@ -21,6 +21,7 @@ from .evaluate import (
     PRCurve,
     ReportRow,
     compare_methods,
+    hit_curve,
     iap11,
     interpolated_precision,
     load_curve,
@@ -95,6 +96,7 @@ __all__ = [
     "forward_rank_matrix",
     "frequency_score",
     "generate",
+    "hit_curve",
     "hungarian_max",
     "iap11",
     "interpolated_precision",

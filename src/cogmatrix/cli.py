@@ -331,10 +331,16 @@ def cmd_assign(cfg: PipelineConfig) -> int:
 def cmd_eval(cfg: PipelineConfig, matrix_paths: list[str]) -> int:
     run = RunWriter("eval", cfg)
     gold = load_gold_pairs(_require(run.track_input(cfg.gold), "gold"))
-    matrices = {}
+    sources: dict[str, str] = {}
     for path in matrix_paths:
         name = Path(path).stem
-        matrices[name] = load_matrix(run.track_input(path))
+        if name in sources:
+            raise ValueError(
+                f"matrices {sources[name]} and {path} share the name {name!r}; "
+                "report rows and curve files are named by file stem"
+            )
+        sources[name] = path
+    matrices = {name: load_matrix(run.track_input(path)) for name, path in sources.items()}
     rows = compare_methods(matrices, gold, out_dir=run.out_dir)
     for name in matrices:
         run.outputs.append(f"curve_{name}.tsv")

@@ -181,6 +181,8 @@ def load_weights(path: str | Path) -> WeightVector:
                 metric = MetricId(fields[0])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: unknown metric {fields[0]!r}") from None
+            if metric in entries:
+                raise ValueError(f"{path}:{lineno}: duplicate weight for metric {metric.value!r}")
             try:
                 entries[metric] = float(fields[1])
             except ValueError:

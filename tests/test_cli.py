@@ -143,6 +143,18 @@ class TestEvalCommand:
         assert rc == 1
         assert "nope.tsv" in capsys.readouterr().err
 
+    def test_duplicate_matrix_stems_rejected(self, tmp_path, capsys):
+        for sub, seed in (("a", 1), ("b", 2)):
+            run_cli("synth", "--out", tmp_path / sub, "--n-pairs", 4, "--seed", seed)
+        first, second = tmp_path / "a" / "matrix.tsv", tmp_path / "b" / "matrix.tsv"
+        rc = run_cli("eval", "--out", tmp_path / "ev", "--gold", tmp_path / "a" / "gold.tsv",
+                     first, second)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(first) in err and str(second) in err
+        assert "share the name 'matrix'" in err
+        assert not (tmp_path / "ev" / "report.tsv").exists()
+
 
 class TestAssignCommand:
     def test_assignment_and_curve_written(self, tmp_path):

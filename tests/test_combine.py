@@ -178,3 +178,9 @@ class TestWeightsFile:
         path.write_text("vibes\t1.0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown metric"):
             load_weights(path)
+
+    def test_duplicate_metric_rejected(self, tmp_path):
+        path = tmp_path / "weights.tsv"
+        path.write_text("#bias 0.0\nphonetic\t1.0\ntemporal\t0.5\nphonetic\t2.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"weights\.tsv:4: duplicate weight for metric 'phonetic'"):
+            load_weights(path)

@@ -1,0 +1,109 @@
+"""hit_curve against the full-sweep oracle pr_curve, bit for bit."""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cogmatrix import GoldPairs, ScoreMatrix, compare_methods, hit_curve, load_curve, pr_curve
+from cogmatrix import evaluate
+
+# Tie-heavy score levels; -0.0 and 0.0 compare equal and must tie.
+LEVELS = (-0.0, 0.0, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A labeled matrix, a one-to-one gold set with at least one candidate, a block size."""
+    n_rows = draw(st.integers(1, 9))
+    n_cols = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        values = st.sampled_from(LEVELS)
+    else:
+        values = st.floats(0.0, 1.0, allow_nan=False)
+    scores = np.array(
+        draw(st.lists(values, min_size=n_rows * n_cols, max_size=n_rows * n_cols)),
+        dtype=np.float64,
+    ).reshape(n_rows, n_cols)
+    rows = draw(st.permutations([f"r{i}" for i in range(n_rows)]))
+    cols = draw(st.permutations([f"c{j}" for j in range(n_cols)]))
+    n_gold = draw(st.integers(1, min(n_rows, n_cols)))
+    gold_rows = draw(st.permutations(rows))[:n_gold]
+    gold_cols = draw(st.permutations(cols))[:n_gold]
+    pairs = set(zip(gold_rows, gold_cols))
+    # Gold pairs outside the universe count only in the recall denominator.
+    pairs |= {(f"out{i}", f"out{i}") for i in range(draw(st.integers(0, 2)))}
+    block_cells = draw(st.integers(1, 50))
+    return ScoreMatrix(tuple(rows), tuple(cols), scores), GoldPairs(frozenset(pairs)), block_cells
+
+
+def hit_points(curve):
+    """The oracle's points where recall rises, plus its last point."""
+    rises = np.flatnonzero(np.diff(curve.recalls, prepend=0.0) > 0)
+    keep = np.append(rises, len(curve) - 1)
+    return curve.thresholds[keep], curve.precisions[keep], curve.recalls[keep]
+
+
+def assert_matches_oracle(m, gold):
+    oracle, hits = pr_curve(m, gold), hit_curve(m, gold)
+    assert hits.max_f1 == oracle.max_f1
+    assert hits.iap11 == oracle.iap11
+    thresholds, precisions, recalls = hit_points(oracle)
+    assert np.array_equal(hits.thresholds, thresholds)
+    assert np.array_equal(hits.precisions, precisions)
+    assert np.array_equal(hits.recalls, recalls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluation_cases())
+def test_matches_oracle_on_multi_block_walks(case):
+    m, gold, block_cells = case
+    with mock.patch.object(evaluate, "_BLOCK_CELLS", block_cells):
+        assert_matches_oracle(m, gold)
+
+
+@settings(max_examples=100, deadline=None)
+@given(evaluation_cases())
+def test_matches_oracle_in_one_block(case):
+    m, gold, _ = case
+    assert_matches_oracle(m, gold)
+
+
+def test_one_by_one_matrix():
+    m = ScoreMatrix(("a",), ("u",), np.array([[0.3]]))
+    curve = hit_curve(m, GoldPairs(frozenset({("a", "u"), ("b", "v")})))
+    assert curve.thresholds.tolist() == [0.3, 0.3]
+    assert curve.precisions.tolist() == [1.0, 1.0]
+    assert curve.recalls.tolist() == [0.5, 0.5]
+
+
+def test_larger_tie_heavy_matrix_across_blocks():
+    rng = np.random.default_rng(7)
+    n = 60
+    scores = np.floor(rng.random((n, n)) * 4) / 4
+    rows = tuple(f"w{i:02d}" for i in rng.permutation(n))
+    cols = tuple(f"v{j:02d}" for j in rng.permutation(n))
+    gold = GoldPairs(frozenset((rows[i], cols[(7 * i) % n]) for i in range(0, n, 2)))
+    with mock.patch.object(evaluate, "_BLOCK_CELLS", 300):
+        assert_matches_oracle(ScoreMatrix(rows, cols, scores), gold)
+
+
+def test_compare_methods_writes_hit_point_curve(tmp_path):
+    rng = np.random.default_rng(8)
+    rows = tuple(f"a{i}" for i in range(7))
+    cols = tuple(f"b{j}" for j in range(9))
+    gold = GoldPairs(frozenset({(rows[i], cols[i + 1]) for i in range(5)}))
+    m = ScoreMatrix(rows, cols, rng.random((7, 9)))
+    report = compare_methods({"baseline": m}, gold, out_dir=tmp_path)
+    path = tmp_path / "curve_baseline.tsv"
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + len(gold) + 1
+    curve, method = load_curve(path)
+    assert method == "baseline"
+    assert len(curve) == len(gold) + 1
+    expected = hit_curve(m, gold)
+    assert np.array_equal(curve.thresholds, expected.thresholds)
+    assert np.array_equal(curve.precisions, expected.precisions)
+    assert np.array_equal(curve.recalls, expected.recalls)
+    assert report[0].max_f1 == pr_curve(m, gold).max_f1
+    assert report[0].iap11 == pr_curve(m, gold).iap11
