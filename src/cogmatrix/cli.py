@@ -219,8 +219,10 @@ def _metric_matrix_name(metric: MetricId) -> str:
     return f"metric_{metric.value}.tsv"
 
 
-def _score_universe(cfg, lex1, lex2, universe_gold, bridge):
-    x_words, y_words = build_universe(lex1, lex2, universe_gold, mode=cfg.mode, k=cfg.k)
+def _score_universe(cfg, lex1, lex2, universe_gold, bridge, exclude=None):
+    x_words, y_words = build_universe(
+        lex1, lex2, universe_gold, mode=cfg.mode, k=cfg.k, exclude=exclude
+    )
     return {
         metric: score_all_pairs(metric, x_words, y_words, lex1, lex2, bridge)
         for metric in cfg.metric_ids()
@@ -241,16 +243,19 @@ def _score_metrics(run: RunWriter, cfg: PipelineConfig):
     return matrices, seed, gold, gold_eval
 
 
-def cmd_synth(cfg: PipelineConfig) -> int:
-    run = RunWriter("synth", cfg)
-    synth_cfg = SynthConfig(
+def _synth_config(cfg: PipelineConfig) -> SynthConfig:
+    return SynthConfig(
         n_pairs=cfg.n_pairs,
         n_distractors_per_side=cfg.distractors,
         noise_sigma=cfg.noise_sigma,
         signal_mu=cfg.signal_mu,
         rng_seed=cfg.seed,
     )
-    matrix, gold = generate(synth_cfg)
+
+
+def cmd_synth(cfg: PipelineConfig) -> int:
+    run = RunWriter("synth", cfg)
+    matrix, gold = generate(_synth_config(cfg))
     save_matrix(matrix, run.out_path("matrix.tsv"))
     save_gold_pairs(
         gold,
@@ -356,14 +361,7 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
     methods = cfg.method_ids()
 
     if cfg.source == "synth":
-        synth_cfg = SynthConfig(
-            n_pairs=cfg.n_pairs,
-            n_distractors_per_side=cfg.distractors,
-            noise_sigma=cfg.noise_sigma,
-            signal_mu=cfg.signal_mu,
-            rng_seed=cfg.seed,
-        )
-        baseline, gold_eval = generate(synth_cfg)
+        baseline, gold_eval = generate(_synth_config(cfg))
         save_gold_pairs(gold_eval, run.out_path("gold.tsv"))
     elif cfg.source == "files":
         gold = load_gold_pairs(_require(run.track_input(cfg.gold), "gold"))
@@ -386,8 +384,9 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
         save_weights(weights, run.out_path("weights.tsv"))
 
         # Candidates for evaluation come from the eval split only: the seed
-        # pairs were consumed by training and are not scored or counted.
-        matrices = _score_universe(cfg, lex1, lex2, gold_eval, bridge)
+        # pairs were consumed by training and are not scored or counted, not
+        # even as frequent words in the large-mode top k.
+        matrices = _score_universe(cfg, lex1, lex2, gold_eval, bridge, exclude=seed.pairs)
         for metric, matrix in matrices.items():
             save_matrix(matrix, run.out_path(_metric_matrix_name(metric)))
         baseline = combine(matrices, weights)

@@ -294,6 +294,7 @@ def build_universe(
     gold: GoldPairs,
     mode: str = "standard",
     k: int = 10_000,
+    exclude: GoldPairs | None = None,
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Construct the candidate word sets X (L1) and Y (L2).
 
@@ -302,11 +303,17 @@ def build_universe(
     gold words, modelling the realistic condition where most candidates have
     no match at all.  Order is deterministic: descending frequency with
     lexicographic tie-breaking (standard mode is the all-gold special case).
+
+    The words of ``exclude`` (on evaluation, the training seed pairs) are
+    left out of the large-mode top-k pool, so they never become candidates;
+    the pool is the k most frequent of the remaining words.
     """
     if mode not in UNIVERSE_MODES:
         raise ValueError(f"unknown universe mode {mode!r}; expected one of {UNIVERSE_MODES}")
 
-    def side(lex: LexiconSide | None, gold_words: set[str], name: str) -> tuple[str, ...]:
+    def side(
+        lex: LexiconSide | None, gold_words: set[str], dropped: set[str], name: str
+    ) -> tuple[str, ...]:
         if lex is not None:
             for w in sorted(gold_words - set(lex.words)):
                 log.warning("gold word %r missing from %s lexicon; using zero statistics", w, name)
@@ -316,11 +323,13 @@ def build_universe(
             raise ValueError("k must be >= 1 in large mode")
         if lex is None:
             raise ValueError("large mode requires lexicons")
-        by_freq = sorted(lex.words, key=lambda w: (-lex.freq.get(w, 0), w))
+        pool = [w for w in lex.words if w not in dropped]
+        by_freq = sorted(pool, key=lambda w: (-lex.freq.get(w, 0), w))
         chosen = set(by_freq[:k]) | gold_words
         return tuple(sorted(chosen, key=lambda w: (-(lex.freq.get(w, 0)), w)))
 
+    exclude = exclude or GoldPairs(frozenset())
     return (
-        side(lex1, gold.l1_words(), "L1"),
-        side(lex2, gold.l2_words(), "L2"),
+        side(lex1, gold.l1_words(), exclude.l1_words(), "L1"),
+        side(lex2, gold.l2_words(), exclude.l2_words(), "L2"),
     )

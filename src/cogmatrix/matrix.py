@@ -1,14 +1,26 @@
-"""Dense labeled score matrices and their bit-exact text persistence.
+"""Dense labeled score matrices and their bit-exact binary persistence.
 
 A ScoreMatrix holds one score per candidate (L1 word, L2 word) pair: rows are
 L1 words, columns are L2 words.  Matrices are immutable after construction and
 every downstream stage (combination, rescoring, assignment, evaluation)
 consumes and produces them.
+
+Matrix files (named ``*.tsv`` by the CLI) come in two versions, told apart by
+the first line:
+
+* **v2**, the only version written: ``#cogmatrix v2 <n1> <n2>``, a line of
+  tab-separated UTF-8 column labels, a line of row labels, then the
+  ``n1 * n2`` scores as raw little-endian float64, row-major.  The raw bytes
+  round-trip bit for bit, and equal matrices give equal files.
+* **v1**, read only: ``#cogmatrix v1 <n1> <n2>``, a line of column labels,
+  then one text line per row (label, then shortest round-trip decimals).
+  Kept so older output directories and hand-written fixtures still load.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -17,7 +29,8 @@ from typing import Iterable
 import numpy as np
 
 MATRIX_FORMAT_MAGIC = "#cogmatrix"
-MATRIX_FORMAT_VERSION = "v1"
+MATRIX_FORMAT_VERSION = "v2"
+_HEADER_SHAPE = f"{MATRIX_FORMAT_MAGIC} {MATRIX_FORMAT_VERSION} <n1> <n2>"
 
 
 def _check_labels(labels: tuple[str, ...], kind: str) -> None:
@@ -133,61 +146,127 @@ def normalize_min_max(m: ScoreMatrix) -> ScoreMatrix:
     return m.with_scores((m.scores - lo) / (hi - lo))
 
 
-def _format_score(v: float) -> str:
-    # repr() of a Python float is the shortest decimal that round-trips.
-    return repr(v)
-
-
 def save_matrix(m: ScoreMatrix, path: str | Path) -> None:
-    """Write a matrix in the versioned tab-separated text format.
+    """Write a matrix in binary format v2.
 
-    Layout: header ``#cogmatrix v1 <n1> <n2>``, one line of tab-separated
-    column labels, then one line per row (label followed by the scores).
-    Scores are printed as shortest round-trippable decimals, so
-    ``load_matrix(save_matrix(m))`` reproduces the float64 bits exactly.
+    Layout: header line ``#cogmatrix v2 <n1> <n2>``, a line of tab-separated
+    column labels, a line of tab-separated row labels (both UTF-8), then
+    exactly ``n1 * n2 * 8`` bytes of little-endian float64 scores in
+    row-major order.  The file holds no padding or timestamps, so equal
+    matrices give equal bytes, and ``load_matrix(save_matrix(m))`` reproduces
+    the float64 bits exactly.  Nothing writes the older v1 text format.
     """
     for lab in (*m.row_labels, *m.col_labels):
         if lab == "" or "\t" in lab or "\n" in lab:
             raise ValueError(f"label not representable in matrix format: {lab!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{MATRIX_FORMAT_MAGIC} {MATRIX_FORMAT_VERSION} {m.n_rows} {m.n_cols}\n")
-        f.write("\t".join(m.col_labels) + "\n")
-        for label, row in zip(m.row_labels, m.scores):
-            f.write(label)
-            f.write("\t")
-            f.write("\t".join(map(_format_score, row.tolist())))
-            f.write("\n")
+    body = np.ascontiguousarray(m.scores, dtype="<f8")
+    with open(path, "wb") as f:
+        head = f"{MATRIX_FORMAT_MAGIC} {MATRIX_FORMAT_VERSION} {m.n_rows} {m.n_cols}\n"
+        f.write(head.encode("ascii"))
+        f.write(("\t".join(m.col_labels) + "\n").encode("utf-8"))
+        f.write(("\t".join(m.row_labels) + "\n").encode("utf-8"))
+        f.write(body)
 
 
 def load_matrix(path: str | Path) -> ScoreMatrix:
-    """Read a matrix written by save_matrix.
+    """Read a matrix file in format v2 (written by save_matrix) or v1 text.
 
-    Raises ValueError naming the first malformed line.
+    The version in the header line selects the reader.  v1 is the earlier
+    text layout: the header ``#cogmatrix v1 <n1> <n2>``, a line of column
+    labels, then one line per row (label, then one decimal score per column).
+    It is read, never written.
+
+    Raises ValueError naming the file and the line at fault; a v2 body
+    whose length disagrees with the header fails before any allocation.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="\n") as f:
-        lines = f.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
 
     def bad(lineno: int, msg: str) -> ValueError:
         return ValueError(f"{path}:{lineno}: {msg}")
 
-    if not lines:
-        raise bad(1, "empty file, expected '#cogmatrix v1 <n1> <n2>' header")
-    head = lines[0].split(" ")
-    if len(head) != 4 or head[0] != MATRIX_FORMAT_MAGIC or head[1] != MATRIX_FORMAT_VERSION:
-        raise bad(1, "expected header '#cogmatrix v1 <n1> <n2>'")
-    try:
-        n1, n2 = int(head[2]), int(head[3])
-    except ValueError:
-        raise bad(1, f"non-integer dimensions in header: {lines[0]!r}") from None
-    if n1 < 0 or n2 < 0:
-        raise bad(1, "negative dimensions in header")
-    if len(lines) != 2 + n1:
-        raise bad(len(lines), f"expected {2 + n1} lines for a {n1}x{n2} matrix, found {len(lines)}")
+    with open(path, "rb") as f:
+        first = f.readline()
+        if not first:
+            raise bad(1, f"empty file, expected {_HEADER_SHAPE!r} header")
+        head = first.rstrip(b"\n").split(b" ")
+        if (
+            len(head) != 4
+            or head[0] != MATRIX_FORMAT_MAGIC.encode("ascii")
+            or head[1] not in (b"v1", b"v2")
+        ):
+            raise bad(1, f"expected header {_HEADER_SHAPE!r}")
+        try:
+            n1, n2 = int(head[2]), int(head[3])
+        except ValueError:
+            raise bad(1, f"non-integer dimensions in header: {first!r}") from None
+        if n1 < 0 or n2 < 0:
+            raise bad(1, "negative dimensions in header")
+        if head[1] == b"v1":
+            try:
+                text = f.read().decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise bad(2, f"not UTF-8 text: {exc}") from None
+            return _parse_v1(text, n1, n2, bad)
+        return _read_v2(f, n1, n2, bad)
 
-    col_labels = lines[1].split("\t") if lines[1] != "" else []
+
+def _parse_labels(raw: bytes, lineno: int, count: int, kind: str, bad) -> tuple[str, ...]:
+    try:
+        line = raw[:-1].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise bad(lineno, f"{kind} labels are not UTF-8: {exc}") from None
+    labels = line.split("\t") if line != "" else []
+    if len(labels) != count:
+        raise bad(lineno, f"expected {count} {kind} labels, found {len(labels)}")
+    if "" in labels:
+        raise bad(lineno, f"empty {kind} label")
+    try:
+        _check_labels(labels, kind)
+    except ValueError as exc:
+        raise bad(lineno, str(exc)) from None
+    return tuple(labels)
+
+
+def _read_v2(f, n1: int, n2: int, bad) -> ScoreMatrix:
+    raw_cols, raw_rows = f.readline(), f.readline()
+    for lineno, raw in ((2, raw_cols), (3, raw_rows)):
+        if not raw.endswith(b"\n"):
+            raise bad(lineno, "missing or unterminated label line")
+    # Checked before labels are parsed or the body allocated, so a wrong or
+    # huge header costs no more than reading the two label lines.
+    expected = n1 * n2 * 8
+    found = os.fstat(f.fileno()).st_size - f.tell()
+    if found != expected:
+        raise bad(
+            1,
+            f"header declares a {n1}x{n2} matrix ({expected} body bytes) "
+            f"but {found} bytes follow line 3",
+        )
+    col_labels = _parse_labels(raw_cols, 2, n2, "column", bad)
+    row_labels = _parse_labels(raw_rows, 3, n1, "row", bad)
+    scores = np.empty((n1, n2), dtype="<f8")
+    if f.readinto(scores) != expected or f.read(1):
+        raise bad(4, f"body changed size while reading; expected {expected} bytes")
+    finite = np.isfinite(scores)
+    if not finite.all():
+        i, j = np.unravel_index(int(np.argmin(finite)), scores.shape)
+        raise bad(
+            4,
+            f"non-finite score {float(scores[i, j])!r} at row {row_labels[i]!r}, "
+            f"column {col_labels[j]!r}",
+        )
+    return ScoreMatrix(row_labels, col_labels, scores)
+
+
+def _parse_v1(text: str, n1: int, n2: int, bad) -> ScoreMatrix:
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    n_lines = 1 + len(lines)
+    if n_lines != 2 + n1:
+        raise bad(n_lines, f"expected {2 + n1} lines for a {n1}x{n2} matrix, found {n_lines}")
+
+    col_labels = lines[0].split("\t") if lines[0] != "" else []
     if len(col_labels) != n2:
         raise bad(2, f"expected {n2} column labels, found {len(col_labels)}")
 
@@ -196,7 +275,7 @@ def load_matrix(path: str | Path) -> ScoreMatrix:
     scores = np.empty((n1, n2), dtype=np.float64)
     for i in range(n1):
         lineno = 3 + i
-        fields = lines[2 + i].split("\t")
+        fields = lines[1 + i].split("\t")
         if len(fields) != 1 + n2:
             raise bad(lineno, f"expected row label plus {n2} scores, found {len(fields)} fields")
         label = fields[0]

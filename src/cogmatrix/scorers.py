@@ -225,6 +225,25 @@ def _ratio_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_inputs(metric: MetricId, lex1: LexiconSide, lex2: LexiconSide) -> None:
+    """Reject a side that lacks the data the metric reads: every word would
+    get the same statistics, and the matrix would be constant."""
+    if metric in (MetricId.TEMPORAL, MetricId.BURSTINESS):
+        what, flag = "daily counts", "daily"
+        missing = [lex.n_days == 0 for lex in (lex1, lex2)]
+    elif metric is MetricId.CONTEXT:
+        what, flag = "co-occurrence counts", "cooc"
+        missing = [lex.cooc_grand_total == 0 for lex in (lex1, lex2)]
+    else:
+        return
+    for side, absent in enumerate(missing, start=1):
+        if absent:
+            raise ValueError(
+                f"{metric.value} metric needs L{side} {what} (--{flag}{side}), "
+                "but that side has none"
+            )
+
+
 def score_all_pairs(
     metric: MetricId,
     x_words,
@@ -252,6 +271,7 @@ def score_all_pairs(
 
     if lex1 is None or lex2 is None:
         raise ValueError(f"{metric.value} metric requires lexicon statistics")
+    _check_inputs(metric, lex1, lex2)
 
     if metric is MetricId.FREQUENCY:
         r1 = np.array([lex1.rel_freq(x) for x in x_words], dtype=np.float64)

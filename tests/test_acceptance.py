@@ -154,7 +154,7 @@ def test_evaluation_fixtures():
 def _method_iaps(matrix, gold, methods):
     out = {}
     for method in methods:
-        curve = cgm.pr_curve(cgm.apply(method, matrix), gold)
+        curve = cgm.hit_curve(cgm.apply(method, matrix), gold)
         out[method] = (cgm.iap11(curve), cgm.max_f1(curve))
     return out
 

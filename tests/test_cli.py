@@ -256,6 +256,49 @@ class TestFilePipeline:
         train_matrix = cgm.load_matrix(out / "train_metric_phonetic.tsv")
         assert set(train_matrix.row_labels) == gold.l1_words()
 
+    def test_large_mode_eval_universe_excludes_seed_words(self, corpus, tmp_path):
+        common = ("--gold", corpus / "gold.tsv",
+                  "--freq1", corpus / "freq1.tsv", "--freq2", corpus / "freq2.tsv",
+                  "--metrics", "phonetic,frequency", "--mode", "large", "--k", 8,
+                  "--seed", 13, "--seed-fraction", 0.25)
+        assert run_cli("pipeline", "--source", "files", "--out", tmp_path / "run", *common) == 0
+        gold = cgm.load_gold_pairs(corpus / "gold.tsv")
+        seed, gold_eval = cgm.split_seed(gold, 0.25, 13)
+        eval_matrix = cgm.load_matrix(tmp_path / "run" / "metric_phonetic.tsv")
+        assert gold_eval.l1_words() <= set(eval_matrix.row_labels)
+        assert not (set(eval_matrix.row_labels) & seed.pairs.l1_words())
+        assert not (set(eval_matrix.col_labels) & seed.pairs.l2_words())
+        train_matrix = cgm.load_matrix(tmp_path / "run" / "train_metric_phonetic.tsv")
+        assert set(train_matrix.row_labels) == gold.l1_words()
+        # ``score`` builds the training universe: seed pairs stay candidates.
+        assert run_cli("score", "--out", tmp_path / "scored", *common) == 0
+        scored = cgm.load_matrix(tmp_path / "scored" / "metric_phonetic.tsv")
+        assert seed.pairs.l1_words() <= set(scored.row_labels)
+        assert seed.pairs.l2_words() <= set(scored.col_labels)
+
+    @pytest.mark.parametrize(
+        "metrics, given, missing",
+        [
+            ("phonetic,burstiness", (), "--daily1"),
+            ("temporal", ("daily1",), "--daily2"),
+            ("context", ("daily1", "daily2"), "--cooc1"),
+            ("frequency,context", ("cooc1",), "--cooc2"),
+        ],
+    )
+    def test_metric_without_its_data_fails(self, corpus, tmp_path, capsys, metrics, given, missing):
+        extra = [a for name in given for a in (f"--{name}", corpus / f"{name}.tsv")]
+        rc = run_cli(
+            "pipeline", "--source", "files", "--out", tmp_path / "run",
+            "--gold", corpus / "gold.tsv",
+            "--freq1", corpus / "freq1.tsv", "--freq2", corpus / "freq2.tsv", *extra,
+            "--metrics", metrics, "--seed", 13, "--seed-fraction", 0.25,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert missing in err
+        assert metrics.split(",")[-1] in err
+        assert not (tmp_path / "run" / "report.tsv").exists()
+
     def test_score_then_train_then_combine(self, corpus, tmp_path):
         score_dir = tmp_path / "scored"
         assert run_cli(

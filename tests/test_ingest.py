@@ -169,6 +169,22 @@ class TestBuildUniverse:
         gold = GoldPairs(frozenset({("q", "t")}))
         assert build_universe(lex1, lex2, gold, "large", 2) == build_universe(lex1, lex2, gold, "large", 2)
 
+    def test_large_mode_excludes_seed_words_from_top_k(self):
+        lex1 = self.lex({"s": 90, "w1": 50, "w2": 40, "w3": 30, "a": 1})
+        lex2 = self.lex({"t": 90, "v1": 50, "v2": 40, "v3": 30, "x": 1})
+        gold = GoldPairs(frozenset({("a", "x")}))
+        seed = GoldPairs(frozenset({("s", "t")}))
+        without = build_universe(lex1, lex2, gold, mode="large", k=2)
+        assert without == (("s", "w1", "a"), ("t", "v1", "x"))
+        xs, ys = build_universe(lex1, lex2, gold, mode="large", k=2, exclude=seed)
+        assert xs == ("w1", "w2", "a")
+        assert ys == ("v1", "v2", "x")
+
+    def test_standard_mode_unaffected_by_exclude(self):
+        gold = GoldPairs(frozenset({("a", "x"), ("b", "y")}))
+        seed = GoldPairs(frozenset({("s", "t")}))
+        assert build_universe(None, None, gold, exclude=seed) == (("a", "b"), ("x", "y"))
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             build_universe(None, None, make_gold(2), mode="huge")

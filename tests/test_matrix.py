@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogmatrix import GoldPairs, ScoreMatrix, load_matrix, normalize_min_max, save_matrix
 
@@ -148,3 +150,93 @@ class TestPersistence:
         m = mat([[1.0]], rows=("a\tb",))
         with pytest.raises(ValueError, match="not representable"):
             save_matrix(m, tmp_path / "m.tsv")
+
+
+# Values whose bits a decimal or lossy path would disturb.
+SPECIAL_VALUES = (
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2,
+)
+LABEL_CHARS = st.characters(exclude_characters="\t\n", exclude_categories=("Cs",))
+
+
+def v2_bytes(n1, n2, cols, rows, body):
+    head = f"#cogmatrix v2 {n1} {n2}\n{cols}\n{rows}\n".encode("utf-8")
+    return head + np.asarray(body, dtype="<f8").tobytes()
+
+
+@st.composite
+def matrices(draw):
+    n_rows = draw(st.integers(0, 6))
+    n_cols = draw(st.integers(0, 6))
+    labels = st.lists(
+        st.text(LABEL_CHARS, min_size=1, max_size=5), unique=True,
+        min_size=n_rows + n_cols, max_size=n_rows + n_cols,
+    )
+    names = draw(labels)
+    values = st.one_of(
+        st.sampled_from(SPECIAL_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    cells = draw(st.lists(values, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    scores = np.array(cells, dtype=np.float64).reshape(n_rows, n_cols)
+    return ScoreMatrix(tuple(names[:n_rows]), tuple(names[n_rows:]), scores)
+
+
+class TestFormatV2:
+    @settings(max_examples=200, deadline=None)
+    @given(m=matrices())
+    def test_round_trip_is_bit_exact(self, m, tmp_path_factory):
+        path = tmp_path_factory.mktemp("v2") / "m.tsv"
+        save_matrix(m, path)
+        back = load_matrix(path)
+        assert back.row_labels == m.row_labels
+        assert back.col_labels == m.col_labels
+        assert back.shape == m.shape
+        assert np.array_equal(back.scores, m.scores)
+        assert np.array_equal(back.scores.view(np.uint64), m.scores.view(np.uint64))
+
+    def test_layout(self, tmp_path):
+        m = mat([[1.5, -0.0], [2.0, 5e-324]], rows=("a", "b"), cols=("ü", "v"))
+        save_matrix(m, tmp_path / "m.tsv")
+        expected = v2_bytes(2, 2, "ü\tv", "a\tb", [1.5, -0.0, 2.0, 5e-324])
+        assert (tmp_path / "m.tsv").read_bytes() == expected
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (v2_bytes(2, 2, "u\tv", "a\tb", [1.0, 2.0, 3.0, 4.0])[:-3], r":1: .*2x2"),
+            (v2_bytes(2, 2, "u\tv", "a\tb", [1.0, 2.0, 3.0, 4.0]) + b"\x00", r":1: .*2x2"),
+            (v2_bytes(2, 1, "u", "a\tb", [1.0, 2.0, 3.0, 4.0]), r":1: .*2x1"),
+            # Would need 8 TB if allocated before the size check.
+            (v2_bytes(10**6, 10**6, "u", "a", [1.0]), r":1: .*1000000x1000000"),
+            (v2_bytes(2, 2, "u\tv\tw", "a\tb", [1.0, 2.0, 3.0, 4.0]), r":2: .*column labels"),
+            (v2_bytes(2, 2, "u\tv", "a", [1.0, 2.0, 3.0, 4.0]), r":3: .*row labels"),
+            (v2_bytes(2, 2, "u\tv", "a\ta", [1.0, 2.0, 3.0, 4.0]), r":3: duplicate row"),
+            (v2_bytes(1, 2, "\tv", "a", [1.0, 2.0]), r":2: empty column"),
+            (v2_bytes(1, 2, "u\tv", "a", [1.0, np.nan]), r":4: non-finite .*'a'.*'v'"),
+            (v2_bytes(1, 1, "u", "a", [-np.inf]), r":4: non-finite"),
+            (b"#cogmatrix v2 1 1\nu\n", r":3: .*label line"),
+            (b"#cogmatrix v3 1 1\nu\na\n", r":1: expected header"),
+            (b"#cogmatrix v2 -1 1\n\n\n", r":1: negative"),
+            (b"", r":1: empty file"),
+        ],
+        ids=[
+            "truncated-body", "trailing-bytes", "dims-disagree-with-size", "huge-header",
+            "column-count", "row-count", "duplicate-row", "empty-label", "nan-body", "inf-body",
+            "missing-row-line", "unknown-version", "negative-dims", "empty-file",
+        ],
+    )
+    def test_malformed_names_file_and_line(self, tmp_path, data, where):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=r"bad\.tsv" + where):
+            load_matrix(path)
+
+    def test_hand_written_v1_still_loads(self, tmp_path):
+        path = tmp_path / "old.tsv"
+        path.write_text("#cogmatrix v1 2 2\nx\ty\na\t0.1\t-0.0\nb\t1e-308\t3\n", encoding="utf-8")
+        m = load_matrix(path)
+        assert m.row_labels == ("a", "b")
+        assert m.col_labels == ("x", "y")
+        expected = np.array([[0.1, -0.0], [1e-308, 3.0]])
+        assert np.array_equal(m.scores.view(np.uint64), expected.view(np.uint64))
