@@ -219,28 +219,28 @@ def _metric_matrix_name(metric: MetricId) -> str:
     return f"metric_{metric.value}.tsv"
 
 
-def _score_universe(cfg, lex1, lex2, universe_gold, bridge, exclude=None):
+def _load_corpus(run: RunWriter, cfg: PipelineConfig):
+    """Gold pairs, both lexicon sides, the training seed split off the gold
+    pairs, the evaluation remainder, and the seed's context bridge."""
+    gold = load_gold_pairs(_require(run.track_input(cfg.gold), "gold"))
+    lexica = (_load_side(run, cfg, 1), _load_side(run, cfg, 2))
+    seed, gold_eval = split_seed(gold, cfg.seed_fraction, cfg.seed)
+    return gold, lexica, seed, gold_eval, SeedLexicon.from_pairs(seed.pairs.pairs)
+
+
+def _score_universe(run, cfg, lexica, bridge, universe_gold, prefix="", exclude=None) -> dict:
+    """Score every active metric over the universe of ``universe_gold`` and
+    save each matrix as ``<prefix>metric_<name>.tsv``."""
     x_words, y_words = build_universe(
-        lex1, lex2, universe_gold, mode=cfg.mode, k=cfg.k, exclude=exclude
+        *lexica, universe_gold, mode=cfg.mode, k=cfg.k, exclude=exclude
     )
-    return {
-        metric: score_all_pairs(metric, x_words, y_words, lex1, lex2, bridge)
+    matrices = {
+        metric: score_all_pairs(metric, x_words, y_words, *lexica, bridge)
         for metric in cfg.metric_ids()
     }
-
-
-def _score_metrics(run: RunWriter, cfg: PipelineConfig):
-    """Shared by ``score`` and ``pipeline``: per-metric matrices over the
-    universe built from the full gold file (so training pairs are present)."""
-    gold = load_gold_pairs(_require(run.track_input(cfg.gold), "gold"))
-    lex1 = _load_side(run, cfg, 1)
-    lex2 = _load_side(run, cfg, 2)
-    seed, gold_eval = split_seed(gold, cfg.seed_fraction, cfg.seed)
-    bridge = SeedLexicon.from_pairs(seed.pairs.pairs)
-    matrices = _score_universe(cfg, lex1, lex2, gold, bridge)
     for metric, matrix in matrices.items():
-        save_matrix(matrix, run.out_path(_metric_matrix_name(metric)))
-    return matrices, seed, gold, gold_eval
+        save_matrix(matrix, run.out_path(prefix + _metric_matrix_name(metric)))
+    return matrices
 
 
 def _synth_config(cfg: PipelineConfig) -> SynthConfig:
@@ -271,7 +271,10 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 
 def cmd_score(cfg: PipelineConfig) -> int:
     run = RunWriter("score", cfg)
-    _score_metrics(run, cfg)
+    # The universe is built from the full gold file, so training pairs are
+    # present as candidates.
+    gold, lexica, _, _, bridge = _load_corpus(run, cfg)
+    _score_universe(run, cfg, lexica, bridge, gold)
     run.write_manifest()
     return 0
 
@@ -364,12 +367,7 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
         baseline, gold_eval = generate(_synth_config(cfg))
         save_gold_pairs(gold_eval, run.out_path("gold.tsv"))
     elif cfg.source == "files":
-        gold = load_gold_pairs(_require(run.track_input(cfg.gold), "gold"))
-        lex1 = _load_side(run, cfg, 1)
-        lex2 = _load_side(run, cfg, 2)
-        seed, gold_eval = split_seed(gold, cfg.seed_fraction, cfg.seed)
-        bridge = SeedLexicon.from_pairs(seed.pairs.pairs)
-
+        gold, lexica, seed, gold_eval, bridge = _load_corpus(run, cfg)
         if cfg.weights == "uniform":
             weights = uniform_weights(cfg.metric_ids())
         else:
@@ -377,18 +375,14 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
             # pairs must be present as candidates); evaluation below never
             # sees those matrices.
             train_cfg = replace(cfg, mode="standard")
-            train_matrices = _score_universe(train_cfg, lex1, lex2, gold, bridge)
-            for metric, matrix in train_matrices.items():
-                save_matrix(matrix, run.out_path(f"train_{_metric_matrix_name(metric)}"))
+            train_matrices = _score_universe(run, train_cfg, lexica, bridge, gold, prefix="train_")
             weights = train_weights(train_matrices, seed, cfg.training_config())
         save_weights(weights, run.out_path("weights.tsv"))
 
         # Candidates for evaluation come from the eval split only: the seed
         # pairs were consumed by training and are not scored or counted, not
         # even as frequent words in the large-mode top k.
-        matrices = _score_universe(cfg, lex1, lex2, gold_eval, bridge, exclude=seed.pairs)
-        for metric, matrix in matrices.items():
-            save_matrix(matrix, run.out_path(_metric_matrix_name(metric)))
+        matrices = _score_universe(run, cfg, lexica, bridge, gold_eval, exclude=seed.pairs)
         baseline = combine(matrices, weights)
     else:
         raise ValueError(f"unknown source {cfg.source!r}; expected 'files' or 'synth'")

@@ -275,15 +275,17 @@ def _parse_v1(text: str, n1: int, n2: int, bad) -> ScoreMatrix:
     scores = np.empty((n1, n2), dtype=np.float64)
     for i in range(n1):
         lineno = 3 + i
-        fields = lines[1 + i].split("\t")
-        if len(fields) != 1 + n2:
-            raise bad(lineno, f"expected row label plus {n2} scores, found {len(fields)} fields")
-        label = fields[0]
+        # The v1 writer put a tab after every label, so a row of an n x 0
+        # matrix is ``label<TAB>`` with no scores.
+        label, _, rest = lines[1 + i].partition("\t")
+        tokens = rest.split("\t") if rest != "" else []
+        if len(tokens) != n2:
+            raise bad(lineno, f"expected row label plus {n2} scores, found {len(tokens)} scores")
         if label in seen_rows:
             raise bad(lineno, f"duplicate row label: {label!r}")
         seen_rows.add(label)
         row_labels.append(label)
-        for j, tok in enumerate(fields[1:]):
+        for j, tok in enumerate(tokens):
             try:
                 v = float(tok)
             except ValueError:

@@ -1,17 +1,22 @@
-"""Per-pair similarity metrics over candidate word pairs.
+"""Pair similarity metrics over a candidate universe.
 
-Five corpus-derived signals, each mapping a candidate (L1 word, L2 word) pair
-to a similarity in [0, 1]:
+Five corpus-derived signals map a candidate (L1 word, L2 word) pair to a
+similarity in [0, 1].  :func:`score_all_pairs` is the one implementation of
+each: it computes per-word features once, then runs one pairwise kernel.
 
 * ``phonetic``   - normalized edit distance over the orthographic lemmas
-* ``frequency``  - ratio of relative corpus frequencies
+                   (the Levenshtein DP, run for all L2 words at once)
+* ``frequency``  - ratio of relative corpus frequencies (outer min/max)
 * ``temporal``   - rank correlation of daily-count DFT magnitude spectra
+                   (one matrix product of centred rank vectors)
 * ``burstiness`` - ratio of Fano factors (variance/mean of daily counts)
 * ``context``    - cosine of positive-PMI association vectors projected
-                   through a seed translation lexicon
+                   through a seed translation lexicon (one CSR product)
 
-Co-occurrence counts are consumed as produced upstream; the context-window
-size is the data producer's choice (a small symmetric window is typical).
+The single-pair functions are 1x1 calls of :func:`score_all_pairs`, so a
+matrix entry equals the single-pair score bit for bit.  Co-occurrence counts
+are consumed as produced upstream; the context-window size is the data
+producer's choice (a small symmetric window is typical).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.stats import rankdata
 
 from .ingest import LexiconSide
@@ -55,174 +61,100 @@ class SeedLexicon:
         return len(self.mapping)
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance over unicode scalar values (insert/delete/substitute)."""
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, cb in enumerate(b, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
-        prev = cur
-    return prev[len(b)]
+# Cells per row block of a kernel.  A kernel's temporaries are a few times
+# one block, so scoring needs little memory beyond the result matrix.
+_BLOCK_CELLS = 1 << 18
 
 
-def phonetic_score(w1: str, w2: str) -> float:
-    """1 - ED/max(|w1|, |w2|); two empty strings count as identical."""
-    longer = max(len(w1), len(w2))
-    if longer == 0:
-        return 1.0
-    return (longer - levenshtein(w1, w2)) / longer
+def _by_row_blocks(n1: int, n2: int, kernel) -> np.ndarray:
+    """The n1 x n2 matrix whose rows ``rows`` (a slice) are ``kernel(rows)``."""
+    out = np.empty((n1, n2), dtype=np.float64)
+    step = max(1, _BLOCK_CELLS // max(n2, 1))
+    for start in range(0, n1, step):
+        rows = slice(start, start + step)
+        out[rows] = kernel(rows)
+    return out
 
 
-def _ratio_similarity(a: float, b: float) -> float:
-    # min/max ratio: scale-free, 1 when equal (including both 0), 0 when
-    # exactly one side is 0.  Inputs are non-negative.
-    hi = max(a, b)
-    if hi == 0.0:
-        return 1.0
-    return min(a, b) / hi
+def _edit_distances(x_words: tuple[str, ...], y_words: tuple[str, ...]) -> np.ndarray:
+    """Levenshtein distance (over unicode scalar values) of every (x, y) pair.
+
+    The DP advances one character of x at a time over a row of all y; entry
+    j of the row is the distance to y[:j].  The insertion chain
+    ``cur[j] = min(cur[j], cur[j - 1] + 1)`` is a prefix minimum of
+    ``cur[j] - j``.  Padding past len(y) only feeds entries further right.
+    """
+    y_len = np.array([len(y) for y in y_words], dtype=np.int64)
+    width = int(y_len.max(initial=0))
+    codes = np.full((width, len(y_words)), -1, dtype=np.int64)
+    for j, y in enumerate(y_words):
+        codes[: len(y), j] = [ord(c) for c in y]
+    cols = np.arange(width + 1, dtype=np.int64)[:, None]
+    last = (y_len, np.arange(len(y_words)))
+    out = np.empty((len(x_words), len(y_words)), dtype=np.int64)
+    for i, x in enumerate(x_words):
+        prev = np.broadcast_to(cols, (width + 1, len(y_words)))
+        for k, ch in enumerate(x, start=1):
+            cur = np.empty_like(prev)
+            cur[0] = k
+            np.minimum(prev[1:] + 1, prev[:-1] + (codes != ord(ch)), out=cur[1:])
+            prev = np.minimum.accumulate(cur - cols, axis=0) + cols
+        out[i] = prev[last]
+    return out
 
 
-def frequency_score(w1: str, lex1: LexiconSide, w2: str, lex2: LexiconSide) -> float:
-    """Ratio of relative frequencies; both-unseen pairs score 1."""
-    return _ratio_similarity(lex1.rel_freq(w1), lex2.rel_freq(w2))
-
-
-def _fano_factor(daily: np.ndarray) -> float:
-    mean = float(daily.mean()) if daily.size else 0.0
+def _fano_factor(lex: LexiconSide, word: str) -> float:
+    daily = lex.daily(word)
+    mean = float(daily.mean())
     if mean == 0.0:
         return 0.0
     return float(daily.var() / mean)
 
 
-def burstiness_score(w1: str, lex1: LexiconSide, w2: str, lex2: LexiconSide) -> float:
-    """Ratio of Fano factors of the two daily-count series."""
-    return _ratio_similarity(_fano_factor(lex1.daily(w1)), _fano_factor(lex2.daily(w2)))
+def _spectrum_ranks(lex: LexiconSide, words: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Centred average ranks of each word's DFT magnitude spectrum (one row
+    per word) and their squared norms; a constant spectrum has norm 0.
 
-
-def _spectrum_rank_vector(daily: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """Centered average-rank vector of the DFT magnitude spectrum, with its
-    squared norm.
-
-    The DC bin is dropped (it carries only raw frequency mass, which the
-    frequency metric already covers).  Returns None for a degenerate
-    (constant) spectrum, whose correlation is defined as 0.  Centered average
-    ranks are quarter-integer-exact floats, so the dot products below are
-    exact for any realistic series length.
+    The DC bin is dropped: it carries only raw frequency mass, which the
+    frequency metric covers.  Average ranks are half-integers summing to
+    n(n+1)/2, so the centred values and all their dot products are exact.
     """
-    mag = np.abs(np.fft.rfft(np.asarray(daily, dtype=np.float64)))[1:]
-    ranks = rankdata(mag, method="average")
-    centered = ranks - ranks.mean()
-    sq_norm = float(centered @ centered)
-    if sq_norm == 0.0:
-        return None
-    return centered, sq_norm
+    mags = np.empty((len(words), lex.n_days // 2), dtype=np.float64)
+    for i, w in enumerate(words):
+        mags[i] = np.abs(np.fft.rfft(np.asarray(lex.daily(w), dtype=np.float64)))[1:]
+    ranks = rankdata(mags, method="average", axis=1)
+    centred = ranks - ranks.mean(axis=1, keepdims=True)
+    return centred, np.einsum("ij,ij->i", centred, centred)
 
 
-def _rank_correlation(
-    u1: tuple[np.ndarray, float] | None, u2: tuple[np.ndarray, float] | None
-) -> float:
-    if u1 is None or u2 is None:
-        return 0.0
-    c1, q1 = u1
-    c2, q2 = u2
-    num = float(c1 @ c2)
-    if q1 == q2 and abs(num) == q1:
-        # Cauchy-Schwarz equality on exact values: identical or exactly
-        # reversed rankings, so return the exact endpoint.
-        return math.copysign(1.0, num)
-    rho = num / math.sqrt(q1 * q2)
-    return min(1.0, max(-1.0, rho))
+def _associations(
+    lex: LexiconSide, words: tuple[str, ...], dim_of: dict[str, int], n_dims: int
+) -> tuple[csr_matrix, np.ndarray]:
+    """PPMI association vectors of ``words`` over the bridge dimensions, as
+    CSR rows with sorted column indices, and their Euclidean norms.
 
-
-def _check_days(lex1: LexiconSide, lex2: LexiconSide) -> None:
-    if lex1.n_days != lex2.n_days:
-        raise ValueError(f"daily series lengths differ: {lex1.n_days} vs {lex2.n_days}")
-    if lex1.n_days < 4:
-        raise ValueError("temporal metric requires daily series of length >= 4")
-
-
-def temporal_score(w1: str, lex1: LexiconSide, w2: str, lex2: LexiconSide) -> float:
-    """Spearman correlation of the DFT magnitude spectra, rescaled to [0, 1].
-
-    The raw correlation lies in [-1, 1]; the returned value is (rho + 1) / 2
-    so it combines on the same scale as the other metrics.
+    ``dim_of`` maps a context word of this side to its dimension; context
+    words without one are dropped, and several context words sharing one
+    dimension add up in context-word order.
     """
-    _check_days(lex1, lex2)
-    u1 = _spectrum_rank_vector(lex1.daily(w1))
-    u2 = _spectrum_rank_vector(lex2.daily(w2))
-    rho = _rank_correlation(u1, u2)
-    return (rho + 1.0) / 2.0
-
-
-def _ppmi(lex: LexiconSide, word: str, ctx: str) -> float:
-    n_wc = lex.cooc_profile(word).get(ctx, 0)
-    if n_wc == 0:
-        return 0.0
-    total = lex.cooc_grand_total
-    row = lex.cooc_word_totals[word]
-    col = lex.cooc_context_totals[ctx]
-    return max(0.0, math.log(n_wc * total / (row * col)))
-
-
-def _bridge_dims(bridge: SeedLexicon) -> tuple[str, ...]:
-    return tuple(sorted(set(bridge.mapping.values())))
-
-
-def _l1_association(lex1: LexiconSide, word: str, dims: tuple[str, ...]) -> np.ndarray:
-    return np.array([_ppmi(lex1, word, d) for d in dims], dtype=np.float64)
-
-
-def _l2_association(
-    lex2: LexiconSide, word: str, bridge: SeedLexicon, dims: tuple[str, ...]
-) -> np.ndarray:
-    dim_index = {d: i for i, d in enumerate(dims)}
-    vec = np.zeros(len(dims), dtype=np.float64)
-    for ctx in sorted(lex2.cooc_profile(word)):
-        l1_dim = bridge.mapping.get(ctx)
-        if l1_dim is not None:
-            vec[dim_index[l1_dim]] += _ppmi(lex2, word, ctx)
-    return vec
-
-
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.sqrt(a @ a))
-    nb = float(np.sqrt(b @ b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return min(1.0, max(0.0, float(a @ b) / (na * nb)))
-
-
-def context_score(
-    w1: str,
-    lex1: LexiconSide,
-    w2: str,
-    lex2: LexiconSide,
-    bridge: SeedLexicon,
-) -> float:
-    """Cosine of PPMI association vectors over the bridge dimensions.
-
-    The L2 word's co-occurrence profile is projected into L1 space through
-    the bridge; context words without a bridge entry are dropped.
-    """
-    if not bridge.mapping:
-        raise ValueError("context metric requires seed lexicon")
-    dims = _bridge_dims(bridge)
-    v1 = _l1_association(lex1, w1, dims)
-    v2 = _l2_association(lex2, w2, bridge, dims)
-    return _cosine(v1, v2)
-
-
-def _ratio_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    lo = np.minimum.outer(a, b)
-    hi = np.maximum.outer(a, b)
-    out = np.divide(lo, hi, out=np.zeros_like(lo), where=hi != 0.0)
-    out[hi == 0.0] = 1.0
-    return out
+    total, ctx_totals = lex.cooc_grand_total, lex.cooc_context_totals
+    indptr, indices, data = [0], [], []
+    norms = np.empty(len(words), dtype=np.float64)
+    for i, w in enumerate(words):
+        profile = lex.cooc_profile(w)
+        row: dict[int, float] = {}
+        for ctx in sorted(profile):
+            dim = dim_of.get(ctx)
+            if dim is not None and profile[ctx]:
+                pmi = math.log(profile[ctx] * total / (lex.cooc_word_totals[w] * ctx_totals[ctx]))
+                row[dim] = row.get(dim, 0.0) + max(0.0, pmi)
+        dims = sorted(row)
+        indices += dims
+        data += [row[d] for d in dims]
+        indptr.append(len(indices))
+        norms[i] = math.sqrt(math.fsum(row[d] * row[d] for d in dims))
+    vectors = csr_matrix((data, indices, indptr), shape=(len(words), n_dims), dtype=np.float64)
+    return vectors, norms
 
 
 def _check_inputs(metric: MetricId, lex1: LexiconSide, lex2: LexiconSide) -> None:
@@ -254,55 +186,124 @@ def score_all_pairs(
 ) -> ScoreMatrix:
     """Score every (x, y) pair of the universe under one metric.
 
-    Entry (i, j) equals the single-pair metric applied to (x_i, y_j); shared
-    per-word statistics are computed once, so large universes avoid repeated
-    spectrum and association work.
+    Words missing from the daily or co-occurrence data get a zero series or
+    an empty profile.
     """
     x_words = tuple(x_words)
     y_words = tuple(y_words)
     metric = MetricId(metric)
 
+    n1, n2 = len(x_words), len(y_words)
     if metric is MetricId.PHONETIC:
-        out = np.empty((len(x_words), len(y_words)), dtype=np.float64)
-        for i, x in enumerate(x_words):
-            for j, y in enumerate(y_words):
-                out[i, j] = phonetic_score(x, y)
-        return ScoreMatrix(x_words, y_words, out)
+        x_len = np.array([len(x) for x in x_words], dtype=np.int64)
+        y_len = np.array([len(y) for y in y_words], dtype=np.int64)
+
+        def phonetic(rows):
+            # 1 - ED/max(|x|, |y|); two empty strings count as identical.
+            longer = np.maximum.outer(x_len[rows], y_len)
+            dist = _edit_distances(x_words[rows], y_words)
+            return np.divide(longer - dist, longer, out=np.ones(longer.shape), where=longer > 0)
+
+        return ScoreMatrix(x_words, y_words, _by_row_blocks(n1, n2, phonetic))
 
     if lex1 is None or lex2 is None:
         raise ValueError(f"{metric.value} metric requires lexicon statistics")
     _check_inputs(metric, lex1, lex2)
 
-    if metric is MetricId.FREQUENCY:
-        r1 = np.array([lex1.rel_freq(x) for x in x_words], dtype=np.float64)
-        r2 = np.array([lex2.rel_freq(y) for y in y_words], dtype=np.float64)
-        return ScoreMatrix(x_words, y_words, _ratio_matrix(r1, r2))
+    if metric in (MetricId.FREQUENCY, MetricId.BURSTINESS):
+        value = LexiconSide.rel_freq if metric is MetricId.FREQUENCY else _fano_factor
+        r1 = np.array([value(lex1, x) for x in x_words], dtype=np.float64)
+        r2 = np.array([value(lex2, y) for y in y_words], dtype=np.float64)
 
-    if metric is MetricId.BURSTINESS:
-        b1 = np.array([_fano_factor(lex1.daily(x)) for x in x_words], dtype=np.float64)
-        b2 = np.array([_fano_factor(lex2.daily(y)) for y in y_words], dtype=np.float64)
-        return ScoreMatrix(x_words, y_words, _ratio_matrix(b1, b2))
+        def ratio(rows):
+            # min/max: scale-free, 1 when equal (including both 0), 0 when
+            # exactly one side is 0.  Values are non-negative.
+            lo = np.minimum.outer(r1[rows], r2)
+            hi = np.maximum.outer(r1[rows], r2)
+            return np.divide(lo, hi, out=np.ones_like(lo), where=hi != 0.0)
+
+        return ScoreMatrix(x_words, y_words, _by_row_blocks(n1, n2, ratio))
 
     if metric is MetricId.TEMPORAL:
-        _check_days(lex1, lex2)
-        u1 = [_spectrum_rank_vector(lex1.daily(x)) for x in x_words]
-        u2 = [_spectrum_rank_vector(lex2.daily(y)) for y in y_words]
-        out = np.empty((len(x_words), len(y_words)), dtype=np.float64)
-        for i in range(len(x_words)):
-            for j in range(len(y_words)):
-                out[i, j] = (_rank_correlation(u1[i], u2[j]) + 1.0) / 2.0
-        return ScoreMatrix(x_words, y_words, out)
+        if lex1.n_days != lex2.n_days:
+            raise ValueError(f"daily series lengths differ: {lex1.n_days} vs {lex2.n_days}")
+        if lex1.n_days < 4:
+            raise ValueError("temporal metric requires daily series of length >= 4")
+        c1, q1 = _spectrum_ranks(lex1, x_words)
+        c2, q2 = _spectrum_ranks(lex2, y_words)
+
+        def temporal(rows):
+            # Spearman rho from the exact dot products, rescaled to [0, 1].
+            num = c1[rows] @ c2.T
+            denom = np.sqrt(np.multiply.outer(q1[rows], q2))
+            defined = denom > 0.0
+            rho = np.divide(num, denom, out=np.zeros_like(num), where=defined)
+            # Cauchy-Schwarz equality on exact values: identical or exactly
+            # reversed rankings, so use the exact endpoint.
+            ends = defined & (q1[rows, None] == q2) & (np.abs(num) == q1[rows, None])
+            rho[ends] = np.sign(num[ends])
+            return (np.clip(rho, -1.0, 1.0, out=rho) + 1.0) / 2.0
+
+        return ScoreMatrix(x_words, y_words, _by_row_blocks(n1, n2, temporal))
 
     if metric is MetricId.CONTEXT:
         if bridge is None or not bridge.mapping:
             raise ValueError("context metric requires seed lexicon")
-        dims = _bridge_dims(bridge)
-        v1 = [_l1_association(lex1, x, dims) for x in x_words]
-        v2 = [_l2_association(lex2, y, bridge, dims) for y in y_words]
-        out = np.empty((len(x_words), len(y_words)), dtype=np.float64)
-        for i in range(len(x_words)):
-            for j in range(len(y_words)):
-                out[i, j] = _cosine(v1[i], v2[j])
-        return ScoreMatrix(x_words, y_words, out)
+        dims = sorted(set(bridge.mapping.values()))
+        dim_of = {d: i for i, d in enumerate(dims)}
+        v1, norms1 = _associations(lex1, x_words, dim_of, len(dims))
+        bridged = {ctx: dim_of[l1] for ctx, l1 in bridge.mapping.items()}
+        v2, norms2 = _associations(lex2, y_words, bridged, len(dims))
+        v2t = v2.T.tocsr()
+
+        def cosine(rows):
+            # CSR x CSR adds up each cell over the shared dimensions in index
+            # order, so a cell does not depend on the universe or the block.
+            num = (v1[rows] @ v2t).toarray()
+            denom = np.multiply.outer(norms1[rows], norms2)
+            out = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
+            return np.clip(out, 0.0, 1.0, out=out)
+
+        return ScoreMatrix(x_words, y_words, _by_row_blocks(n1, n2, cosine))
 
     raise ValueError(f"unknown metric {metric!r}")
+
+
+def levenshtein(a: str, b: str) -> int:
+    """Edit distance over unicode scalar values (insert/delete/substitute)."""
+    return int(_edit_distances((a,), (b,))[0, 0])
+
+
+def phonetic_score(w1: str, w2: str) -> float:
+    """1 - ED/max(|w1|, |w2|); two empty strings count as identical."""
+    return float(score_all_pairs(MetricId.PHONETIC, (w1,), (w2,)).scores[0, 0])
+
+
+def frequency_score(w1: str, lex1: LexiconSide, w2: str, lex2: LexiconSide) -> float:
+    """Ratio of relative frequencies; both-unseen pairs score 1."""
+    return float(score_all_pairs(MetricId.FREQUENCY, (w1,), (w2,), lex1, lex2).scores[0, 0])
+
+
+def burstiness_score(w1: str, lex1: LexiconSide, w2: str, lex2: LexiconSide) -> float:
+    """Ratio of Fano factors of the two daily-count series."""
+    return float(score_all_pairs(MetricId.BURSTINESS, (w1,), (w2,), lex1, lex2).scores[0, 0])
+
+
+def temporal_score(w1: str, lex1: LexiconSide, w2: str, lex2: LexiconSide) -> float:
+    """Spearman correlation of the DFT magnitude spectra, rescaled to [0, 1].
+
+    The raw correlation lies in [-1, 1]; the returned value is (rho + 1) / 2
+    so it combines on the same scale as the other metrics.
+    """
+    return float(score_all_pairs(MetricId.TEMPORAL, (w1,), (w2,), lex1, lex2).scores[0, 0])
+
+
+def context_score(
+    w1: str, lex1: LexiconSide, w2: str, lex2: LexiconSide, bridge: SeedLexicon
+) -> float:
+    """Cosine of PPMI association vectors over the bridge dimensions.
+
+    The L2 word's co-occurrence profile is projected into L1 space through
+    the bridge; context words without a bridge entry are dropped.
+    """
+    return float(score_all_pairs(MetricId.CONTEXT, (w1,), (w2,), lex1, lex2, bridge).scores[0, 0])

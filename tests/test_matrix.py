@@ -240,3 +240,12 @@ class TestFormatV2:
         assert m.col_labels == ("x", "y")
         expected = np.array([[0.1, -0.0], [1e-308, 3.0]])
         assert np.array_equal(m.scores.view(np.uint64), expected.view(np.uint64))
+
+    def test_v1_rows_without_columns_load(self, tmp_path):
+        # The v1 writer ended every row label with a tab, scores or not.
+        path = tmp_path / "old.tsv"
+        path.write_text("#cogmatrix v1 2 0\n\nrowa\t\nrowb\t\n", encoding="utf-8")
+        m = load_matrix(path)
+        assert m.row_labels == ("rowa", "rowb")
+        assert m.col_labels == ()
+        assert m.scores.shape == (2, 0)

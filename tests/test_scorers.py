@@ -1,9 +1,13 @@
 """Similarity metrics: fixtures against independent oracles and range checks."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from cogmatrix import (
     LexiconSide,
@@ -17,6 +21,7 @@ from cogmatrix import (
     score_all_pairs,
     temporal_score,
 )
+from cogmatrix import scorers
 
 
 def lexicon(total=100, freq=None, daily=None, cooc=None, n_days=0):
@@ -376,3 +381,170 @@ class TestScoreAllPairs:
     def test_lexicon_required_for_corpus_metrics(self):
         with pytest.raises(ValueError, match="lexicon"):
             score_all_pairs(MetricId.FREQUENCY, ("a",), ("b",))
+
+
+# Per-pair oracles: the single-pair loops score_all_pairs replaced, kept as
+# independent pure-Python references for its matrix kernels.
+
+
+def oracle_levenshtein(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j, cb in enumerate(b, start=1):
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
+        prev = cur
+    return prev[len(b)]
+
+
+def oracle_phonetic(w1, w2):
+    longer = max(len(w1), len(w2))
+    if longer == 0:
+        return 1.0
+    return (longer - oracle_levenshtein(w1, w2)) / longer
+
+
+def oracle_ratio(a, b):
+    hi = max(a, b)
+    if hi == 0.0:
+        return 1.0
+    return min(a, b) / hi
+
+
+def oracle_fano(daily):
+    mean = float(daily.mean())
+    if mean == 0.0:
+        return 0.0
+    return float(daily.var() / mean)
+
+
+def oracle_rank_vector(daily):
+    mag = np.abs(np.fft.rfft(np.asarray(daily, dtype=np.float64)))[1:]
+    ranks = rankdata(mag, method="average")
+    centered = ranks - ranks.mean()
+    sq_norm = float(centered @ centered)
+    return None if sq_norm == 0.0 else (centered, sq_norm)
+
+
+def oracle_temporal(daily1, daily2):
+    u1, u2 = oracle_rank_vector(daily1), oracle_rank_vector(daily2)
+    if u1 is None or u2 is None:
+        rho = 0.0
+    else:
+        (c1, q1), (c2, q2) = u1, u2
+        num = float(c1 @ c2)
+        if q1 == q2 and abs(num) == q1:
+            rho = math.copysign(1.0, num)
+        else:
+            rho = min(1.0, max(-1.0, num / math.sqrt(q1 * q2)))
+    return (rho + 1.0) / 2.0
+
+
+def oracle_ppmi(lex, word, ctx):
+    n_wc = lex.cooc_profile(word).get(ctx, 0)
+    if n_wc == 0:
+        return 0.0
+    row = lex.cooc_word_totals[word]
+    col = lex.cooc_context_totals[ctx]
+    return max(0.0, math.log(n_wc * lex.cooc_grand_total / (row * col)))
+
+
+def oracle_context(w1, lex1, w2, lex2, bridge):
+    dims = sorted(set(bridge.mapping.values()))
+    v1 = [oracle_ppmi(lex1, w1, d) for d in dims]
+    v2 = [0.0] * len(dims)
+    for ctx in sorted(lex2.cooc_profile(w2)):
+        if ctx in bridge.mapping:
+            v2[dims.index(bridge.mapping[ctx])] += oracle_ppmi(lex2, w2, ctx)
+    n1 = math.sqrt(sum(a * a for a in v1))
+    n2 = math.sqrt(sum(b * b for b in v2))
+    if n1 == 0.0 or n2 == 0.0:
+        return 0.0
+    return min(1.0, max(0.0, sum(a * b for a, b in zip(v1, v2)) / (n1 * n2)))
+
+
+# Short words over a tiny alphabet (many shared characters), empty words and
+# arbitrary unicode scalars, including astral-plane ones.
+WORDS = st.one_of(
+    st.text(alphabet="abé", max_size=6),
+    st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=4),
+)
+
+
+@st.composite
+def corpus_sides(draw, n_days, contexts):
+    """A universe (some words absent from the daily or co-occurrence data)
+    and a lexicon side with zero frequencies, constant daily series and
+    profiles with zero counts."""
+    words = draw(st.lists(WORDS, min_size=1, max_size=6, unique=True))
+    freq = {w: draw(st.integers(0, 30)) for w in words if draw(st.booleans())}
+    series = st.one_of(
+        st.integers(0, 9).map(lambda c: [c] * n_days),
+        st.lists(st.integers(0, 9), min_size=n_days, max_size=n_days),
+    )
+    daily = {w: draw(series) for w in words if draw(st.booleans())}
+    profile = st.dictionaries(st.sampled_from(contexts), st.integers(0, 6), max_size=len(contexts))
+    cooc = {w: draw(profile) for w in words if draw(st.booleans())}
+    # at least one positive count, so the side has co-occurrence data
+    cooc[contexts[0]] = {contexts[-1]: draw(st.integers(1, 6))}
+    lex = LexiconSide(
+        words=tuple(dict.fromkeys([*words, *cooc])),
+        total_tokens=sum(freq.values()) + draw(st.integers(1, 20)),
+        freq=freq,
+        daily_counts=daily,
+        cooc=cooc,
+        n_days=n_days,
+    )
+    return words, lex
+
+
+@st.composite
+def scoring_cases(draw):
+    n_days = draw(st.integers(4, 12))
+    ctx1 = ["c0", "c1", "c2", "c3"]
+    ctx2 = ["k0", "k1", "k2", "k3", "k4"]
+    words1, lex1 = draw(corpus_sides(n_days, ctx1))
+    words2, lex2 = draw(corpus_sides(n_days, ctx2))
+    # several L2 contexts may share one L1 dimension; some have none
+    mapping = draw(st.dictionaries(st.sampled_from(ctx2), st.sampled_from(ctx1), min_size=1))
+    return words1, lex1, words2, lex2, SeedLexicon(mapping)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scoring_cases(), st.integers(1, 8))
+def test_score_all_pairs_matches_per_pair_oracles(case, block_cells):
+    # Small row blocks put block edges inside the universe.
+    with mock.patch.object(scorers, "_BLOCK_CELLS", block_cells):
+        check_against_oracles(*case)
+
+
+def check_against_oracles(words1, lex1, words2, lex2, bridge):
+    oracle = {
+        MetricId.PHONETIC: lambda x, y: oracle_phonetic(x, y),
+        MetricId.FREQUENCY: lambda x, y: oracle_ratio(lex1.rel_freq(x), lex2.rel_freq(y)),
+        MetricId.BURSTINESS: lambda x, y: oracle_ratio(
+            oracle_fano(lex1.daily(x)), oracle_fano(lex2.daily(y))
+        ),
+        MetricId.TEMPORAL: lambda x, y: oracle_temporal(lex1.daily(x), lex2.daily(y)),
+        MetricId.CONTEXT: lambda x, y: oracle_context(x, lex1, y, lex2, bridge),
+    }
+    for metric, expected in oracle.items():
+        m = score_all_pairs(metric, words1, words2, lex1, lex2, bridge)
+        assert m.row_labels == tuple(words1) and m.col_labels == tuple(words2)
+        assert ((m.scores >= 0.0) & (m.scores <= 1.0)).all(), metric
+        for i, x in enumerate(words1):
+            for j, y in enumerate(words2):
+                want = expected(x, y)
+                if metric is MetricId.CONTEXT:
+                    assert abs(m.scores[i, j] - want) <= 1e-12, (metric, x, y)
+                    # the sparse product sums a cell alike in any universe
+                    assert m.scores[i, j] == context_score(x, lex1, y, lex2, bridge)
+                else:
+                    assert m.scores[i, j] == want, (metric, x, y)
+    for x in words1:
+        for y in words2:
+            assert levenshtein(x, y) == oracle_levenshtein(x, y)
