@@ -1,11 +1,13 @@
 """Command-line front end for the scoring / rescoring / evaluation pipeline.
 
 Subcommands mirror the pipeline stages: ``synth``, ``score``, ``train``,
-``combine``, ``rescore``, ``assign``, ``eval``, and ``pipeline`` (everything
-end to end).  Configuration comes from an optional ``key = value`` file plus
-flags; flags win.  Every run writes a ``manifest.json`` recording the
-resolved configuration, SHA-256 digests of the input files, and the tool
-version, so a run can be reproduced from its output directory alone.
+``combine``, ``rescore``, ``assign`` and ``eval``; ``pipeline`` runs them end
+to end from the same step helpers.  Each flag is built from the
+``PipelineConfig`` field it sets, which is also its key in an optional
+``key = value`` file; flags win.  Every run writes a ``manifest.json``
+recording the resolved configuration, SHA-256 digests of the input files,
+and the tool version, so a run can be reproduced from its output directory
+alone.
 """
 
 from __future__ import annotations
@@ -68,16 +70,10 @@ class PipelineConfig:
     out: str = "."
 
     def metric_ids(self) -> tuple[MetricId, ...]:
-        ids = tuple(MetricId(tok) for tok in _split_csv(self.metrics))
-        if not ids:
-            raise ValueError("at least one metric must be active")
-        return ids
+        return _parse_ids(MetricId, self.metrics, "at least one metric must be active")
 
     def method_ids(self) -> tuple[RescoreMethod, ...]:
-        ids = tuple(RescoreMethod(tok) for tok in _split_csv(self.methods))
-        if not ids:
-            raise ValueError("at least one method must be selected")
-        return ids
+        return _parse_ids(RescoreMethod, self.methods, "at least one method must be selected")
 
     def training_config(self) -> TrainingConfig:
         return TrainingConfig(
@@ -88,13 +84,18 @@ class PipelineConfig:
         )
 
 
-def _split_csv(value: str) -> list[str]:
-    return [tok.strip() for tok in value.split(",") if tok.strip()]
+def _parse_ids(enum, value: str, empty_message: str) -> tuple:
+    """The members of ``enum`` named in the comma-separated ``value``."""
+    ids = tuple(enum(tok.strip()) for tok in value.split(",") if tok.strip())
+    if not ids:
+        raise ValueError(empty_message)
+    return ids
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+_TYPES = {"int": int, "float": float}
 
 
 def _coerce(key: str, raw: str):
@@ -103,11 +104,7 @@ def _coerce(key: str, raw: str):
         if raw.lower() not in _BOOL_VALUES:
             raise ValueError(f"config key {key!r}: expected true/false, got {raw!r}")
         return _BOOL_VALUES[raw.lower()]
-    if ftype == "int":
-        return int(raw)
-    if ftype == "float":
-        return float(raw)
-    return raw
+    return _TYPES.get(ftype, str)(raw)
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -202,17 +199,15 @@ def _require(cfg_value, flag: str):
     return cfg_value
 
 
+def _load_gold(run: RunWriter):
+    return load_gold_pairs(_require(run.track_input(run.cfg.gold), "gold"))
+
+
 def _load_side(run: RunWriter, cfg: PipelineConfig, side: int):
-    freq = getattr(cfg, f"freq{side}")
-    if freq is None:
+    paths = [getattr(cfg, f"{kind}{side}") for kind in ("freq", "daily", "cooc")]
+    if paths[0] is None:
         return None
-    daily = getattr(cfg, f"daily{side}")
-    cooc = getattr(cfg, f"cooc{side}")
-    return load_lexicon(
-        run.track_input(freq),
-        run.track_input(daily),
-        run.track_input(cooc),
-    )
+    return load_lexicon(*map(run.track_input, paths))
 
 
 def _metric_matrix_name(metric: MetricId) -> str:
@@ -222,7 +217,7 @@ def _metric_matrix_name(metric: MetricId) -> str:
 def _load_corpus(run: RunWriter, cfg: PipelineConfig):
     """Gold pairs, both lexicon sides, the training seed split off the gold
     pairs, the evaluation remainder, and the seed's context bridge."""
-    gold = load_gold_pairs(_require(run.track_input(cfg.gold), "gold"))
+    gold = _load_gold(run)
     lexica = (_load_side(run, cfg, 1), _load_side(run, cfg, 2))
     seed, gold_eval = split_seed(gold, cfg.seed_fraction, cfg.seed)
     return gold, lexica, seed, gold_eval, SeedLexicon.from_pairs(seed.pairs.pairs)
@@ -253,8 +248,38 @@ def _synth_config(cfg: PipelineConfig) -> SynthConfig:
     )
 
 
-def cmd_synth(cfg: PipelineConfig) -> int:
-    run = RunWriter("synth", cfg)
+def _rescore(run: RunWriter, method: RescoreMethod, matrix):
+    """Rescore ``matrix`` with ``method`` and save it as ``<method>.tsv``."""
+    rescored = apply(method, matrix)
+    save_matrix(rescored, run.out_path(f"{method.value}.tsv"))
+    return rescored
+
+
+def _assign(run: RunWriter, matrix, gold) -> ReportRow:
+    """Save the maximum assignment of ``matrix`` and its curve; return its report row."""
+    assignment = hungarian_max(matrix, max_side=run.cfg.max_side)
+    save_assignment(matrix, assignment, run.out_path("assignment.tsv"))
+    curve = max_assignment_curve(matrix, assignment, gold)
+    save_curve(curve, run.out_path("curve_max_assignment.tsv"), "max_assignment")
+    return ReportRow("max_assignment", curve.max_f1, curve.iap11)
+
+
+def _evaluate(run: RunWriter, matrices: dict, gold) -> list[ReportRow]:
+    """Report rows for ``matrices``; each one's curve is saved as ``curve_<name>.tsv``."""
+    rows = compare_methods(matrices, gold, out_dir=run.out_dir)
+    run.outputs += [f"curve_{row.method}.tsv" for row in rows]
+    return rows
+
+
+def _finish(run: RunWriter, rows: list[ReportRow]) -> None:
+    save_report(rows, run.out_path("report.tsv"))
+    run.write_manifest()
+    for row in rows:
+        print(f"{row.method}\t{row.max_f1:.4f}\t{row.iap11:.4f}")
+
+
+def cmd_synth(run: RunWriter, args: argparse.Namespace) -> None:
+    cfg = run.cfg
     matrix, gold = generate(_synth_config(cfg))
     save_matrix(matrix, run.out_path("matrix.tsv"))
     save_gold_pairs(
@@ -266,17 +291,14 @@ def cmd_synth(cfg: PipelineConfig) -> int:
         ),
     )
     run.write_manifest()
-    return 0
 
 
-def cmd_score(cfg: PipelineConfig) -> int:
-    run = RunWriter("score", cfg)
+def cmd_score(run: RunWriter, args: argparse.Namespace) -> None:
     # The universe is built from the full gold file, so training pairs are
     # present as candidates.
-    gold, lexica, _, _, bridge = _load_corpus(run, cfg)
-    _score_universe(run, cfg, lexica, bridge, gold)
+    gold, lexica, _, _, bridge = _load_corpus(run, run.cfg)
+    _score_universe(run, run.cfg, lexica, bridge, gold)
     run.write_manifest()
-    return 0
 
 
 def _load_metric_matrices(run: RunWriter, matrices_dir: str) -> dict:
@@ -290,19 +312,17 @@ def _load_metric_matrices(run: RunWriter, matrices_dir: str) -> dict:
     return found
 
 
-def cmd_train(cfg: PipelineConfig) -> int:
-    run = RunWriter("train", cfg)
+def cmd_train(run: RunWriter, args: argparse.Namespace) -> None:
+    cfg = run.cfg
     matrices = _load_metric_matrices(run, _require(cfg.matrices, "matrices"))
-    gold = load_gold_pairs(_require(run.track_input(cfg.gold), "gold"))
-    seed, _ = split_seed(gold, cfg.seed_fraction, cfg.seed)
+    seed, _ = split_seed(_load_gold(run), cfg.seed_fraction, cfg.seed)
     weights = train_weights(matrices, seed, cfg.training_config())
     save_weights(weights, run.out_path("weights.tsv"))
     run.write_manifest()
-    return 0
 
 
-def cmd_combine(cfg: PipelineConfig) -> int:
-    run = RunWriter("combine", cfg)
+def cmd_combine(run: RunWriter, args: argparse.Namespace) -> None:
+    cfg = run.cfg
     matrices = _load_metric_matrices(run, _require(cfg.matrices, "matrices"))
     if cfg.weights == "uniform":
         weights = uniform_weights(matrices)
@@ -312,35 +332,25 @@ def cmd_combine(cfg: PipelineConfig) -> int:
     baseline = combine(matrices, weights)
     save_matrix(baseline, run.out_path("baseline.tsv"))
     run.write_manifest()
-    return 0
 
 
-def cmd_rescore(cfg: PipelineConfig) -> int:
-    run = RunWriter("rescore", cfg)
-    matrix = load_matrix(run.track_input(_require(cfg.matrix, "matrix")))
-    for method in cfg.method_ids():
-        save_matrix(apply(method, matrix), run.out_path(f"{method.value}.tsv"))
+def cmd_rescore(run: RunWriter, args: argparse.Namespace) -> None:
+    matrix = load_matrix(run.track_input(_require(run.cfg.matrix, "matrix")))
+    for method in run.cfg.method_ids():
+        _rescore(run, method, matrix)
     run.write_manifest()
-    return 0
 
 
-def cmd_assign(cfg: PipelineConfig) -> int:
-    run = RunWriter("assign", cfg)
-    matrix = load_matrix(run.track_input(_require(cfg.matrix, "matrix")))
-    gold = load_gold_pairs(_require(run.track_input(cfg.gold), "gold"))
-    assignment = hungarian_max(matrix, max_side=cfg.max_side)
-    save_assignment(matrix, assignment, run.out_path("assignment.tsv"))
-    curve = max_assignment_curve(matrix, assignment, gold)
-    save_curve(curve, run.out_path("curve_max_assignment.tsv"), "max_assignment")
+def cmd_assign(run: RunWriter, args: argparse.Namespace) -> None:
+    matrix = load_matrix(run.track_input(_require(run.cfg.matrix, "matrix")))
+    _assign(run, matrix, _load_gold(run))
     run.write_manifest()
-    return 0
 
 
-def cmd_eval(cfg: PipelineConfig, matrix_paths: list[str]) -> int:
-    run = RunWriter("eval", cfg)
-    gold = load_gold_pairs(_require(run.track_input(cfg.gold), "gold"))
+def cmd_eval(run: RunWriter, args: argparse.Namespace) -> None:
+    gold = _load_gold(run)
     sources: dict[str, str] = {}
-    for path in matrix_paths:
+    for path in args.matrix_paths:
         name = Path(path).stem
         if name in sources:
             raise ValueError(
@@ -349,18 +359,11 @@ def cmd_eval(cfg: PipelineConfig, matrix_paths: list[str]) -> int:
             )
         sources[name] = path
     matrices = {name: load_matrix(run.track_input(path)) for name, path in sources.items()}
-    rows = compare_methods(matrices, gold, out_dir=run.out_dir)
-    for name in matrices:
-        run.outputs.append(f"curve_{name}.tsv")
-    save_report(rows, run.out_path("report.tsv"))
-    run.write_manifest()
-    for row in rows:
-        print(f"{row.method}\t{row.max_f1:.4f}\t{row.iap11:.4f}")
-    return 0
+    _finish(run, _evaluate(run, matrices, gold))
 
 
-def cmd_pipeline(cfg: PipelineConfig) -> int:
-    run = RunWriter("pipeline", cfg)
+def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
+    cfg = run.cfg
     methods = cfg.method_ids()
 
     if cfg.source == "synth":
@@ -387,66 +390,72 @@ def cmd_pipeline(cfg: PipelineConfig) -> int:
     else:
         raise ValueError(f"unknown source {cfg.source!r}; expected 'files' or 'synth'")
 
-    rescored = {}
-    for method in methods:
-        rescored[method] = apply(method, baseline)
-        save_matrix(rescored[method], run.out_path(f"{method.value}.tsv"))
-
-    rows = compare_methods(rescored, gold_eval, out_dir=run.out_dir)
-    for method in rescored:
-        run.outputs.append(f"curve_{method.value}.tsv")
-
+    rescored = {method: _rescore(run, method, baseline) for method in methods}
+    rows = _evaluate(run, rescored, gold_eval)
     if cfg.assign:
         try:
-            assignment = hungarian_max(baseline, max_side=cfg.max_side)
+            rows.append(_assign(run, baseline, gold_eval))
         except ResourceLimitError as exc:
             log.warning("skipping max assignment: %s", exc)
-        else:
-            save_assignment(baseline, assignment, run.out_path("assignment.tsv"))
-            curve = max_assignment_curve(baseline, assignment, gold_eval)
-            save_curve(curve, run.out_path("curve_max_assignment.tsv"), "max_assignment")
-            rows.append(ReportRow("max_assignment", curve.max_f1, curve.iap11))
-
-    save_report(rows, run.out_path("report.tsv"))
-    run.write_manifest()
-    for row in rows:
-        print(f"{row.method}\t{row.max_f1:.4f}\t{row.iap11:.4f}")
-    return 0
+    _finish(run, rows)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--out", help="output directory (default: current directory)")
-    parser.add_argument("--seed", type=int, help="seed for all randomized steps")
+_INPUTS = ("gold", "freq1", "daily1", "cooc1", "freq2", "daily2", "cooc2")
+_UNIVERSE = ("mode", "k")
+_TRAINING = ("seed_fraction", "regularization", "epochs", "negative_ratio")
+_SYNTH = ("n_pairs", "distractors", "noise_sigma", "signal_mu")
 
+# Subcommand -> (handler, help, the PipelineConfig fields it takes as flags
+# besides --out and --seed).
+_SUBCOMMANDS = {
+    "synth": (cmd_synth, "generate a synthetic matrix and gold pairs", _SYNTH),
+    "score": (cmd_score, "score all candidate pairs under each metric",
+              (*_INPUTS, *_UNIVERSE, "metrics", "seed_fraction")),
+    "train": (cmd_train, "learn combination weights from the seed split",
+              (*_TRAINING, "matrices", "gold")),
+    "combine": (cmd_combine, "combine metric matrices into the baseline matrix",
+                ("matrices", "weights", "weights_file")),
+    "rescore": (cmd_rescore, "rescore a matrix with the selected methods", ("matrix", "methods")),
+    "assign": (cmd_assign, "maximum one-to-one assignment and its curve",
+               ("matrix", "gold", "max_side")),
+    "eval": (cmd_eval, "precision-recall report for saved matrices", ("gold",)),
+    "pipeline": (cmd_pipeline, "full run: score, train, combine, rescore, assign, eval",
+                 (*_INPUTS, *_UNIVERSE, *_TRAINING, *_SYNTH,
+                  "source", "metrics", "methods", "weights", "max_side")),
+}
 
-def _add_universe(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=("standard", "large"), help="candidate universe mode")
-    parser.add_argument("--k", type=int, help="top-k frequent words per side in large mode")
+_CHOICES = {
+    "source": ("files", "synth"),
+    "mode": ("standard", "large"),
+    "weights": ("learned", "uniform"),
+}
 
-
-def _add_inputs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gold", help="gold pairs file (l1<TAB>l2)")
-    for side in (1, 2):
-        parser.add_argument(f"--freq{side}", help=f"L{side} frequency file")
-        parser.add_argument(f"--daily{side}", help=f"L{side} daily counts file")
-        parser.add_argument(f"--cooc{side}", help=f"L{side} co-occurrence file")
-
-
-def _add_training(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed-fraction", dest="seed_fraction", type=float,
-                        help="fraction of gold pairs reserved for training")
-    parser.add_argument("--regularization", type=float, help="L2 regularization strength")
-    parser.add_argument("--epochs", type=int, help="training epochs")
-    parser.add_argument("--negative-ratio", dest="negative_ratio", type=int,
-                        help="negative examples per positive")
-
-
-def _add_synth(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-pairs", dest="n_pairs", type=int, help="planted pair count")
-    parser.add_argument("--distractors", type=int, help="partnerless words per side")
-    parser.add_argument("--noise-sigma", dest="noise_sigma", type=float, help="noise std dev")
-    parser.add_argument("--signal-mu", dest="signal_mu", type=float, help="planted signal mean")
+_HELP = {
+    "out": "output directory (default: current directory)",
+    "seed": "seed for all randomized steps",
+    "gold": "gold pairs file (l1<TAB>l2)",
+    **{f"freq{side}": f"L{side} frequency file" for side in (1, 2)},
+    **{f"daily{side}": f"L{side} daily counts file" for side in (1, 2)},
+    **{f"cooc{side}": f"L{side} co-occurrence file" for side in (1, 2)},
+    "mode": "candidate universe mode",
+    "k": "top-k frequent words per side in large mode",
+    "seed_fraction": "fraction of gold pairs reserved for training and the context bridge",
+    "regularization": "L2 regularization strength",
+    "epochs": "training epochs",
+    "negative_ratio": "negative examples per positive",
+    "n_pairs": "planted pair count",
+    "distractors": "partnerless words per side",
+    "noise_sigma": "noise std dev",
+    "signal_mu": "planted signal mean",
+    "source": "input source",
+    "metrics": "comma-separated metric names",
+    "methods": "comma-separated method names",
+    "weights": "weighting scheme",
+    "weights_file": "weights file for --weights learned",
+    "matrix": "input matrix file",
+    "matrices": "directory containing metric_<name>.tsv files",
+    "max_side": "assignment size guard",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,87 +465,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cogmatrix {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic matrix and gold pairs")
-    _add_common(p)
-    _add_synth(p)
-
-    p = sub.add_parser("score", help="score all candidate pairs under each metric")
-    _add_common(p)
-    _add_inputs(p)
-    _add_universe(p)
-    p.add_argument("--metrics", help="comma-separated metric names")
-    p.add_argument("--seed-fraction", dest="seed_fraction", type=float,
-                   help="fraction of gold pairs used as the context bridge")
-
-    p = sub.add_parser("train", help="learn combination weights from the seed split")
-    _add_common(p)
-    _add_training(p)
-    p.add_argument("--matrices", help="directory containing metric_<name>.tsv files")
-    p.add_argument("--gold", help="gold pairs file")
-
-    p = sub.add_parser("combine", help="combine metric matrices into the baseline matrix")
-    _add_common(p)
-    p.add_argument("--matrices", help="directory containing metric_<name>.tsv files")
-    p.add_argument("--weights", choices=("learned", "uniform"), help="weighting scheme")
-    p.add_argument("--weights-file", dest="weights_file", help="weights file for --weights learned")
-
-    p = sub.add_parser("rescore", help="rescore a matrix with the selected methods")
-    _add_common(p)
-    p.add_argument("--matrix", help="input matrix file")
-    p.add_argument("--methods", help="comma-separated method names")
-
-    p = sub.add_parser("assign", help="maximum one-to-one assignment and its curve")
-    _add_common(p)
-    p.add_argument("--matrix", help="input matrix file")
-    p.add_argument("--gold", help="gold pairs file")
-    p.add_argument("--max-side", dest="max_side", type=int, help="assignment size guard")
-
-    p = sub.add_parser("eval", help="precision-recall report for saved matrices")
-    _add_common(p)
-    p.add_argument("--gold", help="gold pairs file")
-    p.add_argument("matrix_paths", nargs="+", metavar="MATRIX", help="saved matrix files")
-
-    p = sub.add_parser("pipeline", help="full run: score, train, combine, rescore, assign, eval")
-    _add_common(p)
-    _add_inputs(p)
-    _add_universe(p)
-    _add_training(p)
-    _add_synth(p)
-    p.add_argument("--source", choices=("files", "synth"), help="input source")
-    p.add_argument("--metrics", help="comma-separated metric names")
-    p.add_argument("--methods", help="comma-separated method names")
-    p.add_argument("--weights", choices=("learned", "uniform"), help="weighting scheme")
-    p.add_argument("--no-assign", dest="assign", action="store_false", default=None,
-                   help="skip the maximum assignment stage")
-    p.add_argument("--max-side", dest="max_side", type=int, help="assignment size guard")
-
+    for name, (_, help_text, keys) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="key = value configuration file")
+        for key in ("out", "seed", *keys):
+            p.add_argument("--" + key.replace("_", "-"), type=_TYPES.get(_FIELD_TYPES[key]),
+                           choices=_CHOICES.get(key), help=_HELP[key])
+    sub.choices["eval"].add_argument("matrix_paths", nargs="+", metavar="MATRIX",
+                                     help="saved matrix files")
+    sub.choices["pipeline"].add_argument(
+        "--no-assign", dest="assign", action="store_false", default=None,
+        help="skip the maximum assignment stage",
+    )
     return parser
-
-
-_COMMANDS = {
-    "synth": cmd_synth,
-    "score": cmd_score,
-    "train": cmd_train,
-    "combine": cmd_combine,
-    "rescore": cmd_rescore,
-    "assign": cmd_assign,
-    "pipeline": cmd_pipeline,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler = _SUBCOMMANDS[args.subcommand][0]
     try:
-        cfg = resolve_config(args)
-        if args.subcommand == "eval":
-            return cmd_eval(cfg, args.matrix_paths)
-        return _COMMANDS[args.subcommand](cfg)
+        handler(RunWriter(args.subcommand, resolve_config(args)), args)
     except (ValueError, OSError, ResourceLimitError) as exc:
         print(f"cogmatrix: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

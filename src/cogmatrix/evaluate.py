@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .matrix import GoldPairs, ScoreMatrix
+from .matrix import GoldPairs, ScoreMatrix, _read_only
 from .rescore import RescoreMethod
 
 
@@ -49,11 +49,7 @@ class PRCurve:
         if len(p) and ((p < 0).any() or (p > 1).any() or (r < 0).any() or (r > 1).any()):
             raise ValueError("precision and recall must lie in [0, 1]")
         for arr, name in ((t, "thresholds"), (p, "precisions"), (r, "recalls")):
-            if arr.flags.writeable:
-                if not arr.flags.owndata:
-                    arr = arr.copy()
-                arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(arr))
 
     def __len__(self) -> int:
         return len(self.thresholds)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrix import GoldPairs
+from .matrix import GoldPairs, _read_only
 
 log = logging.getLogger(__name__)
 
@@ -60,11 +60,7 @@ class LexiconSide:
                 )
             if (vec < 0).any():
                 raise ValueError(f"negative daily count for {w!r}")
-            if vec.flags.writeable:
-                if not vec.flags.owndata:
-                    vec = vec.copy()
-                vec.setflags(write=False)
-            daily[w] = vec
+            daily[w] = _read_only(vec)
         object.__setattr__(self, "daily_counts", daily)
         for w, profile in self.cooc.items():
             if any(c < 0 for c in profile.values()):
@@ -151,6 +147,25 @@ def _load_freq(path: Path) -> tuple[list[str], dict[str, int], int | None]:
     return words, freq, total
 
 
+def _parse_daily(toks: list[str], path: Path, lineno: int) -> np.ndarray:
+    """One line's daily counts, converted in one call.  numpy accepts the
+    same strings as ``int()``, so a line is parsed again per token only when
+    it holds a bad count, to name it."""
+    try:
+        counts = np.array(toks, dtype=np.int64)
+    except (ValueError, OverflowError):
+        counts = None
+    if counts is None or (counts < 0).any():
+        values = [_parse_count(t, path, lineno, "daily count") for t in toks]
+        try:
+            counts = np.array(values, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(
+                f"{path}:{lineno}: daily count {max(values)} exceeds {np.iinfo(np.int64).max}"
+            ) from None
+    return counts
+
+
 def _load_daily(path: Path) -> tuple[dict[str, np.ndarray], int]:
     n_days: int | None = None
     daily: dict[str, np.ndarray] = {}
@@ -173,9 +188,7 @@ def _load_daily(path: Path) -> tuple[dict[str, np.ndarray], int]:
             raise ValueError(
                 f"{path}:{lineno}: expected {n_days} daily counts for {word!r}, got {len(toks)}"
             )
-        daily[word] = np.array(
-            [_parse_count(t, path, lineno, "daily count") for t in toks], dtype=np.int64
-        )
+        daily[word] = _parse_daily(toks, path, lineno)
     if n_days is None:
         raise ValueError(f"{path}: missing '#days <T>' header")
     return daily, n_days

@@ -41,6 +41,16 @@ def _check_labels(labels: tuple[str, ...], kind: str) -> None:
         seen.add(lab)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` with writing disabled; a view is copied first, so that no
+    writable array shares its data."""
+    if arr.flags.writeable:
+        if not arr.flags.owndata:
+            arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class ScoreMatrix:
     """Dense n1 x n2 matrix of finite pair scores with word labels.
@@ -68,11 +78,7 @@ class ScoreMatrix:
             raise ValueError("scores must be finite (no NaN or infinity)")
         _check_labels(self.row_labels, "row")
         _check_labels(self.col_labels, "column")
-        if scores.flags.writeable:
-            if not scores.flags.owndata:
-                scores = scores.copy()
-            scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "scores", _read_only(scores))
 
     @property
     def n_rows(self) -> int:

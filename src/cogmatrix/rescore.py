@@ -74,18 +74,14 @@ def reverse_rank(m: ScoreMatrix, i: int, j: int) -> int:
     """Number of rows whose score against column j is >= s(i, j)."""
     _check_index(m.n_rows, i, "row")
     _check_index(m.n_cols, j, "column")
-    col = m.scores[:, j]
-    srt = np.sort(col)
-    return int(m.n_rows - np.searchsorted(srt, col[i], side="left"))
+    return int(_row_ranks_ge(m.scores[None, :, j])[0, i])
 
 
 def forward_rank(m: ScoreMatrix, i: int, j: int) -> int:
     """Number of columns whose score against row i is >= s(i, j)."""
     _check_index(m.n_rows, i, "row")
     _check_index(m.n_cols, j, "column")
-    row = m.scores[i, :]
-    srt = np.sort(row)
-    return int(m.n_cols - np.searchsorted(srt, row[j], side="left"))
+    return int(_row_ranks_ge(m.scores[None, i, :])[0, j])
 
 
 def _require_non_negative(m: ScoreMatrix) -> None:

@@ -1,5 +1,6 @@
 """CLI behavior: artifacts, manifests, error contracts, library consistency."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import cogmatrix as cgm
-from cogmatrix.cli import main, read_config_file
+from cogmatrix.cli import build_parser, main, read_config_file
 
 
 PAIRS = [
@@ -299,6 +300,21 @@ class TestFilePipeline:
         assert metrics.split(",")[-1] in err
         assert not (tmp_path / "run" / "report.tsv").exists()
 
+    def test_daily_count_beyond_int64_fails_cleanly(self, corpus, tmp_path, capsys):
+        daily = corpus / "daily1.tsv"
+        lines = daily.read_text(encoding="utf-8").splitlines()
+        word, counts = lines[2].split("\t")
+        lines[2] = word + "\t" + ",".join(["99999999999999999999", *counts.split(",")[1:]])
+        daily.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rc = run_cli(
+            "score", "--out", tmp_path / "scored", "--gold", corpus / "gold.tsv",
+            "--freq1", corpus / "freq1.tsv", "--daily1", daily,
+            "--freq2", corpus / "freq2.tsv", "--daily2", corpus / "daily2.tsv",
+            "--metrics", "temporal",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"cogmatrix: error: {daily}:3: daily count")
+
     def test_score_then_train_then_combine(self, corpus, tmp_path):
         score_dir = tmp_path / "scored"
         assert run_cli(
@@ -360,6 +376,82 @@ class TestConfigFile:
         config.write_text("mode standard\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"run\.cfg:1"):
             read_config_file(config)
+
+
+def _flag(name, type=None, choices=None):
+    return ((f"--{name}",), name.replace("-", "_"), type, choices, None, None)
+
+
+_COMMON = [_flag("config"), _flag("out"), _flag("seed", int)]
+_INPUTS = [_flag("gold")] + [
+    _flag(f"{kind}{side}") for side in (1, 2) for kind in ("freq", "daily", "cooc")
+]
+_UNIVERSE = [_flag("mode", choices=("standard", "large")), _flag("k", int)]
+_TRAINING = [_flag("seed-fraction", float), _flag("regularization", float),
+             _flag("epochs", int), _flag("negative-ratio", int)]
+_SYNTH = [_flag("n-pairs", int), _flag("distractors", int),
+          _flag("noise-sigma", float), _flag("signal-mu", float)]
+_WEIGHTS = _flag("weights", choices=("learned", "uniform"))
+
+# Every subcommand's actions besides -h/--help:
+# (option strings, dest, type, choices, default, nargs).
+FLAG_SURFACE = {
+    "synth": _COMMON + _SYNTH,
+    "score": _COMMON + _INPUTS + _UNIVERSE + [_flag("metrics"), _flag("seed-fraction", float)],
+    "train": _COMMON + _TRAINING + [_flag("matrices"), _flag("gold")],
+    "combine": _COMMON + [_flag("matrices"), _WEIGHTS, _flag("weights-file")],
+    "rescore": _COMMON + [_flag("matrix"), _flag("methods")],
+    "assign": _COMMON + [_flag("matrix"), _flag("gold"), _flag("max-side", int)],
+    "eval": _COMMON + [_flag("gold"), ((), "matrix_paths", None, None, None, "+")],
+    "pipeline": _COMMON + _INPUTS + _UNIVERSE + _TRAINING + _SYNTH + [
+        _flag("source", choices=("files", "synth")), _flag("metrics"), _flag("methods"),
+        _WEIGHTS, (("--no-assign",), "assign", None, None, None, 0), _flag("max-side", int),
+    ],
+}
+
+
+class TestFlagSurface:
+    def test_every_subcommand_action_pinned(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(FLAG_SURFACE)
+        for name, expected in FLAG_SURFACE.items():
+            actual = [
+                (tuple(a.option_strings), a.dest, a.type,
+                 tuple(a.choices) if a.choices else None, a.default, a.nargs)
+                for a in sub.choices[name]._actions
+                if a.dest != "help"
+            ]
+            assert sorted(actual, key=str) == sorted(expected, key=str), name
+
+    def test_manifest_lists_exactly_the_outputs(self, corpus, tmp_path):
+        files = ["--gold", corpus / "gold.tsv"] + [
+            a for side in (1, 2) for kind in ("freq", "daily", "cooc")
+            for a in (f"--{kind}{side}", corpus / f"{kind}{side}.tsv")
+        ]
+        metrics = ("--metrics", "phonetic,frequency,temporal,burstiness,context")
+        runs = {
+            "synth": ("synth", "--n-pairs", 8, "--distractors", 2, "--seed", 3),
+            "score": ("score", *files, *metrics, "--seed", 13),
+            "train": ("train", "--matrices", tmp_path / "score", "--gold", corpus / "gold.tsv"),
+            "combine": ("combine", "--matrices", tmp_path / "score",
+                        "--weights-file", tmp_path / "train" / "weights.tsv"),
+            "rescore": ("rescore", "--matrix", tmp_path / "synth" / "matrix.tsv",
+                        "--methods", "baseline,rr,fr,rr_fr_1step,rr_fr_2step"),
+            "assign": ("assign", "--matrix", tmp_path / "synth" / "matrix.tsv",
+                       "--gold", tmp_path / "synth" / "gold.tsv"),
+            "eval": ("eval", "--gold", tmp_path / "synth" / "gold.tsv",
+                     tmp_path / "synth" / "matrix.tsv", tmp_path / "rescore" / "rr.tsv"),
+            "pipeline-synth": ("pipeline", "--source", "synth", "--n-pairs", 8, "--seed", 3),
+            "pipeline-files": ("pipeline", "--source", "files", *files, *metrics,
+                               "--seed", 13, "--seed-fraction", 0.25),
+        }
+        for label, argv in runs.items():
+            out = tmp_path / label
+            assert run_cli(*argv, "--out", out) == 0, label
+            manifest = json.loads((out / "manifest.json").read_text())
+            on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+            assert manifest["outputs"] == on_disk, label
 
 
 class TestProcessLevel:

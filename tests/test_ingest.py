@@ -1,5 +1,7 @@
 """Lexicon/gold file parsing, seed splitting, and universe construction."""
 
+import re
+
 import pytest
 
 from cogmatrix import GoldPairs, LexiconSide, build_universe, load_gold_pairs, load_lexicon, split_seed
@@ -56,6 +58,19 @@ class TestLoadLexicon:
     def test_inconsistent_day_lengths_rejected(self, tmp_path, freq_file):
         daily = write(tmp_path / "daily.tsv", "#days 4\nbake\t1,2,3\n")
         with pytest.raises(ValueError, match="expected 4 daily counts"):
+            load_lexicon(freq_file, daily)
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ("1,x,3,4", "unparseable daily count 'x'"),
+            ("1,2,-3,4", "negative daily count '-3'"),
+            ("1,2,99999999999999999999,4", "daily count 99999999999999999999 exceeds"),
+        ],
+    )
+    def test_bad_daily_count_names_line(self, tmp_path, freq_file, counts, message):
+        daily = write(tmp_path / "daily.tsv", f"#days 4\nbake\t1,2,3,4\nsalt\t{counts}\n")
+        with pytest.raises(ValueError, match=r"daily\.tsv:3: " + re.escape(message)):
             load_lexicon(freq_file, daily)
 
     def test_missing_total_header_rejected(self, tmp_path):
