@@ -154,8 +154,10 @@ def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
     starts = np.flatnonzero(new_group)
     group_scores = gold_scores[starts]
     # Group index times n_cells plus the reversed label key orders the gold
-    # list by one integer, so a cell tied with a gold score is placed in it
-    # by one binary search.  A trailing infinity matches no finite score.
+    # list by one integer, and the cells tied with a gold score by the same
+    # integer, so one sort of a block's tied cells places the whole gold list
+    # among them with G binary searches.  A trailing infinity matches no
+    # finite score.
     tie_keys = (np.cumsum(new_group) - 1) * n_cells + (n_cells - 1 - gold_keys)
     group_sentinel = np.append(group_scores, np.inf)
 
@@ -177,10 +179,12 @@ def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
             continue
         group = np.searchsorted(group_scores, block, side="left")
         tied = np.flatnonzero(group_sentinel[group] == block)
-        r, c = np.divmod(tied, n_cols)
-        keys = row_rank[r + r0] * n_cols + col_rank[c]
-        prefix = np.searchsorted(tie_keys, group.flat[tied] * n_cells + (n_cells - 1 - keys))
-        counts += np.bincount(prefix, minlength=n_gold + 1)
+        keys = (row_rank[r0:r0 + block_rows, None] * n_cols + col_rank).ravel()[tied]
+        tied_keys = np.sort(group.ravel()[tied] * n_cells + (n_cells - 1 - keys))
+        # A tied cell's prefix is the number of gold keys below its key, so
+        # the cells with a prefix longer than j are those above gold key j.
+        longer = tied_keys.size - np.searchsorted(tied_keys, tie_keys, side="right")
+        counts += -np.diff(longer, prepend=tied_keys.size, append=0)
 
     # Gold cell j is preceded by every cell whose prefix is longer than j.
     preceding = np.cumsum(counts[::-1])[::-1][1:]

@@ -51,6 +51,36 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether no entry is NaN or infinite, without a temporary as large as
+    ``a``: min and max propagate NaN, and an infinity is one of them."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
+# Cells per block of a blockwise kernel (scoring, rescoring).  A kernel's
+# temporaries are a few times one block, so it needs little memory beyond
+# its result matrix.
+_BLOCK_CELLS = 1 << 18
+
+
+def _blocks(n: int, width: int) -> list[slice]:
+    """Slices covering ``range(n)`` for items of ``width`` cells each: as few
+    as keep a slice within about ``_BLOCK_CELLS`` cells, at least one item
+    long, and of equal length but for the last.  The largest block sets a
+    kernel's peak memory, so a short last block would only waste it."""
+    n_blocks = max(1, -(-n * width // _BLOCK_CELLS))
+    step = max(1, -(-n // n_blocks))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _by_row_blocks(n1: int, n2: int, kernel, dtype=np.float64) -> np.ndarray:
+    """The n1 x n2 matrix whose rows ``rows`` (a slice) are ``kernel(rows)``."""
+    out = np.empty((n1, n2), dtype=dtype)
+    for rows in _blocks(n1, n2):
+        out[rows] = kernel(rows)
+    return out
+
+
 @dataclass(frozen=True)
 class ScoreMatrix:
     """Dense n1 x n2 matrix of finite pair scores with word labels.
@@ -74,7 +104,7 @@ class ScoreMatrix:
                 f"scores shape {scores.shape} does not match labels "
                 f"({len(self.row_labels)}, {len(self.col_labels)})"
             )
-        if scores.size and not np.isfinite(scores).all():
+        if not _all_finite(scores):
             raise ValueError("scores must be finite (no NaN or infinity)")
         _check_labels(self.row_labels, "row")
         _check_labels(self.col_labels, "column")
@@ -253,9 +283,8 @@ def _read_v2(f, n1: int, n2: int, bad) -> ScoreMatrix:
     scores = np.empty((n1, n2), dtype="<f8")
     if f.readinto(scores) != expected or f.read(1):
         raise bad(4, f"body changed size while reading; expected {expected} bytes")
-    finite = np.isfinite(scores)
-    if not finite.all():
-        i, j = np.unravel_index(int(np.argmin(finite)), scores.shape)
+    if not _all_finite(scores):
+        i, j = np.unravel_index(int(np.argmin(np.isfinite(scores))), scores.shape)
         raise bad(
             4,
             f"non-finite score {float(scores[i, j])!r} at row {row_labels[i]!r}, "

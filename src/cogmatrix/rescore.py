@@ -25,7 +25,7 @@ import enum
 
 import numpy as np
 
-from .matrix import ScoreMatrix
+from .matrix import ScoreMatrix, _blocks, _by_row_blocks
 
 
 class RescoreMethod(str, enum.Enum):
@@ -39,30 +39,55 @@ class RescoreMethod(str, enum.Enum):
 ALL_METHODS = tuple(RescoreMethod)
 
 
+def _rank_dtype(n: int):
+    """Integer type of the ranks among ``n`` entries."""
+    return np.int32 if n < 2**31 else np.int64
+
+
 def _row_ranks_ge(a: np.ndarray) -> np.ndarray:
     """For every entry, the count of entries in its row that are >= it.
 
-    One sort per row plus a binary search of the row against its own sorted
-    order: count(>= x) = row_length - first_sorted_position(x).  This streams
-    rows without materializing per-cell comparison sets, which keeps the
-    10^8-entry regime tractable.
+    One sort per row: in ascending order, count(>= x) is the row length minus
+    the position where x's tie group starts.  Group starts are marked where a
+    sorted value differs from its left neighbour (``-0.0 == 0.0``, so they tie)
+    and carried along each group by a running maximum, then the ranks are put
+    back in the row's own order.  Ranks are int32 for rows under 2^31 entries.
     """
-    n_rows, n_cols = a.shape
-    ranks = np.empty(a.shape, dtype=np.int64)
-    srt = np.sort(a, axis=1)
-    for i in range(n_rows):
-        ranks[i] = n_cols - np.searchsorted(srt[i], a[i], side="left")
+    n = a.shape[1]
+    order = np.argsort(a, axis=1)
+    srt = np.take_along_axis(a, order, axis=1)
+    new = np.empty(a.shape, dtype=bool)
+    new[:, :1] = True
+    np.not_equal(srt[:, 1:], srt[:, :-1], out=new[:, 1:])
+    # Each temporary is dropped once used, which lowers the kernel's peak.
+    del srt
+    start = np.arange(n, dtype=_rank_dtype(n)) * new
+    del new
+    np.maximum.accumulate(start, axis=1, out=start)
+    ranks = np.empty_like(start)
+    np.put_along_axis(ranks, order, np.subtract(n, start, out=start), axis=1)
     return ranks
+
+
+def _by_column_blocks(a: np.ndarray, kernel, dtype) -> np.ndarray:
+    """The matrix whose columns ``cols`` are ``kernel(t).T``, where ``t`` is a
+    contiguous copy of ``a[:, cols].T`` that the kernel may overwrite: column
+    work as row work, one block of columns at a time."""
+    out = np.empty(a.shape, dtype=dtype)
+    for cols in _blocks(a.shape[1], a.shape[0]):
+        out[:, cols] = kernel(a[:, cols].T.copy()).T
+    return out
 
 
 def forward_rank_matrix(m: ScoreMatrix) -> np.ndarray:
     """forward_rank for every cell: competitors along the cell's row."""
-    return _row_ranks_ge(m.scores)
+    s = m.scores
+    return _by_row_blocks(*m.shape, lambda rows: _row_ranks_ge(s[rows]), _rank_dtype(m.n_cols))
 
 
 def reverse_rank_matrix(m: ScoreMatrix) -> np.ndarray:
     """reverse_rank for every cell: competitors down the cell's column."""
-    return _row_ranks_ge(np.ascontiguousarray(m.scores.T)).T
+    return _by_column_blocks(m.scores, _row_ranks_ge, _rank_dtype(m.n_rows))
 
 
 def _check_index(n: int, idx: int, kind: str) -> None:
@@ -89,27 +114,49 @@ def _require_non_negative(m: ScoreMatrix) -> None:
         raise ValueError("rescoring requires non-negative scores")
 
 
+def _divide_by_forward_ranks(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a`` divided by its forward ranks, into ``out`` (which may be ``a``:
+    a row block's ranks depend on that block alone)."""
+    for rows in _blocks(*a.shape):
+        np.divide(a[rows], _row_ranks_ge(a[rows]), out=out[rows])
+    return out
+
+
+def _rr(scores: np.ndarray) -> np.ndarray:
+    """``scores`` divided by their reverse ranks."""
+    return _by_column_blocks(scores, lambda t: np.divide(t, _row_ranks_ge(t), out=t), np.float64)
+
+
 def rescore_rr(m: ScoreMatrix) -> ScoreMatrix:
     """Divide every score by its reverse rank on the input matrix."""
     _require_non_negative(m)
-    return m.with_scores(m.scores / reverse_rank_matrix(m))
+    return m.with_scores(_rr(m.scores))
 
 
 def rescore_fr(m: ScoreMatrix) -> ScoreMatrix:
     """Divide every score by its forward rank on the input matrix."""
     _require_non_negative(m)
-    return m.with_scores(m.scores / forward_rank_matrix(m))
+    return m.with_scores(_divide_by_forward_ranks(m.scores, np.empty(m.shape)))
 
 
 def rescore_rr_fr_1step(m: ScoreMatrix) -> ScoreMatrix:
     """Divide by the product of both ranks, both taken on the input matrix."""
     _require_non_negative(m)
-    return m.with_scores(m.scores / (reverse_rank_matrix(m) * forward_rank_matrix(m)))
+    s, rr = m.scores, reverse_rank_matrix(m)
+
+    def divide(rows):
+        # The float64 product of two ranks is exact below 2^53.
+        product = np.multiply(rr[rows], _row_ranks_ge(s[rows]), dtype=np.float64)
+        return np.divide(s[rows], product, out=product)
+
+    return m.with_scores(_by_row_blocks(*m.shape, divide))
 
 
 def rescore_rr_fr_2step(m: ScoreMatrix) -> ScoreMatrix:
     """Reverse-rank rescore, then forward-rank rescore the adjusted scores."""
-    return rescore_fr(rescore_rr(m))
+    _require_non_negative(m)
+    adjusted = _rr(m.scores)
+    return m.with_scores(_divide_by_forward_ranks(adjusted, adjusted))
 
 
 _DISPATCH = {

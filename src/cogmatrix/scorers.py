@@ -30,7 +30,7 @@ from scipy.sparse import csr_matrix
 from scipy.stats import rankdata
 
 from .ingest import LexiconSide
-from .matrix import ScoreMatrix
+from .matrix import ScoreMatrix, _by_row_blocks
 
 
 class MetricId(str, enum.Enum):
@@ -59,21 +59,6 @@ class SeedLexicon:
 
     def __len__(self) -> int:
         return len(self.mapping)
-
-
-# Cells per row block of a kernel.  A kernel's temporaries are a few times
-# one block, so scoring needs little memory beyond the result matrix.
-_BLOCK_CELLS = 1 << 18
-
-
-def _by_row_blocks(n1: int, n2: int, kernel) -> np.ndarray:
-    """The n1 x n2 matrix whose rows ``rows`` (a slice) are ``kernel(rows)``."""
-    out = np.empty((n1, n2), dtype=np.float64)
-    step = max(1, _BLOCK_CELLS // max(n2, 1))
-    for start in range(0, n1, step):
-        rows = slice(start, start + step)
-        out[rows] = kernel(rows)
-    return out
 
 
 def _edit_distances(x_words: tuple[str, ...], y_words: tuple[str, ...]) -> np.ndarray:

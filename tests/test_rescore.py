@@ -1,7 +1,11 @@
 """Rank computation and rescoring: worked fixtures, oracle equivalence, invariants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cogmatrix import (
     RescoreMethod,
@@ -16,6 +20,7 @@ from cogmatrix import (
     reverse_rank,
     reverse_rank_matrix,
 )
+from cogmatrix import matrix
 
 
 def mat(scores):
@@ -225,3 +230,66 @@ class TestRescoreProperties:
         one = rescore_rr_fr_1step(m)
         two = rescore_rr_fr_2step(m)
         assert np.allclose(one.scores, two.scores, rtol=0, atol=1e-15)
+
+
+# Tie-heavy score levels; -0.0 and 0.0 compare equal and must tie.
+LEVELS = (-0.0, 0.0, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def score_matrices(draw, min_value):
+    """Matrices of 0-9 rows and columns, tie-heavy or spread over finite floats."""
+    n_rows, n_cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    if draw(st.booleans()):
+        values = st.sampled_from([v for v in LEVELS if v >= min_value])
+    else:
+        values = st.floats(min_value, 1e300, allow_nan=False, allow_infinity=False)
+    cells = draw(st.lists(values, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    return mat(np.array(cells, dtype=np.float64).reshape(n_rows, n_cols))
+
+
+def searchsorted_ranks(a):
+    """The former rank kernel: one row sort, then one binary search of the
+    row's own values into it, per row."""
+    n_rows, n_cols = a.shape
+    ranks = np.empty(a.shape, dtype=np.int64)
+    srt = np.sort(a, axis=1)
+    for i in range(n_rows):
+        ranks[i] = n_cols - np.searchsorted(srt[i], a[i], side="left")
+    return ranks
+
+
+def searchsorted_rescore(scores):
+    """Every rescoring method computed from whole-matrix int64 ranks."""
+    rr = searchsorted_ranks(np.ascontiguousarray(scores.T)).T
+    fr = searchsorted_ranks(scores)
+    by_rr = scores / rr
+    return {
+        RescoreMethod.RR: by_rr,
+        RescoreMethod.FR: scores / fr,
+        RescoreMethod.RR_FR_1STEP: scores / (rr * fr),
+        RescoreMethod.RR_FR_2STEP: by_rr / searchsorted_ranks(by_rr),
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_matrices(min_value=-1e300), st.integers(1, 50))
+def test_rank_operators_match_set_enumeration(m, block_cells):
+    # Small blocks give single-row, single-column and ragged last blocks.
+    with mock.patch.object(matrix, "_BLOCK_CELLS", block_cells):
+        rr, fr = reverse_rank_matrix(m), forward_rank_matrix(m)
+    assert rr.shape == fr.shape == m.shape
+    for i in range(m.n_rows):
+        for j in range(m.n_cols):
+            assert rr[i, j] == reverse_rank(m, i, j) == reverse_rank_oracle(m.scores, i, j)
+            assert fr[i, j] == forward_rank(m, i, j) == forward_rank_oracle(m.scores, i, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_matrices(min_value=0.0), st.integers(1, 50))
+def test_rescorers_bit_identical_to_searchsorted_ranks(m, block_cells):
+    with mock.patch.object(matrix, "_BLOCK_CELLS", block_cells):
+        got = {method: apply(method, m).scores for method in RescoreMethod}
+    for method, want in searchsorted_rescore(m.scores).items():
+        assert got[method].shape == m.shape
+        assert np.array_equal(got[method].view(np.uint64), want.view(np.uint64)), method

@@ -21,7 +21,7 @@ from cogmatrix import (
     score_all_pairs,
     temporal_score,
 )
-from cogmatrix import scorers
+from cogmatrix import matrix
 
 
 def lexicon(total=100, freq=None, daily=None, cooc=None, n_days=0):
@@ -518,7 +518,7 @@ def scoring_cases(draw):
 @given(scoring_cases(), st.integers(1, 8))
 def test_score_all_pairs_matches_per_pair_oracles(case, block_cells):
     # Small row blocks put block edges inside the universe.
-    with mock.patch.object(scorers, "_BLOCK_CELLS", block_cells):
+    with mock.patch.object(matrix, "_BLOCK_CELLS", block_cells):
         check_against_oracles(*case)
 
 
