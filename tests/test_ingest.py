@@ -4,7 +4,15 @@ import re
 
 import pytest
 
-from cogmatrix import GoldPairs, LexiconSide, build_universe, load_gold_pairs, load_lexicon, split_seed
+from cogmatrix import (
+    GoldPairs,
+    LexiconSide,
+    build_universe,
+    load_gold_pairs,
+    load_lexicon,
+    load_weights,
+    split_seed,
+)
 
 
 def write(path, text):
@@ -109,6 +117,100 @@ class TestGoldPairsFile:
         path = write(tmp_path / "gold.tsv", "bake backen\n")
         with pytest.raises(ValueError, match=r"gold\.tsv:1"):
             load_gold_pairs(path)
+
+
+# Each loader called on a file named after its input kind; daily and
+# co-occurrence files are read next to a valid frequency file.
+_LOADERS = {
+    "freq": lambda path: load_lexicon(path),
+    "daily": lambda path: load_lexicon(write(path.with_name("ok.tsv"), "#total 9\nbake\t1\n"), path),
+    "cooc": lambda path: load_lexicon(write(path.with_name("ok.tsv"), "#total 9\nbake\t1\n"), None, path),
+    "gold": load_gold_pairs,
+    "weights": load_weights,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        pytest.param("freq", "#total 9\nbake ten\n",
+                     "{path}:2: expected 'word<TAB>count', got 'bake ten'", id="freq-fields"),
+        pytest.param("freq", "#total 9\nbake\tten\n", "{path}:2: unparseable count 'ten'",
+                     id="freq-unparseable-count"),
+        pytest.param("freq", "#total 9\nbake\t-3\n", "{path}:2: negative count '-3'",
+                     id="freq-negative-count"),
+        pytest.param("freq", "#total lots\nbake\t1\n", "{path}:1: unparseable total 'lots'",
+                     id="freq-unparseable-total"),
+        pytest.param("freq", "#total 9\nbake\t1\n\nbake\t2\n", "{path}:4: duplicate word 'bake'",
+                     id="freq-duplicate"),
+        pytest.param("freq", "# counts\nbake\t1\n", "{path}: missing '#total <N>' header",
+                     id="freq-missing-total"),
+        pytest.param("freq", "bake\t1\nsalt\t-1\n#total x\n", "{path}:2: negative count '-1'",
+                     id="freq-two-faults"),
+        pytest.param("freq", "#total\t9\nbake\t1\n", "{path}: missing '#total <N>' header",
+                     id="freq-header-without-space"),
+        pytest.param("freq", "#total 9\n \n", "{path}:2: expected 'word<TAB>count', got ' '",
+                     id="freq-whitespace-line"),
+        pytest.param("daily", "bake\t1,2\n#days 2\n", "{path}:1: data before '#days <T>' header",
+                     id="daily-before-header"),
+        pytest.param("daily", "#days 2\nbake 1,2\n",
+                     "{path}:2: expected 'word<TAB>c1,c2,...', got 'bake 1,2'", id="daily-fields"),
+        pytest.param("daily", "#days 2\nbake\t1,2\nbake\t3,4\n", "{path}:3: duplicate word 'bake'",
+                     id="daily-duplicate"),
+        pytest.param("daily", "#days 2\nbake\t1\n",
+                     "{path}:2: expected 2 daily counts for 'bake', got 1", id="daily-length"),
+        pytest.param("daily", "#days 2\nbake\t\n",
+                     "{path}:2: expected 2 daily counts for 'bake', got 0", id="daily-empty"),
+        pytest.param("daily", "#days 2\nbake\t1,x\n", "{path}:2: unparseable daily count 'x'",
+                     id="daily-unparseable-count"),
+        pytest.param("daily", "#days 2\nbake\t-3,1\n", "{path}:2: negative daily count '-3'",
+                     id="daily-negative-count"),
+        pytest.param("daily", "#days 2\nbake\t1,99999999999999999999\n",
+                     "{path}:2: daily count 99999999999999999999 exceeds 9223372036854775807",
+                     id="daily-over-int64"),
+        pytest.param("daily", "#days two\n", "{path}:1: unparseable day count 'two'",
+                     id="daily-unparseable-days"),
+        pytest.param("daily", "# counts\n", "{path}: missing '#days <T>' header",
+                     id="daily-missing-days"),
+        pytest.param("daily", "#days 2\nbake\t1,x\nsalt\t1\n", "{path}:2: unparseable daily count 'x'",
+                     id="daily-two-faults"),
+        pytest.param("cooc", "bake\tbread\n",
+                     "{path}:1: expected 'word<TAB>context<TAB>count', got 'bake\\tbread'",
+                     id="cooc-fields"),
+        pytest.param("cooc", "bake\tbread\tx\n", "{path}:1: unparseable count 'x'",
+                     id="cooc-unparseable-count"),
+        pytest.param("cooc", "#c\nbake\tbread\t-1\n", "{path}:2: negative count '-1'",
+                     id="cooc-negative-count"),
+        pytest.param("cooc", "bake\tbread\t-1\nbake\toven\n", "{path}:1: negative count '-1'",
+                     id="cooc-two-faults"),
+        pytest.param("gold", "bake backen\n",
+                     "{path}:1: expected 'l1_word<TAB>l2_word', got 'bake backen'", id="gold-fields"),
+        pytest.param("gold", "bake\tbacken\nbake\tbacken\nbake\tsalz\n",
+                     "{path}:3: L1 word 'bake' already paired on line 1", id="gold-l1-repeat"),
+        pytest.param("gold", "# pairs\nbake\tbacken\nsalt\tbacken\n",
+                     "{path}:3: L2 word 'backen' already paired on line 2", id="gold-l2-repeat"),
+        pytest.param("gold", "bake\tbacken\nbake\tsalz\nsalt\n",
+                     "{path}:2: L1 word 'bake' already paired on line 1", id="gold-two-faults"),
+        pytest.param("weights", "#bias lots\n", "{path}:1: unparseable bias", id="weights-bias"),
+        pytest.param("weights", "#bias \x1c1.5\n", "{path}:1: unparseable bias",
+                     id="weights-bias-control-char"),
+        pytest.param("weights", "phonetic 1.0\n",
+                     "{path}:1: expected 'metric<TAB>weight', got 'phonetic 1.0'", id="weights-fields"),
+        pytest.param("weights", "vibes\t1.0\n", "{path}:1: unknown metric 'vibes'",
+                     id="weights-unknown-metric"),
+        pytest.param("weights", "#bias 0.5\nphonetic\t1.0\nphonetic\t2.0\n",
+                     "{path}:3: duplicate weight for metric 'phonetic'", id="weights-duplicate"),
+        pytest.param("weights", "phonetic\theavy\n", "{path}:1: unparseable weight 'heavy'",
+                     id="weights-unparseable-weight"),
+        pytest.param("weights", "phonetic\theavy\n#bias lots\n", "{path}:1: unparseable weight 'heavy'",
+                     id="weights-two-faults"),
+    ],
+)
+def test_reader_error_messages(tmp_path, kind, text, message):
+    path = write(tmp_path / f"{kind}.tsv", text)
+    with pytest.raises(ValueError) as exc:
+        _LOADERS[kind](path)
+    assert str(exc.value) == message.replace("{path}", str(path))
 
 
 def make_gold(n):
