@@ -85,8 +85,9 @@ class PipelineConfig:
 
 
 def _parse_ids(enum, value: str, empty_message: str) -> tuple:
-    """The members of ``enum`` named in the comma-separated ``value``."""
-    ids = tuple(enum(tok.strip()) for tok in value.split(",") if tok.strip())
+    """The members of ``enum`` named in the comma-separated ``value``, each
+    once, in the order they are first named."""
+    ids = tuple(dict.fromkeys(enum(tok.strip()) for tok in value.split(",") if tok.strip()))
     if not ids:
         raise ValueError(empty_message)
     return ids
@@ -378,20 +379,27 @@ def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
             # pairs must be present as candidates); evaluation below never
             # sees those matrices.
             train_cfg = replace(cfg, mode="standard")
-            train_matrices = _score_universe(run, train_cfg, lexica, bridge, gold, prefix="train_")
-            weights = train_weights(train_matrices, seed, cfg.training_config())
+            weights = train_weights(
+                _score_universe(run, train_cfg, lexica, bridge, gold, prefix="train_"),
+                seed, cfg.training_config(),
+            )
         save_weights(weights, run.out_path("weights.tsv"))
 
         # Candidates for evaluation come from the eval split only: the seed
         # pairs were consumed by training and are not scored or counted, not
-        # even as frequent words in the large-mode top k.
-        matrices = _score_universe(run, cfg, lexica, bridge, gold_eval, exclude=seed.pairs)
-        baseline = combine(matrices, weights)
+        # even as frequent words in the large-mode top k.  The metric
+        # matrices are dropped as soon as they are combined.
+        baseline = combine(
+            _score_universe(run, cfg, lexica, bridge, gold_eval, exclude=seed.pairs), weights
+        )
     else:
         raise ValueError(f"unknown source {cfg.source!r}; expected 'files' or 'synth'")
 
-    rescored = {method: _rescore(run, method, baseline) for method in methods}
-    rows = _evaluate(run, rescored, gold_eval)
+    # One rescored matrix at a time: rescore, save and evaluate each method,
+    # in report order, before the next one is built.
+    rows = []
+    for method in sorted(methods, key=list(RescoreMethod).index):
+        rows += _evaluate(run, {method: _rescore(run, method, baseline)}, gold_eval)
     if cfg.assign:
         try:
             rows.append(_assign(run, baseline, gold_eval))

@@ -15,8 +15,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ingest import SeedSet
-from .matrix import ScoreMatrix, matrices_share_labels, normalize_min_max
+from .ingest import SeedSet, _records
+from .matrix import ScoreMatrix, _normalize_in_place, matrices_share_labels
 from .scorers import MetricId
 
 # Constant step size for the full-batch subgradient updates.  Deterministic
@@ -150,7 +150,7 @@ def combine(
         if metric not in weights.weights:
             raise ValueError(f"no weight for metric {MetricId(metric).value!r}")
         total += weights.weights[metric] * metric_matrices[metric].scores
-    return normalize_min_max(first.with_scores(total))
+    return first.with_scores(_normalize_in_place(total))
 
 
 def save_weights(weights: WeightVector, path: str | Path) -> None:
@@ -164,27 +164,22 @@ def load_weights(path: str | Path) -> WeightVector:
     path = Path(path)
     bias = 0.0
     entries: dict[MetricId, float] = {}
-    with open(path, "r", encoding="utf-8", newline="\n") as f:
-        for lineno, line in enumerate(f.read().split("\n"), start=1):
-            if line.startswith("#bias "):
-                try:
-                    bias = float(line[len("#bias "):])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: unparseable bias") from None
-                continue
-            if line.startswith("#") or line == "":
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'metric<TAB>weight', got {line!r}")
+    for lineno, fields in _records(path, "metric<TAB>weight", "bias"):
+        if isinstance(fields, str):
             try:
-                metric = MetricId(fields[0])
+                bias = float(fields)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: unknown metric {fields[0]!r}") from None
-            if metric in entries:
-                raise ValueError(f"{path}:{lineno}: duplicate weight for metric {metric.value!r}")
-            try:
-                entries[metric] = float(fields[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: unparseable weight {fields[1]!r}") from None
+                raise ValueError(f"{path}:{lineno}: unparseable bias") from None
+            continue
+        name, tok = fields
+        try:
+            metric = MetricId(name)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: unknown metric {name!r}") from None
+        if metric in entries:
+            raise ValueError(f"{path}:{lineno}: duplicate weight for metric {metric.value!r}")
+        try:
+            entries[metric] = float(tok)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: unparseable weight {tok!r}") from None
     return WeightVector(entries, bias=bias)

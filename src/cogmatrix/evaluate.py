@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .matrix import GoldPairs, ScoreMatrix, _read_only
+from .matrix import GoldPairs, ScoreMatrix, _blocks, _read_only
 from .rescore import RescoreMethod
 
 
@@ -67,11 +67,6 @@ class ReportRow(NamedTuple):
     method: str
     max_f1: float
     iap11: float
-
-
-# Cells per row block in ``hit_curve``.  Its scratch memory is at most about
-# a hundred bytes per cell of one block, whatever the size of the matrix.
-_BLOCK_CELLS = 1 << 18
 
 
 def _gold_cells(m: ScoreMatrix, gold: GoldPairs) -> tuple[np.ndarray, np.ndarray]:
@@ -162,9 +157,9 @@ def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
     group_sentinel = np.append(group_scores, np.inf)
 
     counts = np.zeros(n_gold + 1, dtype=np.int64)
-    block_rows = max(1, _BLOCK_CELLS // n_cols)
-    for r0 in range(0, n_rows, block_rows):
-        block = m.scores[r0:r0 + block_rows]
+    # Scratch memory is at most about a hundred bytes per cell of one block.
+    for block_rows in _blocks(n_rows, n_cols):
+        block = m.scores[block_rows]
         ordered = np.sort(block, axis=None)
         below = np.searchsorted(ordered, group_scores, side="left")
         upto = np.searchsorted(ordered, group_scores, side="right")
@@ -172,14 +167,14 @@ def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
         # gold cells scored below it.
         counts[starts] += below - np.concatenate(([0], upto[:-1]))
         counts[n_gold] += ordered.size - upto[-1]
-        gold_here = np.flatnonzero((rows >= r0) & (rows < r0 + block_rows))
+        gold_here = np.flatnonzero((rows >= block_rows.start) & (rows < block_rows.stop))
         if (upto - below).sum() == gold_here.size:
             # The only ties are the gold cells, and gold cell j's prefix is j.
             counts[gold_here] += 1
             continue
         group = np.searchsorted(group_scores, block, side="left")
         tied = np.flatnonzero(group_sentinel[group] == block)
-        keys = (row_rank[r0:r0 + block_rows, None] * n_cols + col_rank).ravel()[tied]
+        keys = (row_rank[block_rows, None] * n_cols + col_rank).ravel()[tied]
         tied_keys = np.sort(group.ravel()[tied] * n_cells + (n_cells - 1 - keys))
         # A tied cell's prefix is the number of gold keys below its key, so
         # the cells with a prefix longer than j are those above gold key j.

@@ -106,12 +106,23 @@ class SeedSet:
         return len(self.pairs)
 
 
-def _read_lines(path: str | Path) -> list[str]:
+def _records(path: Path, shape: str, directive: str | None = None):
+    """Yield ``(lineno, value)`` for each ``#<directive> <value>`` header line
+    and ``(lineno, fields)`` for each data line, which must have the tab-
+    separated fields that ``shape`` names; skip blank and other ``#`` lines."""
+    header = f"#{directive} "
+    n_fields = shape.count("<TAB>") + 1
     with open(path, "r", encoding="utf-8", newline="\n") as f:
         lines = f.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    return lines
+    for lineno, line in enumerate(lines, start=1):
+        if line.startswith("#"):
+            if directive and line.startswith(header):
+                yield lineno, line[len(header):]
+        elif line:
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise ValueError(f"{path}:{lineno}: expected '{shape}', got {line!r}")
+            yield lineno, fields
 
 
 def _parse_count(tok: str, path: Path, lineno: int, what: str) -> int:
@@ -125,26 +136,19 @@ def _parse_count(tok: str, path: Path, lineno: int, what: str) -> int:
 
 
 def _load_freq(path: Path) -> tuple[list[str], dict[str, int], int | None]:
-    words: list[str] = []
     freq: dict[str, int] = {}
     total: int | None = None
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if line.startswith("#total "):
-            total = _parse_count(line[len("#total "):].strip(), path, lineno, "total")
+    for lineno, fields in _records(path, "word<TAB>count", "total"):
+        if isinstance(fields, str):
+            total = _parse_count(fields.strip(), path, lineno, "total")
             continue
-        if line.startswith("#") or line == "":
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'word<TAB>count', got {line!r}")
         word, tok = fields
         if word in freq:
             raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
         freq[word] = _parse_count(tok, path, lineno, "count")
-        words.append(word)
     if total is None:
         raise ValueError(f"{path}: missing '#total <N>' header")
-    return words, freq, total
+    return list(freq), freq, total
 
 
 def _parse_daily(toks: list[str], path: Path, lineno: int) -> np.ndarray:
@@ -169,17 +173,12 @@ def _parse_daily(toks: list[str], path: Path, lineno: int) -> np.ndarray:
 def _load_daily(path: Path) -> tuple[dict[str, np.ndarray], int]:
     n_days: int | None = None
     daily: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if line.startswith("#days "):
-            n_days = _parse_count(line[len("#days "):].strip(), path, lineno, "day count")
-            continue
-        if line.startswith("#") or line == "":
+    for lineno, fields in _records(path, "word<TAB>c1,c2,...", "days"):
+        if isinstance(fields, str):
+            n_days = _parse_count(fields.strip(), path, lineno, "day count")
             continue
         if n_days is None:
             raise ValueError(f"{path}:{lineno}: data before '#days <T>' header")
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'word<TAB>c1,c2,...', got {line!r}")
         word, csv = fields
         if word in daily:
             raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
@@ -196,18 +195,9 @@ def _load_daily(path: Path) -> tuple[dict[str, np.ndarray], int]:
 
 def _load_cooc(path: Path) -> dict[str, dict[str, int]]:
     cooc: dict[str, dict[str, int]] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if line.startswith("#") or line == "":
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError(
-                f"{path}:{lineno}: expected 'word<TAB>context<TAB>count', got {line!r}"
-            )
-        word, ctx, tok = fields
-        count = _parse_count(tok, path, lineno, "count")
-        cooc.setdefault(word, {})
-        cooc[word][ctx] = cooc[word].get(ctx, 0) + count
+    for lineno, (word, ctx, tok) in _records(path, "word<TAB>context<TAB>count"):
+        profile = cooc.setdefault(word, {})
+        profile[ctx] = profile.get(ctx, 0) + _parse_count(tok, path, lineno, "count")
     return cooc
 
 
@@ -251,13 +241,7 @@ def load_gold_pairs(path: str | Path) -> GoldPairs:
     pairs: set[tuple[str, str]] = set()
     l1_seen: dict[str, int] = {}
     l2_seen: dict[str, int] = {}
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if line.startswith("#") or line == "":
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'l1_word<TAB>l2_word', got {line!r}")
-        l1, l2 = fields
+    for lineno, (l1, l2) in _records(path, "l1_word<TAB>l2_word"):
         if (l1, l2) in pairs:
             continue
         if l1 in l1_seen:
@@ -314,8 +298,9 @@ def build_universe(
     ``standard`` mode uses exactly the gold words of each side.  ``large``
     mode takes the k most frequent lexicon words per side and unions in the
     gold words, modelling the realistic condition where most candidates have
-    no match at all.  Order is deterministic: descending frequency with
-    lexicographic tie-breaking (standard mode is the all-gold special case).
+    no match at all.  Order is deterministic: standard mode returns each
+    side's gold words in lexicographic order, large mode orders by
+    descending frequency with lexicographic tie-breaking.
 
     The words of ``exclude`` (on evaluation, the training seed pairs) are
     left out of the large-mode top-k pool, so they never become candidates;

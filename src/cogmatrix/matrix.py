@@ -173,13 +173,25 @@ def normalize_min_max(m: ScoreMatrix) -> ScoreMatrix:
     The map is order-preserving on every row and column, and it guarantees
     the non-negative scores that rank rescoring requires.
     """
-    if m.scores.size == 0:
+    return m.with_scores(_normalize_in_place(m.scores.copy()))
+
+
+def _normalize_in_place(scores: np.ndarray) -> np.ndarray:
+    """``normalize_min_max`` of a freshly built score array, done in place so
+    that it needs no second array.  Scores with a NaN or an infinity are
+    left as they are, for ``ScoreMatrix`` to reject."""
+    if scores.size == 0:
         raise ValueError("empty matrix")
-    lo = float(m.scores.min())
-    hi = float(m.scores.max())
+    lo = float(scores.min())
+    hi = float(scores.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return scores
     if hi == lo:
-        return m.with_scores(np.full(m.shape, 0.5))
-    return m.with_scores((m.scores - lo) / (hi - lo))
+        scores.fill(0.5)
+    else:
+        scores -= lo
+        scores /= hi - lo
+    return scores
 
 
 def save_matrix(m: ScoreMatrix, path: str | Path) -> None:

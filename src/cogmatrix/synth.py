@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import GoldPairs, ScoreMatrix, normalize_min_max
+from .matrix import GoldPairs, ScoreMatrix, _normalize_in_place
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,6 @@ def generate(cfg: SynthConfig) -> tuple[ScoreMatrix, GoldPairs]:
     )
     rows = _labels("x", n)
     cols = _labels("y", n)
-    matrix = normalize_min_max(ScoreMatrix(rows, cols, scores))
+    matrix = ScoreMatrix(rows, cols, _normalize_in_place(scores))
     gold = GoldPairs(frozenset((rows[i], cols[perm[i]]) for i in range(cfg.n_pairs)))
     return matrix, gold

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cogmatrix as cgm
-from cogmatrix.cli import build_parser, main, read_config_file
+from cogmatrix.cli import PipelineConfig, build_parser, main, read_config_file
 
 
 PAIRS = [
@@ -202,6 +202,17 @@ class TestSyntheticPipeline:
         expected = tmp_path / "expected_report.tsv"
         cgm.save_report(rows, expected)
         assert (out / "report.tsv").read_bytes() == expected.read_bytes()
+
+    def test_repeated_method_runs_once(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("pipeline", "--source", "synth", "--out", out, "--n-pairs", 20,
+                       "--methods", "rr,baseline,rr", "--no-assign") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"].count("rr.tsv") == 1
+        lines = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in lines] == ["baseline", "rr"]
+        cfg = PipelineConfig(metrics="context,phonetic,context")
+        assert cfg.metric_ids() == (cgm.MetricId.CONTEXT, cgm.MetricId.PHONETIC)
 
     def test_two_runs_byte_identical(self, tmp_path):
         args = ("pipeline", "--source", "synth", "--n-pairs", 20, "--noise-sigma", 0.35,

@@ -133,6 +133,12 @@ class TestCombine:
         out = combine({MetricId.PHONETIC: m}, WeightVector({MetricId.PHONETIC: 0.0}))
         assert (out.scores == 0.5).all()
 
+    @pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
+    def test_non_finite_combination_rejected_not_made_constant(self, weight):
+        m = labeled([[0.1, 0.9]], ("a",), ("u", "v"))
+        with pytest.raises(ValueError, match="finite"):
+            combine({MetricId.PHONETIC: m}, WeightVector({MetricId.PHONETIC: weight}))
+
     def test_single_metric_preserves_argsort(self):
         rng = np.random.default_rng(9)
         m = labeled(rng.random((5, 5)), [f"a{i}" for i in range(5)], [f"b{i}" for i in range(5)])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cogmatrix import GoldPairs, ScoreMatrix, compare_methods, hit_curve, load_curve, pr_curve
-from cogmatrix import evaluate
+from cogmatrix import matrix
 
 # Tie-heavy score levels; -0.0 and 0.0 compare equal and must tie.
 LEVELS = (-0.0, 0.0, 0.25, 0.5, 1.0)
@@ -59,7 +59,7 @@ def assert_matches_oracle(m, gold):
 @given(evaluation_cases())
 def test_matches_oracle_on_multi_block_walks(case):
     m, gold, block_cells = case
-    with mock.patch.object(evaluate, "_BLOCK_CELLS", block_cells):
+    with mock.patch.object(matrix, "_BLOCK_CELLS", block_cells):
         assert_matches_oracle(m, gold)
 
 
@@ -85,7 +85,7 @@ def test_larger_tie_heavy_matrix_across_blocks():
     rows = tuple(f"w{i:02d}" for i in rng.permutation(n))
     cols = tuple(f"v{j:02d}" for j in rng.permutation(n))
     gold = GoldPairs(frozenset((rows[i], cols[(7 * i) % n]) for i in range(0, n, 2)))
-    with mock.patch.object(evaluate, "_BLOCK_CELLS", 300):
+    with mock.patch.object(matrix, "_BLOCK_CELLS", 300):
         assert_matches_oracle(ScoreMatrix(rows, cols, scores), gold)
 
 
