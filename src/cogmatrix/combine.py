@@ -9,13 +9,14 @@ the baseline score matrix that rescoring consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ingest import SeedSet, _records
+from .ingest import SeedSet, _lines
 from .matrix import ScoreMatrix, _normalize_in_place, matrices_share_labels
 from .scorers import MetricId
 
@@ -164,12 +165,14 @@ def load_weights(path: str | Path) -> WeightVector:
     path = Path(path)
     bias = 0.0
     entries: dict[MetricId, float] = {}
-    for lineno, fields in _records(path, "metric<TAB>weight", "bias"):
+    for lineno, fields in _lines(path, "metric<TAB>weight", "bias"):
         if isinstance(fields, str):
             try:
                 bias = float(fields)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: unparseable bias") from None
+            if not math.isfinite(bias):
+                raise ValueError(f"{path}:{lineno}: non-finite bias")
             continue
         name, tok = fields
         try:
@@ -179,7 +182,10 @@ def load_weights(path: str | Path) -> WeightVector:
         if metric in entries:
             raise ValueError(f"{path}:{lineno}: duplicate weight for metric {metric.value!r}")
         try:
-            entries[metric] = float(tok)
+            weight = float(tok)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: unparseable weight {tok!r}") from None
+        if not math.isfinite(weight):
+            raise ValueError(f"{path}:{lineno}: non-finite weight {tok!r}")
+        entries[metric] = weight
     return WeightVector(entries, bias=bias)

@@ -47,7 +47,7 @@ class LexiconSide:
     def __post_init__(self) -> None:
         if self.total_tokens <= 0:
             raise ValueError("total_tokens must be positive")
-        if any(c < 0 for c in self.freq.values()):
+        if min(self.freq.values(), default=0) < 0:
             raise ValueError("frequency counts must be non-negative")
         if sum(self.freq.values()) > self.total_tokens:
             raise ValueError("frequency counts exceed total_tokens")
@@ -63,7 +63,7 @@ class LexiconSide:
             daily[w] = _read_only(vec)
         object.__setattr__(self, "daily_counts", daily)
         for w, profile in self.cooc.items():
-            if any(c < 0 for c in profile.values()):
+            if min(profile.values(), default=0) < 0:
                 raise ValueError(f"negative co-occurrence count for {w!r}")
 
     def rel_freq(self, word: str) -> float:
@@ -106,23 +106,98 @@ class SeedSet:
         return len(self.pairs)
 
 
+# Data lines are read and converted in chunks of about this many characters,
+# so a loader holds little beyond its result.
+_CHUNK_CHARS = 1 << 16
+
+# Every byte except tab and newline: deleting them from a block leaves its
+# field and line separators.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"\t\n")
+
+
+def _line_blocks(f):
+    """The text of ``f`` in blocks of whole lines, each ending in ``\n``, of
+    about ``_CHUNK_CHARS`` characters (a longer line is a block of its own)."""
+    tail = ""
+    while block := f.read(_CHUNK_CHARS):
+        end = block.rfind("\n") + 1
+        if end:
+            yield tail + block[:end]
+            tail = block[end:]
+        else:
+            tail += block
+    if tail:
+        yield tail + "\n"
+
+
 def _records(path: Path, shape: str, directive: str | None = None):
-    """Yield ``(lineno, value)`` for each ``#<directive> <value>`` header line
-    and ``(lineno, fields)`` for each data line, which must have the tab-
-    separated fields that ``shape`` names; skip blank and other ``#`` lines."""
-    header = f"#{directive} "
+    """Yield ``(lineno, value)`` for the ``#<directive> <value>`` header line
+    and ``(linenos, fields)`` for each chunk of data lines: their line numbers
+    and all their tab-separated fields in order, as many per line as
+    ``shape`` names.  Blank and other ``#`` lines are skipped.
+
+    A chunk holds about ``_CHUNK_CHARS`` characters of lines at most and
+    ends before a header or a line with the wrong field count.  A second
+    header or a wrong field count is raised on the next step, after the
+    caller has checked the chunk before it, so faults come out in line order.
+    """
+    header = f"#{directive} " if directive else None
     n_fields = shape.count("<TAB>") + 1
+    layout = b"\t" * (n_fields - 1) + b"\n"
+    header_line = 0
+    lineno = 0
     with open(path, "r", encoding="utf-8", newline="\n") as f:
-        lines = f.read().split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        if line.startswith("#"):
-            if directive and line.startswith(header):
-                yield lineno, line[len(header):]
-        elif line:
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise ValueError(f"{path}:{lineno}: expected '{shape}', got {line!r}")
-            yield lineno, fields
+        for text in _line_blocks(f):
+            n_lines = text.count("\n")
+            # No comment or header line, and every line has its tabs (so none
+            # is blank): the whole block is one chunk.
+            if (
+                text[0] != "#"
+                and "\n#" not in text
+                and text.encode().translate(None, _NOT_SEPARATORS) == layout * n_lines
+            ):
+                fields = text[:-1].replace("\n", "\t").split("\t")
+                yield range(lineno + 1, lineno + n_lines + 1), fields
+                lineno += n_lines
+                continue
+            linenos: list[int] = []
+            fields = []
+            for line in text[:-1].split("\n"):
+                lineno += 1
+                if line.startswith("#"):
+                    if header and line.startswith(header):
+                        if linenos:
+                            yield linenos, fields
+                            linenos, fields = [], []
+                        if header_line:
+                            raise ValueError(
+                                f"{path}:{lineno}: repeated '#{directive}' header"
+                                f" (first on line {header_line})"
+                            )
+                        header_line = lineno
+                        yield lineno, line[len(header):]
+                elif line:
+                    parts = line.split("\t")
+                    if len(parts) != n_fields:
+                        if linenos:
+                            yield linenos, fields
+                        raise ValueError(f"{path}:{lineno}: expected '{shape}', got {line!r}")
+                    linenos.append(lineno)
+                    fields += parts
+            if linenos:
+                yield linenos, fields
+
+
+def _lines(path: Path, shape: str, directive: str | None = None):
+    """:func:`_records` one line at a time: ``(lineno, value)`` for the header
+    and ``(lineno, fields)`` for each data line."""
+    n_fields = shape.count("<TAB>") + 1
+    for where, fields in _records(path, shape, directive):
+        if isinstance(fields, str):
+            yield where, fields
+            continue
+        for i, lineno in enumerate(where):
+            yield lineno, fields[i * n_fields:(i + 1) * n_fields]
 
 
 def _parse_count(tok: str, path: Path, lineno: int, what: str) -> int:
@@ -135,10 +210,32 @@ def _parse_count(tok: str, path: Path, lineno: int, what: str) -> int:
     return value
 
 
+def _bulk_counts(rows: list[str], n_cols: int) -> np.ndarray | None:
+    """The comma-separated counts of ``rows`` as one read-only int64 array of
+    ``n_cols`` columns, converted in one call; None unless every count is
+    plain ASCII digits within int64 and every row has ``n_cols`` of them.
+
+    Digits only, because ``np.loadtxt`` and ``int()`` differ elsewhere
+    (``1_000``, non-ASCII digits, some control characters); on None the caller
+    parses each count with ``int()``, which also names a bad one.
+    """
+    text = "".join(rows)
+    if not text or not text.isascii() or text.encode().translate(None, b"0123456789,"):
+        return None
+    try:
+        counts = np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    if counts.shape != (len(rows), n_cols):
+        return None
+    counts.setflags(write=False)
+    return counts
+
+
 def _load_freq(path: Path) -> tuple[list[str], dict[str, int], int | None]:
     freq: dict[str, int] = {}
     total: int | None = None
-    for lineno, fields in _records(path, "word<TAB>count", "total"):
+    for lineno, fields in _lines(path, "word<TAB>count", "total"):
         if isinstance(fields, str):
             total = _parse_count(fields.strip(), path, lineno, "total")
             continue
@@ -151,10 +248,15 @@ def _load_freq(path: Path) -> tuple[list[str], dict[str, int], int | None]:
     return list(freq), freq, total
 
 
-def _parse_daily(toks: list[str], path: Path, lineno: int) -> np.ndarray:
-    """One line's daily counts, converted in one call.  numpy accepts the
-    same strings as ``int()``, so a line is parsed again per token only when
-    it holds a bad count, to name it."""
+def _parse_daily(word: str, csv: str, n_days: int, path: Path, lineno: int) -> np.ndarray:
+    """One line's ``n_days`` daily counts, converted in one call.  numpy
+    accepts the same strings as ``int()``, so a line is parsed again per token
+    only when it holds a bad count, to name it."""
+    toks = csv.split(",") if csv != "" else []
+    if len(toks) != n_days:
+        raise ValueError(
+            f"{path}:{lineno}: expected {n_days} daily counts for {word!r}, got {len(toks)}"
+        )
     try:
         counts = np.array(toks, dtype=np.int64)
     except (ValueError, OverflowError):
@@ -173,21 +275,23 @@ def _parse_daily(toks: list[str], path: Path, lineno: int) -> np.ndarray:
 def _load_daily(path: Path) -> tuple[dict[str, np.ndarray], int]:
     n_days: int | None = None
     daily: dict[str, np.ndarray] = {}
-    for lineno, fields in _records(path, "word<TAB>c1,c2,...", "days"):
+    for where, fields in _records(path, "word<TAB>c1,c2,...", "days"):
         if isinstance(fields, str):
-            n_days = _parse_count(fields.strip(), path, lineno, "day count")
+            n_days = _parse_count(fields.strip(), path, where, "day count")
             continue
         if n_days is None:
-            raise ValueError(f"{path}:{lineno}: data before '#days <T>' header")
-        word, csv = fields
-        if word in daily:
-            raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
-        toks = csv.split(",") if csv != "" else []
-        if len(toks) != n_days:
-            raise ValueError(
-                f"{path}:{lineno}: expected {n_days} daily counts for {word!r}, got {len(toks)}"
-            )
-        daily[word] = _parse_daily(toks, path, lineno)
+            raise ValueError(f"{path}:{where[0]}: data before '#days <T>' header")
+        words, csvs = fields[0::2], fields[1::2]
+        # One array for the chunk; without it, each line is checked and
+        # converted on its own, in line order.
+        rows = _bulk_counts(csvs, n_days)
+        for i, (lineno, word) in enumerate(zip(where, words)):
+            if word in daily:
+                raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
+            if rows is None:
+                daily[word] = _parse_daily(word, csvs[i], n_days, path, lineno)
+            else:
+                daily[word] = rows[i]
     if n_days is None:
         raise ValueError(f"{path}: missing '#days <T>' header")
     return daily, n_days
@@ -195,9 +299,18 @@ def _load_daily(path: Path) -> tuple[dict[str, np.ndarray], int]:
 
 def _load_cooc(path: Path) -> dict[str, dict[str, int]]:
     cooc: dict[str, dict[str, int]] = {}
-    for lineno, (word, ctx, tok) in _records(path, "word<TAB>context<TAB>count"):
-        profile = cooc.setdefault(word, {})
-        profile[ctx] = profile.get(ctx, 0) + _parse_count(tok, path, lineno, "count")
+    for linenos, fields in _records(path, "word<TAB>context<TAB>count"):
+        toks = fields[2::3]
+        counts = _bulk_counts(toks, 1)
+        if counts is not None:
+            values = counts[:, 0].tolist()
+        else:
+            values = [_parse_count(t, path, n, "count") for n, t in zip(linenos, toks)]
+        for word, ctx, value in zip(fields[0::3], fields[1::3], values):
+            profile = cooc.get(word)
+            if profile is None:
+                profile = cooc[word] = {}
+            profile[ctx] = profile.get(ctx, 0) + value
     return cooc
 
 
@@ -241,7 +354,7 @@ def load_gold_pairs(path: str | Path) -> GoldPairs:
     pairs: set[tuple[str, str]] = set()
     l1_seen: dict[str, int] = {}
     l2_seen: dict[str, int] = {}
-    for lineno, (l1, l2) in _records(path, "l1_word<TAB>l2_word"):
+    for lineno, (l1, l2) in _lines(path, "l1_word<TAB>l2_word"):
         if (l1, l2) in pairs:
             continue
         if l1 in l1_seen:

@@ -88,12 +88,21 @@ def _edit_distances(x_words: tuple[str, ...], y_words: tuple[str, ...]) -> np.nd
     return out
 
 
-def _fano_factor(lex: LexiconSide, word: str) -> float:
-    daily = lex.daily(word)
-    mean = float(daily.mean())
-    if mean == 0.0:
-        return 0.0
-    return float(daily.var() / mean)
+def _daily_rows(lex: LexiconSide, words: tuple[str, ...]) -> np.ndarray:
+    """The daily counts of ``words`` as one float64 array, one row per word."""
+    rows = np.array([lex.daily(w) for w in words], dtype=np.float64)
+    return rows.reshape(len(words), lex.n_days)
+
+
+def _rel_freqs(lex: LexiconSide, words: tuple[str, ...]) -> np.ndarray:
+    return np.array([lex.rel_freq(w) for w in words], dtype=np.float64)
+
+
+def _fano_factors(lex: LexiconSide, words: tuple[str, ...]) -> np.ndarray:
+    """Variance over mean of each word's daily counts; 0 for an all-zero series."""
+    daily = _daily_rows(lex, words)
+    mean = daily.mean(axis=1)
+    return np.divide(daily.var(axis=1), mean, out=np.zeros_like(mean), where=mean != 0.0)
 
 
 def _spectrum_ranks(lex: LexiconSide, words: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -104,9 +113,7 @@ def _spectrum_ranks(lex: LexiconSide, words: tuple[str, ...]) -> tuple[np.ndarra
     frequency metric covers.  Average ranks are half-integers summing to
     n(n+1)/2, so the centred values and all their dot products are exact.
     """
-    mags = np.empty((len(words), lex.n_days // 2), dtype=np.float64)
-    for i, w in enumerate(words):
-        mags[i] = np.abs(np.fft.rfft(np.asarray(lex.daily(w), dtype=np.float64)))[1:]
+    mags = np.abs(np.fft.rfft(_daily_rows(lex, words), axis=1))[:, 1:]
     ranks = rankdata(mags, method="average", axis=1)
     centred = ranks - ranks.mean(axis=1, keepdims=True)
     return centred, np.einsum("ij,ij->i", centred, centred)
@@ -196,9 +203,8 @@ def score_all_pairs(
     _check_inputs(metric, lex1, lex2)
 
     if metric in (MetricId.FREQUENCY, MetricId.BURSTINESS):
-        value = LexiconSide.rel_freq if metric is MetricId.FREQUENCY else _fano_factor
-        r1 = np.array([value(lex1, x) for x in x_words], dtype=np.float64)
-        r2 = np.array([value(lex2, y) for y in y_words], dtype=np.float64)
+        values = _rel_freqs if metric is MetricId.FREQUENCY else _fano_factors
+        r1, r2 = values(lex1, x_words), values(lex2, y_words)
 
         def ratio(rows):
             # min/max: scale-free, 1 when equal (including both 0), 0 when

@@ -2,8 +2,10 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -465,28 +467,30 @@ class TestFlagSurface:
             assert manifest["outputs"] == on_disk, label
 
 
+def run_cli_process(*args):
+    """``python -m cogmatrix.cli`` in a child process that imports the package
+    from this checkout's ``src``, so it runs without an install."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "cogmatrix.cli", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 class TestProcessLevel:
     def test_console_entry_point(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "cogmatrix.cli", "pipeline", "--source", "synth",
-             "--out", str(tmp_path / "run"), "--n-pairs", "6", "--seed", "1"],
-            capture_output=True, text=True,
-        )
+        result = run_cli_process("pipeline", "--source", "synth", "--out", str(tmp_path / "run"),
+                                 "--n-pairs", "6", "--seed", "1")
         assert result.returncode == 0
         assert "baseline" in result.stdout
 
     def test_missing_input_exit_code(self, tmp_path):
-        result = subprocess.run(
-            [sys.executable, "-m", "cogmatrix.cli", "rescore",
-             "--out", str(tmp_path / "x"), "--matrix", str(tmp_path / "missing.tsv")],
-            capture_output=True, text=True,
-        )
+        result = run_cli_process("rescore", "--out", str(tmp_path / "x"),
+                                 "--matrix", str(tmp_path / "missing.tsv"))
         assert result.returncode == 1
         assert "missing.tsv" in result.stderr
 
     def test_unknown_subcommand_usage_error(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "cogmatrix.cli", "frobnicate"],
-            capture_output=True, text=True,
-        )
+        result = run_cli_process("frobnicate")
         assert result.returncode == 2

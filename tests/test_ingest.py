@@ -1,9 +1,14 @@
 """Lexicon/gold file parsing, seed splitting, and universe construction."""
 
 import re
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cogmatrix import ingest
 from cogmatrix import (
     GoldPairs,
     LexiconSide,
@@ -130,87 +135,247 @@ _LOADERS = {
 }
 
 
-@pytest.mark.parametrize(
-    "kind, text, message",
-    [
-        pytest.param("freq", "#total 9\nbake ten\n",
-                     "{path}:2: expected 'word<TAB>count', got 'bake ten'", id="freq-fields"),
-        pytest.param("freq", "#total 9\nbake\tten\n", "{path}:2: unparseable count 'ten'",
-                     id="freq-unparseable-count"),
-        pytest.param("freq", "#total 9\nbake\t-3\n", "{path}:2: negative count '-3'",
-                     id="freq-negative-count"),
-        pytest.param("freq", "#total lots\nbake\t1\n", "{path}:1: unparseable total 'lots'",
-                     id="freq-unparseable-total"),
-        pytest.param("freq", "#total 9\nbake\t1\n\nbake\t2\n", "{path}:4: duplicate word 'bake'",
-                     id="freq-duplicate"),
-        pytest.param("freq", "# counts\nbake\t1\n", "{path}: missing '#total <N>' header",
-                     id="freq-missing-total"),
-        pytest.param("freq", "bake\t1\nsalt\t-1\n#total x\n", "{path}:2: negative count '-1'",
-                     id="freq-two-faults"),
-        pytest.param("freq", "#total\t9\nbake\t1\n", "{path}: missing '#total <N>' header",
-                     id="freq-header-without-space"),
-        pytest.param("freq", "#total 9\n \n", "{path}:2: expected 'word<TAB>count', got ' '",
-                     id="freq-whitespace-line"),
-        pytest.param("daily", "bake\t1,2\n#days 2\n", "{path}:1: data before '#days <T>' header",
-                     id="daily-before-header"),
-        pytest.param("daily", "#days 2\nbake 1,2\n",
-                     "{path}:2: expected 'word<TAB>c1,c2,...', got 'bake 1,2'", id="daily-fields"),
-        pytest.param("daily", "#days 2\nbake\t1,2\nbake\t3,4\n", "{path}:3: duplicate word 'bake'",
-                     id="daily-duplicate"),
-        pytest.param("daily", "#days 2\nbake\t1\n",
-                     "{path}:2: expected 2 daily counts for 'bake', got 1", id="daily-length"),
-        pytest.param("daily", "#days 2\nbake\t\n",
-                     "{path}:2: expected 2 daily counts for 'bake', got 0", id="daily-empty"),
-        pytest.param("daily", "#days 2\nbake\t1,x\n", "{path}:2: unparseable daily count 'x'",
-                     id="daily-unparseable-count"),
-        pytest.param("daily", "#days 2\nbake\t-3,1\n", "{path}:2: negative daily count '-3'",
-                     id="daily-negative-count"),
-        pytest.param("daily", "#days 2\nbake\t1,99999999999999999999\n",
-                     "{path}:2: daily count 99999999999999999999 exceeds 9223372036854775807",
-                     id="daily-over-int64"),
-        pytest.param("daily", "#days two\n", "{path}:1: unparseable day count 'two'",
-                     id="daily-unparseable-days"),
-        pytest.param("daily", "# counts\n", "{path}: missing '#days <T>' header",
-                     id="daily-missing-days"),
-        pytest.param("daily", "#days 2\nbake\t1,x\nsalt\t1\n", "{path}:2: unparseable daily count 'x'",
-                     id="daily-two-faults"),
-        pytest.param("cooc", "bake\tbread\n",
-                     "{path}:1: expected 'word<TAB>context<TAB>count', got 'bake\\tbread'",
-                     id="cooc-fields"),
-        pytest.param("cooc", "bake\tbread\tx\n", "{path}:1: unparseable count 'x'",
-                     id="cooc-unparseable-count"),
-        pytest.param("cooc", "#c\nbake\tbread\t-1\n", "{path}:2: negative count '-1'",
-                     id="cooc-negative-count"),
-        pytest.param("cooc", "bake\tbread\t-1\nbake\toven\n", "{path}:1: negative count '-1'",
-                     id="cooc-two-faults"),
-        pytest.param("gold", "bake backen\n",
-                     "{path}:1: expected 'l1_word<TAB>l2_word', got 'bake backen'", id="gold-fields"),
-        pytest.param("gold", "bake\tbacken\nbake\tbacken\nbake\tsalz\n",
-                     "{path}:3: L1 word 'bake' already paired on line 1", id="gold-l1-repeat"),
-        pytest.param("gold", "# pairs\nbake\tbacken\nsalt\tbacken\n",
-                     "{path}:3: L2 word 'backen' already paired on line 2", id="gold-l2-repeat"),
-        pytest.param("gold", "bake\tbacken\nbake\tsalz\nsalt\n",
-                     "{path}:2: L1 word 'bake' already paired on line 1", id="gold-two-faults"),
-        pytest.param("weights", "#bias lots\n", "{path}:1: unparseable bias", id="weights-bias"),
-        pytest.param("weights", "#bias \x1c1.5\n", "{path}:1: unparseable bias",
-                     id="weights-bias-control-char"),
-        pytest.param("weights", "phonetic 1.0\n",
-                     "{path}:1: expected 'metric<TAB>weight', got 'phonetic 1.0'", id="weights-fields"),
-        pytest.param("weights", "vibes\t1.0\n", "{path}:1: unknown metric 'vibes'",
-                     id="weights-unknown-metric"),
-        pytest.param("weights", "#bias 0.5\nphonetic\t1.0\nphonetic\t2.0\n",
-                     "{path}:3: duplicate weight for metric 'phonetic'", id="weights-duplicate"),
-        pytest.param("weights", "phonetic\theavy\n", "{path}:1: unparseable weight 'heavy'",
-                     id="weights-unparseable-weight"),
-        pytest.param("weights", "phonetic\theavy\n#bias lots\n", "{path}:1: unparseable weight 'heavy'",
-                     id="weights-two-faults"),
-    ],
-)
+# (kind, file text, message) for every fault a loader reports.
+READER_FAULTS = [
+    pytest.param("freq", "#total 9\nbake ten\n",
+                 "{path}:2: expected 'word<TAB>count', got 'bake ten'", id="freq-fields"),
+    pytest.param("freq", "#total 9\nbake\tten\n", "{path}:2: unparseable count 'ten'",
+                 id="freq-unparseable-count"),
+    pytest.param("freq", "#total 9\nbake\t-3\n", "{path}:2: negative count '-3'",
+                 id="freq-negative-count"),
+    pytest.param("freq", "#total lots\nbake\t1\n", "{path}:1: unparseable total 'lots'",
+                 id="freq-unparseable-total"),
+    pytest.param("freq", "#total 9\nbake\t1\n\nbake\t2\n", "{path}:4: duplicate word 'bake'",
+                 id="freq-duplicate"),
+    pytest.param("freq", "# counts\nbake\t1\n", "{path}: missing '#total <N>' header",
+                 id="freq-missing-total"),
+    pytest.param("freq", "bake\t1\nsalt\t-1\n#total x\n", "{path}:2: negative count '-1'",
+                 id="freq-two-faults"),
+    pytest.param("freq", "#total\t9\nbake\t1\n", "{path}: missing '#total <N>' header",
+                 id="freq-header-without-space"),
+    pytest.param("freq", "#total 9\n \n", "{path}:2: expected 'word<TAB>count', got ' '",
+                 id="freq-whitespace-line"),
+    pytest.param("daily", "bake\t1,2\n#days 2\n", "{path}:1: data before '#days <T>' header",
+                 id="daily-before-header"),
+    pytest.param("daily", "#days 2\nbake 1,2\n",
+                 "{path}:2: expected 'word<TAB>c1,c2,...', got 'bake 1,2'", id="daily-fields"),
+    pytest.param("daily", "#days 2\nbake\t1,2\nbake\t3,4\n", "{path}:3: duplicate word 'bake'",
+                 id="daily-duplicate"),
+    pytest.param("daily", "#days 2\nbake\t1\n",
+                 "{path}:2: expected 2 daily counts for 'bake', got 1", id="daily-length"),
+    pytest.param("daily", "#days 2\nbake\t\n",
+                 "{path}:2: expected 2 daily counts for 'bake', got 0", id="daily-empty"),
+    pytest.param("daily", "#days 2\nbake\t1,x\n", "{path}:2: unparseable daily count 'x'",
+                 id="daily-unparseable-count"),
+    pytest.param("daily", "#days 2\nbake\t-3,1\n", "{path}:2: negative daily count '-3'",
+                 id="daily-negative-count"),
+    pytest.param("daily", "#days 2\nbake\t1,99999999999999999999\n",
+                 "{path}:2: daily count 99999999999999999999 exceeds 9223372036854775807",
+                 id="daily-over-int64"),
+    pytest.param("daily", "#days two\n", "{path}:1: unparseable day count 'two'",
+                 id="daily-unparseable-days"),
+    pytest.param("daily", "# counts\n", "{path}: missing '#days <T>' header",
+                 id="daily-missing-days"),
+    pytest.param("daily", "#days 2\nbake\t1,x\nsalt\t1\n", "{path}:2: unparseable daily count 'x'",
+                 id="daily-two-faults"),
+    pytest.param("daily", "#days 2\nbake\t1,\x1c2\n", "{path}:2: unparseable daily count '\\x1c2'",
+                 id="daily-control-char-count"),
+    pytest.param("cooc", "bake\tbread\n",
+                 "{path}:1: expected 'word<TAB>context<TAB>count', got 'bake\\tbread'",
+                 id="cooc-fields"),
+    pytest.param("cooc", "bake\tbread\tx\n", "{path}:1: unparseable count 'x'",
+                 id="cooc-unparseable-count"),
+    pytest.param("cooc", "#c\nbake\tbread\t-1\n", "{path}:2: negative count '-1'",
+                 id="cooc-negative-count"),
+    pytest.param("cooc", "bake\tbread\t-1\nbake\toven\n", "{path}:1: negative count '-1'",
+                 id="cooc-two-faults"),
+    pytest.param("cooc", "bake\tbread\t2\nbake\toven\t\x1c2\n", "{path}:2: unparseable count '\\x1c2'",
+                 id="cooc-control-char-count"),
+    pytest.param("gold", "bake backen\n",
+                 "{path}:1: expected 'l1_word<TAB>l2_word', got 'bake backen'", id="gold-fields"),
+    pytest.param("gold", "bake\tbacken\nbake\tbacken\nbake\tsalz\n",
+                 "{path}:3: L1 word 'bake' already paired on line 1", id="gold-l1-repeat"),
+    pytest.param("gold", "# pairs\nbake\tbacken\nsalt\tbacken\n",
+                 "{path}:3: L2 word 'backen' already paired on line 2", id="gold-l2-repeat"),
+    pytest.param("gold", "bake\tbacken\nbake\tsalz\nsalt\n",
+                 "{path}:2: L1 word 'bake' already paired on line 1", id="gold-two-faults"),
+    pytest.param("weights", "#bias lots\n", "{path}:1: unparseable bias", id="weights-bias"),
+    pytest.param("weights", "#bias \x1c1.5\n", "{path}:1: unparseable bias",
+                 id="weights-bias-control-char"),
+    pytest.param("weights", "phonetic 1.0\n",
+                 "{path}:1: expected 'metric<TAB>weight', got 'phonetic 1.0'", id="weights-fields"),
+    pytest.param("weights", "vibes\t1.0\n", "{path}:1: unknown metric 'vibes'",
+                 id="weights-unknown-metric"),
+    pytest.param("weights", "#bias 0.5\nphonetic\t1.0\nphonetic\t2.0\n",
+                 "{path}:3: duplicate weight for metric 'phonetic'", id="weights-duplicate"),
+    pytest.param("weights", "phonetic\theavy\n", "{path}:1: unparseable weight 'heavy'",
+                 id="weights-unparseable-weight"),
+    pytest.param("weights", "phonetic\theavy\n#bias lots\n", "{path}:1: unparseable weight 'heavy'",
+                 id="weights-two-faults"),
+    pytest.param("freq", "#total 9\nbake\t1\n#total 1\n",
+                 "{path}:3: repeated '#total' header (first on line 1)", id="freq-repeated-total"),
+    pytest.param("daily", "# counts\n#days 2\nbake\t1,2\n\n#days 3\nsalt\t1,2,3\n",
+                 "{path}:5: repeated '#days' header (first on line 2)", id="daily-repeated-days"),
+    pytest.param("daily", "#days 2\nbake\t1,x\n#days 2\n", "{path}:2: unparseable daily count 'x'",
+                 id="daily-fault-before-repeated-days"),
+    pytest.param("weights", "#bias 0.5\nphonetic\t1.0\n#bias 0.5\n",
+                 "{path}:3: repeated '#bias' header (first on line 1)", id="weights-repeated-bias"),
+    pytest.param("weights", "phonetic\tinf\n", "{path}:1: non-finite weight 'inf'",
+                 id="weights-inf"),
+    pytest.param("weights", "#bias 0\nphonetic\t1\ncontext\t-inf\n",
+                 "{path}:3: non-finite weight '-inf'", id="weights-minus-inf"),
+    pytest.param("weights", "phonetic\tnan\n", "{path}:1: non-finite weight 'nan'",
+                 id="weights-nan"),
+    pytest.param("weights", "phonetic\t1e999\n", "{path}:1: non-finite weight '1e999'",
+                 id="weights-overflow-to-inf"),
+    pytest.param("weights", "#bias inf\n", "{path}:1: non-finite bias", id="weights-bias-inf"),
+    pytest.param("weights", "#bias -inf\n", "{path}:1: non-finite bias",
+                 id="weights-bias-minus-inf"),
+    pytest.param("weights", "#bias nan\n", "{path}:1: non-finite bias", id="weights-bias-nan"),
+]
+
+
+@pytest.mark.parametrize("kind, text, message", READER_FAULTS)
 def test_reader_error_messages(tmp_path, kind, text, message):
     path = write(tmp_path / f"{kind}.tsv", text)
     with pytest.raises(ValueError) as exc:
         _LOADERS[kind](path)
     assert str(exc.value) == message.replace("{path}", str(path))
+
+
+@pytest.mark.parametrize("kind, text, message", READER_FAULTS)
+def test_reader_error_messages_one_line_chunks(tmp_path, kind, text, message):
+    # Every chunk boundary falls between two lines.
+    with mock.patch.object(ingest, "_CHUNK_CHARS", 1):
+        test_reader_error_messages(tmp_path, kind, text, message)
+
+
+def reference_lexicon(freq_path, daily_path, cooc_path):
+    """The per-line loader that the chunked one replaced, kept as the oracle
+    for valid files: every count goes through ``int()`` on its own."""
+
+    def records(path, header=None):
+        with open(path, encoding="utf-8", newline="\n") as f:
+            for line in f.read().split("\n"):
+                if header and line.startswith(header):
+                    yield line[len(header):]
+                elif line and not line.startswith("#"):
+                    yield line.split("\t")
+
+    freq, total = {}, None
+    for rec in records(freq_path, "#total "):
+        if isinstance(rec, str):
+            total = int(rec.strip())
+        else:
+            freq[rec[0]] = int(rec[1])
+    daily, n_days = {}, None
+    for rec in records(daily_path, "#days "):
+        if isinstance(rec, str):
+            n_days = int(rec.strip())
+        else:
+            toks = rec[1].split(",") if rec[1] else []
+            daily[rec[0]] = np.array([int(t) for t in toks], dtype=np.int64)
+    cooc = {}
+    for word, ctx, tok in records(cooc_path):
+        profile = cooc.setdefault(word, {})
+        profile[ctx] = profile.get(ctx, 0) + int(tok)
+    words = list(freq)
+    for extra in (*daily, *cooc):
+        if extra not in freq:
+            freq[extra] = 0
+            words.append(extra)
+    return LexiconSide(words=tuple(words), total_tokens=total, freq=freq,
+                       daily_counts=daily, cooc=cooc, n_days=n_days)
+
+
+def assert_same_side(got, want):
+    """Equal fields, dict insertion orders, value types and array values."""
+    assert (got.words, got.total_tokens, got.n_days) == (want.words, want.total_tokens, want.n_days)
+    assert list(got.freq.items()) == list(want.freq.items())
+    assert list(got.daily_counts) == list(want.daily_counts)
+    for word, vec in got.daily_counts.items():
+        assert vec.dtype == np.int64 and not vec.flags.writeable
+        assert np.array_equal(vec, want.daily_counts[word])
+    assert [(w, list(p.items())) for w, p in got.cooc.items()] == [
+        (w, list(p.items())) for w, p in want.cooc.items()
+    ]
+    assert all(type(c) is int for p in got.cooc.values() for c in p.values())
+
+
+INT64_MAX = 2**63 - 1
+# Spellings of a count that int() reads.  Plain digits convert in bulk; a
+# sign, zeros, padding, digit grouping or non-ASCII digits send their chunk
+# to the per-line path.
+_DEVANAGARI = str.maketrans("0123456789", "०१२३४५६७८९")
+_SPELLINGS = [
+    str,
+    lambda v: f"+{v}",
+    lambda v: f"00{v}",
+    lambda v: f" {v}\r",
+    lambda v: f"\u3000{v}\x0c",
+    lambda v: "_".join(str(v)),
+    lambda v: str(v).translate(_DEVANAGARI),
+]
+# Words and contexts hold no tab or newline, and a line must not start with '#'.
+_TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\t\n"), max_size=4)
+_WORD = _TEXT.filter(lambda w: not w.startswith("#"))
+
+
+def _count(values, spellings):
+    return st.builds(lambda v, spell: spell(v), values, st.sampled_from(spellings))
+
+
+@st.composite
+def _file(draw, header, data_lines):
+    """``data_lines`` with blank and comment lines around them, the header
+    somewhere before the first data line, with or without a final newline."""
+    noise = st.lists(st.sampled_from(["", "#", "# note", "#x\ty"]), max_size=2)
+    lines = [*draw(noise), *([header] if header else []), *draw(noise)]
+    for line in data_lines:
+        lines += [line, *draw(noise)]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def lexicon_files(draw):
+    """Valid frequency, daily-count and co-occurrence files of one side; in
+    half of them every count is plain digits within int64."""
+    plain = draw(st.booleans())
+    spellings = _SPELLINGS[:1] if plain else _SPELLINGS
+    words = draw(st.lists(_WORD, min_size=1, max_size=8, unique=True))
+    in_freq = [w for w in words if draw(st.booleans())]
+    freq_lines = [f"{w}\t{draw(_count(st.integers(0, 50), spellings))}" for w in in_freq]
+    n_days = draw(st.integers(0, 6))
+    day_count = _count(st.one_of(st.integers(0, 30), st.just(INT64_MAX)), spellings)
+    daily_lines = [
+        f"{w}\t{','.join(draw(day_count) for _ in range(n_days))}"
+        for w in words if draw(st.booleans())
+    ]
+    contexts = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    # Few words and contexts, so (word, context) pairs repeat, also apart.
+    big = st.integers(INT64_MAX - 1, INT64_MAX if plain else 2**70)
+    cooc_count = _count(st.one_of(st.integers(0, 30), big), spellings)
+    cooc_lines = draw(st.lists(
+        st.builds("{}\t{}\t{}".format, st.sampled_from(words), st.sampled_from(contexts), cooc_count),
+        max_size=25,
+    ))
+    return (
+        draw(_file(f"#total {50 * len(in_freq) + 1}", freq_lines)),
+        draw(_file(f"#days {n_days}", daily_lines)),
+        draw(_file(None, cooc_lines)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(lexicon_files(), st.sampled_from([1, 2, 16, 64, ingest._CHUNK_CHARS]))
+def test_chunked_loader_matches_per_line_reference(tmp_path_factory, files, chunk_chars):
+    directory = tmp_path_factory.mktemp("lex")
+    paths = [directory / name for name in ("freq.tsv", "daily.tsv", "cooc.tsv")]
+    for path, text in zip(paths, files):
+        path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
+        got = load_lexicon(*paths)
+    assert_same_side(got, reference_lexicon(*paths))
 
 
 def make_gold(n):

@@ -21,7 +21,7 @@ from cogmatrix import (
     score_all_pairs,
     temporal_score,
 )
-from cogmatrix import matrix
+from cogmatrix import matrix, scorers
 
 
 def lexicon(total=100, freq=None, daily=None, cooc=None, n_days=0):
@@ -520,6 +520,28 @@ def test_score_all_pairs_matches_per_pair_oracles(case, block_cells):
     # Small row blocks put block edges inside the universe.
     with mock.patch.object(matrix, "_BLOCK_CELLS", block_cells):
         check_against_oracles(*case)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_stacked_daily_features_equal_per_word_calls(seed):
+    # One mean/var and one rfft over the stacked rows give each word's
+    # values bit for bit, also for long series and counts far beyond 2**32.
+    rng = np.random.default_rng(seed)
+    n_days = int(rng.integers(4, 1500))
+    high = int(rng.choice([10, 10**4, 10**9, 2**50]))
+    daily = {f"w{i}": rng.integers(0, high, size=n_days) for i in range(int(rng.integers(1, 20)))}
+    lex = lexicon(daily=daily, n_days=n_days)
+    words = (*daily, "absent")
+    fano = scorers._fano_factors(lex, words)
+    centred, sq_norms = scorers._spectrum_ranks(lex, words)
+    for i, w in enumerate(words):
+        assert fano[i] == oracle_fano(lex.daily(w))
+        ranks = oracle_rank_vector(lex.daily(w))
+        if ranks is None:
+            assert sq_norms[i] == 0.0
+        else:
+            assert np.array_equal(centred[i], ranks[0]) and sq_norms[i] == ranks[1]
 
 
 def check_against_oracles(words1, lex1, words2, lex2, bridge):
