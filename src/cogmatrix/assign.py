@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .evaluate import PRCurve
+from .evaluate import PRCurve, _label_ranks, _sweep
 from .matrix import GoldPairs, ScoreMatrix
 
 # Refuse to solve beyond this per-side size rather than thrash: the cubic
@@ -85,21 +85,16 @@ def max_assignment_curve(m: ScoreMatrix, a: Assignment, gold: GoldPairs) -> PRCu
     """
     if len(gold.pairs) == 0:
         raise ValueError("gold pairs are empty")
-    labeled = [
-        (score, m.row_labels[i], m.col_labels[j]) for (i, j), score in zip(a.pairs, a.scores)
-    ]
-    labeled.sort(key=lambda t: (-t[0], t[1], t[2]))
-    gold_set = gold.pairs
-    thresholds = [np.inf]
-    hits = 0
-    precisions = [1.0]
-    recalls = [0.0]
-    for k, (score, l1, l2) in enumerate(labeled, start=1):
-        hits += (l1, l2) in gold_set
-        thresholds.append(score)
-        precisions.append(hits / k)
-        recalls.append(hits / len(gold.pairs))
-    return PRCurve(np.array(thresholds), np.array(precisions), np.array(recalls))
+    # Each row is assigned once, so row-label order is the whole tie order.
+    row_rank = _label_ranks(m.row_labels)
+    order = np.argsort([row_rank[i] for i, _ in a.pairs])
+    is_gold = np.array([(m.row_labels[i], m.col_labels[j]) in gold.pairs for i, j in a.pairs])
+    curve = _sweep(np.array(a.scores)[order], is_gold[order], len(gold.pairs))
+    return PRCurve(
+        np.append(np.inf, curve.thresholds),
+        np.append(1.0, curve.precisions),
+        np.append(0.0, curve.recalls),
+    )
 
 
 def save_assignment(m: ScoreMatrix, a: Assignment, path: str | Path) -> None:

@@ -1,11 +1,11 @@
 """Precision-recall evaluation of score matrices against gold pairs.
 
-The curve protocol: sort every candidate pair by score descending (ties
-broken by row label, then column label) and walk down the list; the prefix
-of length k gives the point (threshold, hits/k, hits/|gold|).  Two summaries
-are reported per curve: MaxF1, the best harmonic mean of precision and recall
-on the curve, and the 11-point interpolated average precision, the mean of
-the interpolated precision at recall 0.0, 0.1, ..., 1.0.
+The curve protocol: sort every candidate pair by score descending (ties broken
+by row label, then column label, as Python strings) and walk down the list;
+the prefix of length k gives the point (threshold, hits/k, hits/|gold|).  Two
+summaries are reported per curve: MaxF1, the best harmonic mean of precision
+and recall on the curve, and the 11-point interpolated average precision, the
+mean of the interpolated precision at recall 0.0, 0.1, ..., 1.0.
 
 ``pr_curve`` materialises that sweep, one point per candidate pair.  Both
 summaries depend only on the points where a gold pair is hit: between two
@@ -85,10 +85,17 @@ def _gold_cells(m: ScoreMatrix, gold: GoldPairs) -> tuple[np.ndarray, np.ndarray
 
 
 def _label_ranks(labels: tuple[str, ...]) -> np.ndarray:
-    """Position of each label in the stable label order ``pr_curve`` sorts by."""
+    """Position of each label in Python string order, the tie order of every sweep."""
     ranks = np.empty(len(labels), dtype=np.int64)
-    ranks[np.argsort(np.asarray(labels), kind="stable")] = np.arange(len(labels))
+    ranks[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
     return ranks
+
+
+def _sweep(scores: np.ndarray, is_gold: np.ndarray, n_gold: int) -> PRCurve:
+    """The curve of cells listed in label order, which a stable sort keeps among ties."""
+    order = np.argsort(-scores, kind="stable")
+    hits = np.cumsum(is_gold[order])
+    return PRCurve(scores[order], hits / np.arange(1, len(hits) + 1), hits / n_gold)
 
 
 def pr_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
@@ -99,25 +106,13 @@ def pr_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
     among the candidates.
     """
     rows, cols = _gold_cells(m, gold)
-
-    # Reorder rows and columns by label so that a stable sort on the flat
-    # score array breaks ties by (row label, column label).
-    row_perm = np.argsort(np.asarray(m.row_labels), kind="stable")
-    col_perm = np.argsort(np.asarray(m.col_labels), kind="stable")
-    scores = m.scores[np.ix_(row_perm, col_perm)]
+    # Each cell moved to its (row label, column label) position.
+    row_rank, col_rank = _label_ranks(m.row_labels), _label_ranks(m.col_labels)
+    scores = np.empty_like(m.scores)
+    scores[np.ix_(row_rank, col_rank)] = m.scores
     is_gold = np.zeros(m.shape, dtype=bool)
-    is_gold[rows, cols] = True
-    is_gold = is_gold[np.ix_(row_perm, col_perm)]
-
-    flat = scores.ravel()
-    order = np.argsort(-flat, kind="stable")
-    hits = np.cumsum(is_gold.ravel()[order])
-    positions = np.arange(1, len(flat) + 1, dtype=np.float64)
-    return PRCurve(
-        thresholds=flat[order],
-        precisions=hits / positions,
-        recalls=hits / len(gold.pairs),
-    )
+    is_gold[row_rank[rows], col_rank[cols]] = True
+    return _sweep(scores.ravel(), is_gold.ravel(), len(gold.pairs))
 
 
 def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:

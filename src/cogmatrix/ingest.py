@@ -249,27 +249,20 @@ def _load_freq(path: Path) -> tuple[list[str], dict[str, int], int | None]:
 
 
 def _parse_daily(word: str, csv: str, n_days: int, path: Path, lineno: int) -> np.ndarray:
-    """One line's ``n_days`` daily counts, converted in one call.  numpy
-    accepts the same strings as ``int()``, so a line is parsed again per token
-    only when it holds a bad count, to name it."""
+    """One line's ``n_days`` daily counts, each parsed with ``int()``, which
+    names a bad one, then converted once."""
     toks = csv.split(",") if csv != "" else []
     if len(toks) != n_days:
         raise ValueError(
             f"{path}:{lineno}: expected {n_days} daily counts for {word!r}, got {len(toks)}"
         )
+    values = [_parse_count(t, path, lineno, "daily count") for t in toks]
     try:
-        counts = np.array(toks, dtype=np.int64)
-    except (ValueError, OverflowError):
-        counts = None
-    if counts is None or (counts < 0).any():
-        values = [_parse_count(t, path, lineno, "daily count") for t in toks]
-        try:
-            counts = np.array(values, dtype=np.int64)
-        except OverflowError:
-            raise ValueError(
-                f"{path}:{lineno}: daily count {max(values)} exceeds {np.iinfo(np.int64).max}"
-            ) from None
-    return counts
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(
+            f"{path}:{lineno}: daily count {max(values)} exceeds {np.iinfo(np.int64).max}"
+        ) from None
 
 
 def _load_daily(path: Path) -> tuple[dict[str, np.ndarray], int]:

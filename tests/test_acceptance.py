@@ -191,6 +191,7 @@ def test_rescoring_beats_baseline_ensemble():
     )
 
 
+@pytest.mark.slow
 def test_distractor_robustness():
     """With 3x partnerless distractors per side, rank rescoring still helps
     while the all-or-nothing assignment falls behind."""
@@ -229,6 +230,7 @@ def test_distractor_robustness():
     )
 
 
+@pytest.mark.slow
 def test_performance_envelope():
     """Full 2-step rescore of a 10000x10000 matrix: < 10 min, < 16 GiB."""
     matrix, _ = cgm.generate(

@@ -137,6 +137,17 @@ class TestMaxAssignmentCurve:
         assert curve.precisions.tolist() == [1.0, 1.0, 0.5, 2 / 3]
         assert curve.recalls.tolist() == [0.0, 1 / 3, 1 / 3, 2 / 3]
 
+    def test_tied_scores_swept_in_row_label_order(self):
+        # Rows c, b, a assigned to x, y, z; b and a tie at 0.7, so a (not
+        # gold) is predicted before b (gold), though b has the lower index.
+        m = ScoreMatrix(("c", "b", "a"), ("x", "y", "z"), np.diag([0.9, 0.7, 0.7]))
+        a = hungarian_max(m)
+        gold = GoldPairs(frozenset({("c", "x"), ("b", "y")}))
+        curve = max_assignment_curve(m, a, gold)
+        assert curve.thresholds.tolist() == [np.inf, 0.9, 0.7, 0.7]
+        assert curve.precisions.tolist() == [1.0, 1.0, 0.5, 2 / 3]
+        assert curve.recalls.tolist() == [0.0, 0.5, 0.5, 1.0]
+
     def test_empty_gold_rejected(self):
         m = mat([[1.0]])
         a = hungarian_max(m)

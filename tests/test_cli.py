@@ -216,6 +216,22 @@ class TestSyntheticPipeline:
         cfg = PipelineConfig(metrics="context,phonetic,context")
         assert cfg.metric_ids() == (cgm.MetricId.CONTEXT, cgm.MetricId.PHONETIC)
 
+    def test_assignment_over_size_limit_is_skipped(self, tmp_path, caplog):
+        out = tmp_path / "run"
+        assert run_cli("pipeline", "--source", "synth", "--out", out, "--n-pairs", 6,
+                       "--seed", 2, "--max-side", 3) == 0
+        assert caplog.messages == [
+            "skipping max assignment: matrix 6x6 exceeds the assignment size limit 3"
+        ]
+        lines = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in lines] == [
+            "baseline", "rr", "rr_fr_1step", "rr_fr_2step"
+        ]
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert "assignment.tsv" not in outputs
+        assert "curve_max_assignment.tsv" not in outputs
+        assert not (out / "assignment.tsv").exists()
+
     def test_two_runs_byte_identical(self, tmp_path):
         args = ("pipeline", "--source", "synth", "--n-pairs", 20, "--noise-sigma", 0.35,
                 "--seed", 4)
@@ -344,6 +360,26 @@ class TestFilePipeline:
         baseline = cgm.load_matrix(score_dir / "baseline.tsv")
         assert baseline.scores.min() >= 0.0 and baseline.scores.max() <= 1.0
 
+    def test_combine_with_uniform_weights(self, corpus, tmp_path):
+        score_dir = tmp_path / "scored"
+        assert run_cli(
+            "score", "--out", score_dir,
+            "--gold", corpus / "gold.tsv",
+            "--freq1", corpus / "freq1.tsv", "--freq2", corpus / "freq2.tsv",
+            "--metrics", "phonetic,frequency", "--seed", 13,
+        ) == 0
+        out = tmp_path / "combined"
+        assert run_cli("combine", "--out", out, "--matrices", score_dir,
+                       "--weights", "uniform") == 0
+        paths = {m: score_dir / f"metric_{m.value}.tsv"
+                 for m in (cgm.MetricId.PHONETIC, cgm.MetricId.FREQUENCY)}
+        matrices = {m: cgm.load_matrix(path) for m, path in paths.items()}
+        expected = tmp_path / "expected.tsv"
+        cgm.save_matrix(cgm.combine(matrices, cgm.uniform_weights(matrices)), expected)
+        assert (out / "baseline.tsv").read_bytes() == expected.read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["inputs"]) == sorted(str(path) for path in paths.values())
+
     def test_uniform_weights_escape_hatch(self, corpus, tmp_path):
         out = tmp_path / "run"
         rc = run_cli(
@@ -389,6 +425,49 @@ class TestConfigFile:
         config.write_text("mode standard\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"run\.cfg:1"):
             read_config_file(config)
+
+
+    def test_boolean_key(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("source = synth\nn_pairs = 6\nassign = false\n", encoding="utf-8")
+        assert read_config_file(config)["assign"] is False
+        out = tmp_path / "run"
+        assert run_cli("pipeline", "--config", config, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["assign"] is False
+        assert "assignment.tsv" not in manifest["outputs"]
+
+    def test_bad_boolean_rejected(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("assign = maybe\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_config_file(config)
+        assert str(exc.value) == (
+            f"{config}:1: config key 'assign': expected true/false, got 'maybe'"
+        )
+
+    def test_unconvertible_value_names_location(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("# run\nn_pairs = many\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_config_file(config)
+        assert str(exc.value) == f"{config}:2: invalid literal for int() with base 10: 'many'"
+
+
+class TestUsageErrors:
+    def test_missing_required_option(self, tmp_path, capsys):
+        assert run_cli("rescore", "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err == (
+            "cogmatrix: error: missing required option --matrix (or config key 'matrix')\n"
+        )
+
+    def test_matrices_directory_without_metric_matrices(self, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run_cli("combine", "--out", tmp_path / "x", "--matrices", empty) == 1
+        assert capsys.readouterr().err == (
+            f"cogmatrix: error: no metric_<name>.tsv matrices found in {empty}\n"
+        )
 
 
 def _flag(name, type=None, choices=None):

@@ -2,20 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cogmatrix import (
+    Assignment,
     GoldPairs,
     PRCurve,
     ScoreMatrix,
     compare_methods,
+    hit_curve,
     iap11,
     interpolated_precision,
     load_curve,
+    max_assignment_curve,
     max_f1,
     pr_curve,
     save_curve,
     save_report,
 )
+from cogmatrix.evaluate import _label_ranks
 
 
 def mat(scores, rows=None, cols=None):
@@ -89,6 +95,44 @@ class TestPRCurve:
     def test_recall_non_decreasing_enforced(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             PRCurve(np.array([2.0, 1.0]), np.array([1.0, 1.0]), np.array([0.5, 0.25]))
+
+
+# Characters where numpy string arrays and Python strings part ways (a
+# trailing NUL), and astral-plane ones beyond the basic multilingual plane.
+EDGE_CHARS = ("\x00", "a", "b", "\xe9", "\uffff", "\U00010000", "\U0001f600")
+
+
+@st.composite
+def label_lists(draw):
+    """Distinct labels, with NUL-padded, prefix and astral variants of each other."""
+    text = st.text(st.one_of(st.sampled_from(EDGE_CHARS), st.characters()), max_size=4)
+    labels = []
+    for base in draw(st.lists(text, max_size=6)):
+        labels += [base, base + "\x00", base + "\x00\x00", base[:-1], base + "\U0001f600"]
+    return draw(st.permutations(list(dict.fromkeys(labels))))
+
+
+class TestTieOrder:
+    """Every curve breaks score ties by row label, then column label, as Python strings."""
+
+    @given(label_lists())
+    @example(["a\x00", "a"])
+    def test_label_order_is_python_string_order(self, labels):
+        labels = tuple(labels)
+        ranks = _label_ranks(labels)
+        ordered = [None] * len(labels)
+        for label, rank in zip(labels, ranks):
+            ordered[rank] = label
+        assert ordered == sorted(labels)
+
+    def test_trailing_nul_label_sorts_after_its_prefix(self):
+        m = mat(np.full((2, 2), 0.5), rows=("a\x00", "a"), cols=("u", "v"))
+        gold = GoldPairs(frozenset({("a", "u")}))
+        assert pr_curve(m, gold).precisions.tolist() == [1.0, 0.5, 1 / 3, 0.25]
+        assert hit_curve(m, gold).precisions.tolist() == [1.0, 0.25]
+        # (a\x00, v) and (a, u): the gold pair is predicted first.
+        a = Assignment(pairs=((0, 1), (1, 0)), scores=(0.5, 0.5), total=1.0)
+        assert max_assignment_curve(m, a, gold).precisions.tolist() == [1.0, 1.0, 0.5]
 
 
 class TestInterpolatedPrecision:
@@ -185,6 +229,22 @@ class TestCompareMethods:
 
 
 class TestCurveAndReportFiles:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0.5\t1.0\t0.5\n", ":1: expected header '#prcurve v1 method=<name>'"),
+            ("#prcurve v1 method=rr\n0.5\t1.0\n", ":2: expected 3 tab-separated values"),
+            ("#prcurve v1 method=rr\n0.5\t1.0\t0.5\n0.4\tx\t0.5\n",
+             ":3: unparseable value in '0.4\\tx\\t0.5'"),
+        ],
+    )
+    def test_malformed_curve_file_names_line(self, tmp_path, text, message):
+        path = tmp_path / "curve.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_curve(path)
+        assert str(exc.value) == f"{path}{message}"
+
     def test_curve_round_trip(self, tmp_path, ranked_101_curve):
         path = tmp_path / "curve.tsv"
         save_curve(ranked_101_curve, path, "baseline")

@@ -107,6 +107,24 @@ class TestLoadLexicon:
         assert lex.freq["newword"] == 0
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"total_tokens": 0}, "total_tokens must be positive"),
+        ({"freq": {"bake": -1}}, "frequency counts must be non-negative"),
+        ({"freq": {"bake": 6, "salt": 5}}, "frequency counts exceed total_tokens"),
+        ({"daily_counts": {"bake": [1, 2]}}, "daily counts for 'bake' have length 2, expected 3"),
+        ({"daily_counts": {"bake": [1, -2, 3]}}, "negative daily count for 'bake'"),
+        ({"cooc": {"bake": {"oven": 2, "salt": -1}}}, "negative co-occurrence count for 'bake'"),
+    ],
+)
+def test_lexicon_side_rejects_bad_statistics(kwargs, message):
+    args = {"words": ("bake", "salt"), "total_tokens": 10, "freq": {"bake": 1}, "n_days": 3}
+    with pytest.raises(ValueError) as exc:
+        LexiconSide(**{**args, **kwargs})
+    assert str(exc.value) == message
+
+
 class TestGoldPairsFile:
     def test_load(self, tmp_path):
         path = write(tmp_path / "gold.tsv", "# pairs\nbake\tbacken\nsalt\tsalz\n")
