@@ -105,7 +105,10 @@ def _coerce(key: str, raw: str):
         if raw.lower() not in _BOOL_VALUES:
             raise ValueError(f"config key {key!r}: expected true/false, got {raw!r}")
         return _BOOL_VALUES[raw.lower()]
-    return _TYPES.get(ftype, str)(raw)
+    try:
+        return _TYPES.get(ftype, str)(raw)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: expected {ftype}, got {raw!r}") from None
 
 
 def read_config_file(path: str | Path) -> dict:

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ingest import SeedSet, _lines
+from .ingest import SeedSet, _records
 from .matrix import ScoreMatrix, _normalize_in_place, matrices_share_labels
 from .scorers import MetricId
 
@@ -143,13 +143,19 @@ def combine(
     """Entrywise weighted sum of the metric matrices, min-max normalized.
 
     Normalization maps the combined scores onto [0, 1], which rescoring
-    requires; it preserves the ranking of every row and column.
+    requires; it preserves the ranking of every row and column.  Every
+    matrix needs a weight and every weighted metric a matrix.
     """
     first = _check_shared_labels(metric_matrices)
-    total = np.full(first.shape, weights.bias, dtype=np.float64)
-    for metric in sorted(metric_matrices, key=lambda m: m.value):
+    metrics = sorted(metric_matrices, key=lambda m: m.value)
+    for metric in metrics:
         if metric not in weights.weights:
             raise ValueError(f"no weight for metric {MetricId(metric).value!r}")
+    unmatched = sorted(m.value for m in weights.weights if m not in metric_matrices)
+    if unmatched:
+        raise ValueError(f"no matrix for weighted metric {', '.join(map(repr, unmatched))}")
+    total = np.full(first.shape, weights.bias, dtype=np.float64)
+    for metric in metrics:
         total += weights.weights[metric] * metric_matrices[metric].scores
     return first.with_scores(_normalize_in_place(total))
 
@@ -165,27 +171,27 @@ def load_weights(path: str | Path) -> WeightVector:
     path = Path(path)
     bias = 0.0
     entries: dict[MetricId, float] = {}
-    for lineno, fields in _lines(path, "metric<TAB>weight", "bias"):
+    for where, fields in _records(path, "metric<TAB>weight", "bias"):
         if isinstance(fields, str):
             try:
                 bias = float(fields)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: unparseable bias") from None
+                raise ValueError(f"{path}:{where}: unparseable bias") from None
             if not math.isfinite(bias):
-                raise ValueError(f"{path}:{lineno}: non-finite bias")
+                raise ValueError(f"{path}:{where}: non-finite bias")
             continue
-        name, tok = fields
-        try:
-            metric = MetricId(name)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: unknown metric {name!r}") from None
-        if metric in entries:
-            raise ValueError(f"{path}:{lineno}: duplicate weight for metric {metric.value!r}")
-        try:
-            weight = float(tok)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: unparseable weight {tok!r}") from None
-        if not math.isfinite(weight):
-            raise ValueError(f"{path}:{lineno}: non-finite weight {tok!r}")
-        entries[metric] = weight
+        for lineno, name, tok in zip(where, fields[0::2], fields[1::2]):
+            try:
+                metric = MetricId(name)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: unknown metric {name!r}") from None
+            if metric in entries:
+                raise ValueError(f"{path}:{lineno}: duplicate weight for metric {metric.value!r}")
+            try:
+                weight = float(tok)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: unparseable weight {tok!r}") from None
+            if not math.isfinite(weight):
+                raise ValueError(f"{path}:{lineno}: non-finite weight {tok!r}")
+            entries[metric] = weight
     return WeightVector(entries, bias=bias)

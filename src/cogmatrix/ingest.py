@@ -188,18 +188,6 @@ def _records(path: Path, shape: str, directive: str | None = None):
                 yield linenos, fields
 
 
-def _lines(path: Path, shape: str, directive: str | None = None):
-    """:func:`_records` one line at a time: ``(lineno, value)`` for the header
-    and ``(lineno, fields)`` for each data line."""
-    n_fields = shape.count("<TAB>") + 1
-    for where, fields in _records(path, shape, directive):
-        if isinstance(fields, str):
-            yield where, fields
-            continue
-        for i, lineno in enumerate(where):
-            yield lineno, fields[i * n_fields:(i + 1) * n_fields]
-
-
 def _parse_count(tok: str, path: Path, lineno: int, what: str) -> int:
     try:
         value = int(tok)
@@ -232,20 +220,20 @@ def _bulk_counts(rows: list[str], n_cols: int) -> np.ndarray | None:
     return counts
 
 
-def _load_freq(path: Path) -> tuple[list[str], dict[str, int], int | None]:
+def _load_freq(path: Path) -> tuple[dict[str, int], int]:
     freq: dict[str, int] = {}
     total: int | None = None
-    for lineno, fields in _lines(path, "word<TAB>count", "total"):
+    for where, fields in _records(path, "word<TAB>count", "total"):
         if isinstance(fields, str):
-            total = _parse_count(fields.strip(), path, lineno, "total")
+            total = _parse_count(fields.strip(), path, where, "total")
             continue
-        word, tok = fields
-        if word in freq:
-            raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
-        freq[word] = _parse_count(tok, path, lineno, "count")
+        for lineno, word, tok in zip(where, fields[0::2], fields[1::2]):
+            if word in freq:
+                raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
+            freq[word] = _parse_count(tok, path, lineno, "count")
     if total is None:
         raise ValueError(f"{path}: missing '#total <N>' header")
-    return list(freq), freq, total
+    return freq, total
 
 
 def _parse_daily(word: str, csv: str, n_days: int, path: Path, lineno: int) -> np.ndarray:
@@ -317,7 +305,7 @@ def load_lexicon(
     The frequency file defines the base vocabulary; words that appear only in
     the daily or co-occurrence files are appended with frequency 0.
     """
-    words, freq, total = _load_freq(Path(freq_path))
+    freq, total = _load_freq(Path(freq_path))
     daily: dict[str, np.ndarray] = {}
     n_days = 0
     if daily_path is not None:
@@ -325,14 +313,10 @@ def load_lexicon(
     cooc: dict[str, dict[str, int]] = {}
     if cooc_path is not None:
         cooc = _load_cooc(Path(cooc_path))
-    known = set(words)
     for extra in (*daily, *cooc):
-        if extra not in known:
-            known.add(extra)
-            words.append(extra)
-            freq[extra] = 0
+        freq.setdefault(extra, 0)
     return LexiconSide(
-        words=tuple(words),
+        words=tuple(freq),
         total_tokens=total,
         freq=freq,
         daily_counts=daily,
@@ -347,20 +331,21 @@ def load_gold_pairs(path: str | Path) -> GoldPairs:
     pairs: set[tuple[str, str]] = set()
     l1_seen: dict[str, int] = {}
     l2_seen: dict[str, int] = {}
-    for lineno, (l1, l2) in _lines(path, "l1_word<TAB>l2_word"):
-        if (l1, l2) in pairs:
-            continue
-        if l1 in l1_seen:
-            raise ValueError(
-                f"{path}:{lineno}: L1 word {l1!r} already paired on line {l1_seen[l1]}"
-            )
-        if l2 in l2_seen:
-            raise ValueError(
-                f"{path}:{lineno}: L2 word {l2!r} already paired on line {l2_seen[l2]}"
-            )
-        l1_seen[l1] = lineno
-        l2_seen[l2] = lineno
-        pairs.add((l1, l2))
+    for where, fields in _records(path, "l1_word<TAB>l2_word"):
+        for lineno, l1, l2 in zip(where, fields[0::2], fields[1::2]):
+            if (l1, l2) in pairs:
+                continue
+            if l1 in l1_seen:
+                raise ValueError(
+                    f"{path}:{lineno}: L1 word {l1!r} already paired on line {l1_seen[l1]}"
+                )
+            if l2 in l2_seen:
+                raise ValueError(
+                    f"{path}:{lineno}: L2 word {l2!r} already paired on line {l2_seen[l2]}"
+                )
+            l1_seen[l1] = lineno
+            l2_seen[l2] = lineno
+            pairs.add((l1, l2))
     return GoldPairs(frozenset(pairs))
 
 

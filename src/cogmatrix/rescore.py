@@ -25,7 +25,7 @@ import enum
 
 import numpy as np
 
-from .matrix import ScoreMatrix, _blocks, _by_row_blocks
+from .matrix import ScoreMatrix, _blocks, _by_row_blocks, _rank_dtype, _row_ranks_ge
 
 
 class RescoreMethod(str, enum.Enum):
@@ -37,36 +37,6 @@ class RescoreMethod(str, enum.Enum):
 
 
 ALL_METHODS = tuple(RescoreMethod)
-
-
-def _rank_dtype(n: int):
-    """Integer type of the ranks among ``n`` entries."""
-    return np.int32 if n < 2**31 else np.int64
-
-
-def _row_ranks_ge(a: np.ndarray) -> np.ndarray:
-    """For every entry, the count of entries in its row that are >= it.
-
-    One sort per row: in ascending order, count(>= x) is the row length minus
-    the position where x's tie group starts.  Group starts are marked where a
-    sorted value differs from its left neighbour (``-0.0 == 0.0``, so they tie)
-    and carried along each group by a running maximum, then the ranks are put
-    back in the row's own order.  Ranks are int32 for rows under 2^31 entries.
-    """
-    n = a.shape[1]
-    order = np.argsort(a, axis=1)
-    srt = np.take_along_axis(a, order, axis=1)
-    new = np.empty(a.shape, dtype=bool)
-    new[:, :1] = True
-    np.not_equal(srt[:, 1:], srt[:, :-1], out=new[:, 1:])
-    # Each temporary is dropped once used, which lowers the kernel's peak.
-    del srt
-    start = np.arange(n, dtype=_rank_dtype(n)) * new
-    del new
-    np.maximum.accumulate(start, axis=1, out=start)
-    ranks = np.empty_like(start)
-    np.put_along_axis(ranks, order, np.subtract(n, start, out=start), axis=1)
-    return ranks
 
 
 def _by_column_blocks(a: np.ndarray, kernel, dtype) -> np.ndarray:

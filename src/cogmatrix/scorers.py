@@ -27,10 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.stats import rankdata
 
 from .ingest import LexiconSide
-from .matrix import ScoreMatrix, _by_row_blocks
+from .matrix import ScoreMatrix, _by_row_blocks, _row_ranks_ge
 
 
 class MetricId(str, enum.Enum):
@@ -110,11 +109,14 @@ def _spectrum_ranks(lex: LexiconSide, words: tuple[str, ...]) -> tuple[np.ndarra
     per word) and their squared norms; a constant spectrum has norm 0.
 
     The DC bin is dropped: it carries only raw frequency mass, which the
-    frequency metric covers.  Average ranks are half-integers summing to
-    n(n+1)/2, so the centred values and all their dot products are exact.
+    frequency metric covers.  A bin's average rank is the mean of the first
+    and last positions of its tie group, ``count(<) + 1`` and ``count(<=)``,
+    i.e. ``(n + 1 + count(<=) - count(>=)) / 2``, both counts from the rank
+    kernel.  Average ranks are half-integers summing to n(n+1)/2, so the
+    centred values and all their dot products are exact.
     """
     mags = np.abs(np.fft.rfft(_daily_rows(lex, words), axis=1))[:, 1:]
-    ranks = rankdata(mags, method="average", axis=1)
+    ranks = (mags.shape[1] + 1 + _row_ranks_ge(-mags) - _row_ranks_ge(mags)) / 2
     centred = ranks - ranks.mean(axis=1, keepdims=True)
     return centred, np.einsum("ij,ij->i", centred, centred)
 

@@ -164,6 +164,13 @@ class TestCombine:
         with pytest.raises(ValueError, match="no weight for metric 'phonetic'"):
             combine({MetricId.PHONETIC: m}, WeightVector({MetricId.FREQUENCY: 1.0}))
 
+    def test_weight_without_matrix_rejected(self):
+        m = labeled([[1.0]], ("a",), ("u",))
+        weights = WeightVector({MetricId.PHONETIC: 1.0, MetricId.CONTEXT: 5.0, MetricId.TEMPORAL: 1.0})
+        with pytest.raises(ValueError) as exc:
+            combine({MetricId.PHONETIC: m}, weights)
+        assert str(exc.value) == "no matrix for weighted metric 'context', 'temporal'"
+
     def test_uniform_weights(self):
         wv = uniform_weights([MetricId.PHONETIC, MetricId.CONTEXT])
         assert wv.weights == {MetricId.PHONETIC: 1.0, MetricId.CONTEXT: 1.0}
