@@ -146,10 +146,8 @@ def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
     # Group index times n_cells plus the reversed label key orders the gold
     # list by one integer, and the cells tied with a gold score by the same
     # integer, so one sort of a block's tied cells places the whole gold list
-    # among them with G binary searches.  A trailing infinity matches no
-    # finite score.
+    # among them with G binary searches.
     tie_keys = (np.cumsum(new_group) - 1) * n_cells + (n_cells - 1 - gold_keys)
-    group_sentinel = np.append(group_scores, np.inf)
 
     counts = np.zeros(n_gold + 1, dtype=np.int64)
     # Scratch memory is at most about a hundred bytes per cell of one block.
@@ -167,10 +165,14 @@ def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
             # The only ties are the gold cells, and gold cell j's prefix is j.
             counts[gold_here] += 1
             continue
-        group = np.searchsorted(group_scores, block, side="left")
-        tied = np.flatnonzero(group_sentinel[group] == block)
-        keys = (row_rank[block_rows, None] * n_cols + col_rank).ravel()[tied]
-        tied_keys = np.sort(group.ravel()[tied] * n_cells + (n_cells - 1 - keys))
+        # The cells tied with gold group g are the run below[g]:upto[g] of
+        # the block's sorted order.
+        sizes = upto - below
+        runs = np.arange(sizes.sum()) + np.repeat(below - (np.cumsum(sizes) - sizes), sizes)
+        tied = np.argsort(block, axis=None)[runs]
+        reversed_keys = (n_cells - 1) - (row_rank[block_rows, None] * n_cols + col_rank)
+        group_base = np.repeat(np.arange(sizes.size) * n_cells, sizes)
+        tied_keys = np.sort(group_base + reversed_keys.ravel()[tied])
         # A tied cell's prefix is the number of gold keys below its key, so
         # the cells with a prefix longer than j are those above gold key j.
         longer = tied_keys.size - np.searchsorted(tied_keys, tie_keys, side="right")

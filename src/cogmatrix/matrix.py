@@ -5,16 +5,11 @@ L1 words, columns are L2 words.  Matrices are immutable after construction and
 every downstream stage (combination, rescoring, assignment, evaluation)
 consumes and produces them.
 
-Matrix files (named ``*.tsv`` by the CLI) come in two versions, told apart by
-the first line:
-
-* **v2**, the only version written: ``#cogmatrix v2 <n1> <n2>``, a line of
-  tab-separated UTF-8 column labels, a line of row labels, then the
-  ``n1 * n2`` scores as raw little-endian float64, row-major.  The raw bytes
-  round-trip bit for bit, and equal matrices give equal files.
-* **v1**, read only: ``#cogmatrix v1 <n1> <n2>``, a line of column labels,
-  then one text line per row (label, then shortest round-trip decimals).
-  Kept so older output directories and hand-written fixtures still load.
+Matrix files (named ``*.tsv`` by the CLI) are in format v2:
+``#cogmatrix v2 <n1> <n2>``, a line of tab-separated UTF-8 column labels, a
+line of row labels, then the ``n1 * n2`` scores as raw little-endian float64,
+row-major.  The raw bytes round-trip bit for bit, and equal matrices give
+equal files.  Files of the earlier v1 text format are rejected by name.
 """
 
 from __future__ import annotations
@@ -232,7 +227,7 @@ def save_matrix(m: ScoreMatrix, path: str | Path) -> None:
     exactly ``n1 * n2 * 8`` bytes of little-endian float64 scores in
     row-major order.  The file holds no padding or timestamps, so equal
     matrices give equal bytes, and ``load_matrix(save_matrix(m))`` reproduces
-    the float64 bits exactly.  Nothing writes the older v1 text format.
+    the float64 bits exactly.
     """
     for lab in (*m.row_labels, *m.col_labels):
         if lab == "" or "\t" in lab or "\n" in lab:
@@ -247,15 +242,11 @@ def save_matrix(m: ScoreMatrix, path: str | Path) -> None:
 
 
 def load_matrix(path: str | Path) -> ScoreMatrix:
-    """Read a matrix file in format v2 (written by save_matrix) or v1 text.
+    """Read a matrix file in format v2, as written by save_matrix.
 
-    The version in the header line selects the reader.  v1 is the earlier
-    text layout: the header ``#cogmatrix v1 <n1> <n2>``, a line of column
-    labels, then one line per row (label, then one decimal score per column).
-    It is read, never written.
-
-    Raises ValueError naming the file and the line at fault; a v2 body
-    whose length disagrees with the header fails before any allocation.
+    Raises ValueError naming the file and the line at fault, also for a file
+    of the earlier v1 text format; a body whose length disagrees with the
+    header fails before any allocation.
     """
     path = Path(path)
 
@@ -273,18 +264,14 @@ def load_matrix(path: str | Path) -> ScoreMatrix:
             or head[1] not in (b"v1", b"v2")
         ):
             raise bad(1, f"expected header {_HEADER_SHAPE!r}")
+        if head[1] == b"v1":
+            raise bad(1, "matrix format v1 is no longer supported; only v2 is read")
         try:
             n1, n2 = int(head[2]), int(head[3])
         except ValueError:
             raise bad(1, f"non-integer dimensions in header: {first!r}") from None
         if n1 < 0 or n2 < 0:
             raise bad(1, "negative dimensions in header")
-        if head[1] == b"v1":
-            try:
-                text = f.read().decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise bad(2, f"not UTF-8 text: {exc}") from None
-            return _parse_v1(text, n1, n2, bad)
         return _read_v2(f, n1, n2, bad)
 
 
@@ -333,44 +320,6 @@ def _read_v2(f, n1: int, n2: int, bad) -> ScoreMatrix:
             f"column {col_labels[j]!r}",
         )
     return ScoreMatrix(row_labels, col_labels, scores)
-
-
-def _parse_v1(text: str, n1: int, n2: int, bad) -> ScoreMatrix:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    n_lines = 1 + len(lines)
-    if n_lines != 2 + n1:
-        raise bad(n_lines, f"expected {2 + n1} lines for a {n1}x{n2} matrix, found {n_lines}")
-
-    col_labels = lines[0].split("\t") if lines[0] != "" else []
-    if len(col_labels) != n2:
-        raise bad(2, f"expected {n2} column labels, found {len(col_labels)}")
-
-    row_labels: list[str] = []
-    seen_rows: set[str] = set()
-    scores = np.empty((n1, n2), dtype=np.float64)
-    for i in range(n1):
-        lineno = 3 + i
-        # The v1 writer put a tab after every label, so a row of an n x 0
-        # matrix is ``label<TAB>`` with no scores.
-        label, _, rest = lines[1 + i].partition("\t")
-        tokens = rest.split("\t") if rest != "" else []
-        if len(tokens) != n2:
-            raise bad(lineno, f"expected row label plus {n2} scores, found {len(tokens)} scores")
-        if label in seen_rows:
-            raise bad(lineno, f"duplicate row label: {label!r}")
-        seen_rows.add(label)
-        row_labels.append(label)
-        for j, tok in enumerate(tokens):
-            try:
-                v = float(tok)
-            except ValueError:
-                raise bad(lineno, f"unparseable score {tok!r}") from None
-            if not math.isfinite(v):
-                raise bad(lineno, f"non-finite score {tok!r}")
-            scores[i, j] = v
-    return ScoreMatrix(tuple(row_labels), tuple(col_labels), scores)
 
 
 def matrices_share_labels(matrices: Iterable[ScoreMatrix]) -> bool:

@@ -5,7 +5,8 @@ similarity in [0, 1].  :func:`score_all_pairs` is the one implementation of
 each: it computes per-word features once, then runs one pairwise kernel.
 
 * ``phonetic``   - normalized edit distance over the orthographic lemmas
-                   (the Levenshtein DP, run for all L2 words at once)
+                   (bit-parallel Levenshtein: Myers' bit vectors in Hyyrö's
+                   global, multi-word form, the L2 words as patterns)
 * ``frequency``  - ratio of relative corpus frequencies (outer min/max)
 * ``temporal``   - rank correlation of daily-count DFT magnitude spectra
                    (one matrix product of centred rank vectors)
@@ -60,31 +61,157 @@ class SeedLexicon:
         return len(self.mapping)
 
 
-def _edit_distances(x_words: tuple[str, ...], y_words: tuple[str, ...]) -> np.ndarray:
-    """Levenshtein distance (over unicode scalar values) of every (x, y) pair.
+# Cells per tile of the edit-distance kernel: small enough that a tile's
+# dozen uint64 work arrays stay in cache while it steps through its texts.
+_TILE_CELLS = 1 << 14
 
-    The DP advances one character of x at a time over a row of all y; entry
-    j of the row is the distance to y[:j].  The insertion chain
-    ``cur[j] = min(cur[j], cur[j - 1] + 1)`` is a prefix minimum of
-    ``cur[j] - j``.  Padding past len(y) only feeds entries further right.
+# Every bit operand is uint64: numpy 1.x turns uint64 with int64 into float64.
+_ONE = np.uint64(1)
+_ALL = ~np.uint64(0)
+
+
+def _popcount(v: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64, summed over bit pairs, nibbles, then bytes."""
+    v = v - ((v >> _ONE) & np.uint64(0x5555555555555555))
+    v = (v & np.uint64(0x3333333333333333)) + ((v >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    v = (v + (v >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return (v * np.uint64(0x0101010101010101)) >> np.uint64(56)
+
+
+def _advance(codes: np.ndarray, peq: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Edit distances of a tile: r texts of one length n against c patterns
+    of the same number of 64-bit blocks.
+
+    ``codes`` (r, n) are the texts' alphabet indices, ``peq`` (blocks,
+    alphabet, c) the patterns' match masks and ``last`` (c,) the mask of
+    each pattern's rows in its last block.  Per text character, block b of
+    ``pv``/``mv`` holds the vertical deltas +1/-1 of the DP column, and a
+    block hands its bottom horizontal delta to the next one (Myers 1999,
+    Hyyrö 2003).  The top row's delta is +1, as D[0][j] = j in the global
+    distance, so D[m][n] = n + popcount(pv) - popcount(mv) over the
+    pattern's rows.
     """
-    y_len = np.array([len(y) for y in y_words], dtype=np.int64)
-    width = int(y_len.max(initial=0))
-    codes = np.full((width, len(y_words)), -1, dtype=np.int64)
-    for j, y in enumerate(y_words):
-        codes[: len(y), j] = [ord(c) for c in y]
-    cols = np.arange(width + 1, dtype=np.int64)[:, None]
-    last = (y_len, np.arange(len(y_words)))
-    out = np.empty((len(x_words), len(y_words)), dtype=np.int64)
-    for i, x in enumerate(x_words):
-        prev = np.broadcast_to(cols, (width + 1, len(y_words)))
-        for k, ch in enumerate(x, start=1):
-            cur = np.empty_like(prev)
-            cur[0] = k
-            np.minimum(prev[1:] + 1, prev[:-1] + (codes != ord(ch)), out=cur[1:])
-            prev = np.minimum.accumulate(cur - cols, axis=0) + cols
-        out[i] = prev[last]
-    return out
+    n_blocks, _, c = peq.shape
+    r, n = codes.shape
+    state = np.zeros((2, n_blocks, r, c), dtype=np.uint64)
+    pv, mv = state
+    pv.fill(_ALL)
+    eq, xv, xh, ph, mh = (np.empty((r, c), dtype=np.uint64) for _ in range(5))
+    h_in = (np.empty((r, c), dtype=np.uint64), np.empty((r, c), dtype=np.uint64))
+    h_out = (np.empty((r, c), dtype=np.uint64), np.empty((r, c), dtype=np.uint64))
+    for t in range(n):
+        for b in range(n_blocks):
+            p, m = pv[b], mv[b]
+            np.take(peq[b], codes[:, t], axis=0, out=eq, mode="clip")
+            np.bitwise_or(eq, m, out=xv)
+            if b:
+                np.bitwise_or(eq, h_in[1], out=eq)
+            # Xh = (((Eq & Pv) + Pv) ^ Pv) | Eq
+            np.bitwise_and(eq, p, out=xh)
+            np.add(xh, p, out=xh)
+            np.bitwise_xor(xh, p, out=xh)
+            np.bitwise_or(xh, eq, out=xh)
+            # Ph = Mv | ~(Xh | Pv), Mh = Pv & Xh
+            np.bitwise_or(xh, p, out=ph)
+            np.invert(ph, out=ph)
+            np.bitwise_or(ph, m, out=ph)
+            np.bitwise_and(xh, p, out=mh)
+            if b < n_blocks - 1:
+                np.right_shift(ph, np.uint64(63), out=h_out[0])
+                np.right_shift(mh, np.uint64(63), out=h_out[1])
+            np.left_shift(ph, _ONE, out=ph)
+            np.left_shift(mh, _ONE, out=mh)
+            if b:
+                np.bitwise_or(ph, h_in[0], out=ph)
+                np.bitwise_or(mh, h_in[1], out=mh)
+            else:
+                np.bitwise_or(ph, _ONE, out=ph)
+            # Pv = Mh | ~(Xv | Ph), Mv = Ph & Xv
+            np.bitwise_or(xv, ph, out=p)
+            np.invert(p, out=p)
+            np.bitwise_or(p, mh, out=p)
+            np.bitwise_and(ph, xv, out=m)
+            h_in, h_out = h_out, h_in
+    state[:, -1] &= last
+    ones = _popcount(state).sum(axis=1, dtype=np.int64)
+    return n + (ones[0] - ones[1])
+
+
+def _alphabet_codes(words: tuple[str, ...], index: dict[str, int]):
+    """Lengths, start offsets and the concatenated alphabet indices of
+    ``words``; a character outside the alphabet gets ``len(index)``."""
+    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    absent = len(index)
+    codes = np.fromiter(
+        (index.get(ch, absent) for w in words for ch in w), dtype=np.int32, count=int(lengths.sum())
+    )
+    return lengths, np.cumsum(lengths) - lengths, codes
+
+
+def _edit_distance_rows(x_words: tuple[str, ...], y_words: tuple[str, ...]):
+    """The function ``rows -> distances`` that gives the Levenshtein distance
+    (over unicode scalar values) of each of ``x_words[rows]`` (a slice) to
+    every y word, as float64: the phonetic score is computed in place in
+    that array, and every distance below 2^53 is exact in it.
+
+    The bit-parallel kernel ``_advance`` takes the y words as patterns and the
+    x words as texts.  The patterns' match masks are built here, once: one
+    uint64 per pattern per 64 code points for each character that occurs in
+    both word lists, and one all-zero row for the characters of x that no y
+    word has.  Patterns are grouped by their number of blocks; an empty
+    pattern has one block and no rows, so its distance is ``len(x)``.  The x
+    words of each call are grouped by length, so one numpy step advances a
+    whole group by one character, and run in tiles of ``_TILE_CELLS`` cells.
+    """
+    alphabet = sorted(set().union(*x_words) & set().union(*y_words))
+    index = {ch: k for k, ch in enumerate(alphabet)}
+    x_len, x_start, x_codes = _alphabet_codes(x_words, index)
+    y_len, y_start, y_codes = _alphabet_codes(y_words, index)
+
+    # The column and position of every y character; ``shared`` marks those
+    # in the alphabet.
+    y_col = np.repeat(np.arange(len(y_words)), y_len)
+    y_pos = np.arange(len(y_codes)) - np.repeat(y_start, y_len)
+    shared = y_codes < len(alphabet)
+    y_blocks = np.maximum(1, -(-y_len // 64))
+    slot = np.empty(len(y_words), dtype=np.int64)
+    groups = []
+    for n_blocks in sorted(set(y_blocks.tolist())):
+        cols = np.flatnonzero(y_blocks == n_blocks)
+        slot[cols] = np.arange(len(cols))
+        at = shared & (y_blocks[y_col] == n_blocks)
+        pos = y_pos[at]
+        peq = np.zeros((n_blocks, len(alphabet) + 1, len(cols)), dtype=np.uint64)
+        bits = np.left_shift(_ONE, (pos % 64).astype(np.uint64))
+        np.bitwise_or.at(peq, (pos // 64, y_codes[at], slot[y_col[at]]), bits)
+        tail = y_len[cols] - 64 * (n_blocks - 1)
+        last = np.array([(1 << k) - 1 for k in tail.tolist()], dtype=np.uint64)
+        groups.append((cols, peq, last))
+
+    def distances(rows: slice) -> np.ndarray:
+        ids = np.arange(len(x_words))[rows]
+        out = np.empty((len(ids), len(y_words)), dtype=np.float64)
+        for n in sorted(set(x_len[ids].tolist())):
+            local = np.flatnonzero(x_len[ids] == n)
+            codes = x_codes[x_start[ids[local], None] + np.arange(n)]
+            for cols, peq, last in groups:
+                height = min(len(local), max(1, _TILE_CELLS // len(cols)))
+                width = max(1, _TILE_CELLS // height)
+                for r in range(0, len(local), height):
+                    for c in range(0, len(cols), width):
+                        tile = _advance(
+                            codes[r : r + height], peq[:, :, c : c + width], last[c : c + width]
+                        )
+                        out[np.ix_(local[r : r + height], cols[c : c + width])] = tile
+        return out
+
+    return distances
+
+
+def _edit_distances(x_words: tuple[str, ...], y_words: tuple[str, ...]) -> np.ndarray:
+    """Levenshtein distance (over unicode scalar values) of every (x, y) pair."""
+    kernel = _edit_distance_rows(x_words, y_words)
+    return _by_row_blocks(len(x_words), len(y_words), kernel, dtype=np.int64)
 
 
 def _daily_rows(lex: LexiconSide, words: tuple[str, ...]) -> np.ndarray:
@@ -191,12 +318,18 @@ def score_all_pairs(
     if metric is MetricId.PHONETIC:
         x_len = np.array([len(x) for x in x_words], dtype=np.int64)
         y_len = np.array([len(y) for y in y_words], dtype=np.int64)
+        distances = _edit_distance_rows(x_words, y_words)
 
         def phonetic(rows):
             # 1 - ED/max(|x|, |y|); two empty strings count as identical.
+            # Computed in the block of distances, so that a block needs only
+            # one more array, ``longer``.
+            score = distances(rows)
             longer = np.maximum.outer(x_len[rows], y_len)
-            dist = _edit_distances(x_words[rows], y_words)
-            return np.divide(longer - dist, longer, out=np.ones(longer.shape), where=longer > 0)
+            np.subtract(longer, score, out=score)
+            np.divide(score, np.maximum(longer, 1, out=longer), out=score)
+            score[np.ix_(x_len[rows] == 0, y_len == 0)] = 1.0
+            return score
 
         return ScoreMatrix(x_words, y_words, _by_row_blocks(n1, n2, phonetic))
 

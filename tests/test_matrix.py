@@ -118,14 +118,16 @@ class TestPersistence:
 
     def test_duplicate_row_label_load_error(self, tmp_path):
         path = tmp_path / "bad.tsv"
-        path.write_text("#cogmatrix v1 2 1\nu\na\t1.0\na\t2.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"bad\.tsv:4"):
+        path.write_bytes(v2_bytes(2, 1, "u", "a\ta", [1.0, 2.0]))
+        with pytest.raises(ValueError, match=r"bad\.tsv:3: duplicate row label: 'a'"):
             load_matrix(path)
 
     def test_nan_token_load_error(self, tmp_path):
+        # The message names the cell's row and column labels.
         path = tmp_path / "bad.tsv"
-        path.write_text("#cogmatrix v1 1 1\nu\na\tnan\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"bad\.tsv:3.*non-finite"):
+        path.write_bytes(v2_bytes(2, 2, "u\tv", "a\tb", [1.0, 2.0, np.nan, 4.0]))
+        message = r"bad\.tsv:4: non-finite score nan at row 'b', column 'u'"
+        with pytest.raises(ValueError, match=message):
             load_matrix(path)
 
     def test_bad_header_names_line(self, tmp_path):
@@ -136,14 +138,8 @@ class TestPersistence:
 
     def test_wrong_field_count_names_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
-        path.write_text("#cogmatrix v1 1 2\nu\tv\na\t1.0\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"bad\.tsv:3"):
-            load_matrix(path)
-
-    def test_unparseable_score_names_line(self, tmp_path):
-        path = tmp_path / "bad.tsv"
-        path.write_text("#cogmatrix v1 1 1\nu\na\tten\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"bad\.tsv:3.*'ten'"):
+        path.write_bytes(v2_bytes(1, 2, "u\tv", "a\tb", [1.0, 2.0]))
+        with pytest.raises(ValueError, match=r"bad\.tsv:3: expected 1 row labels, found 2"):
             load_matrix(path)
 
     def test_tab_in_label_rejected_on_save(self, tmp_path):
@@ -232,20 +228,9 @@ class TestFormatV2:
         with pytest.raises(ValueError, match=r"bad\.tsv" + where):
             load_matrix(path)
 
-    def test_hand_written_v1_still_loads(self, tmp_path):
+    def test_v1_file_rejected_by_name(self, tmp_path):
         path = tmp_path / "old.tsv"
         path.write_text("#cogmatrix v1 2 2\nx\ty\na\t0.1\t-0.0\nb\t1e-308\t3\n", encoding="utf-8")
-        m = load_matrix(path)
-        assert m.row_labels == ("a", "b")
-        assert m.col_labels == ("x", "y")
-        expected = np.array([[0.1, -0.0], [1e-308, 3.0]])
-        assert np.array_equal(m.scores.view(np.uint64), expected.view(np.uint64))
-
-    def test_v1_rows_without_columns_load(self, tmp_path):
-        # The v1 writer ended every row label with a tab, scores or not.
-        path = tmp_path / "old.tsv"
-        path.write_text("#cogmatrix v1 2 0\n\nrowa\t\nrowb\t\n", encoding="utf-8")
-        m = load_matrix(path)
-        assert m.row_labels == ("rowa", "rowb")
-        assert m.col_labels == ()
-        assert m.scores.shape == (2, 0)
+        with pytest.raises(ValueError) as err:
+            load_matrix(path)
+        assert str(err.value) == f"{path}:1: matrix format v1 is no longer supported; only v2 is read"

@@ -522,6 +522,136 @@ def test_score_all_pairs_matches_per_pair_oracles(case, block_cells):
         check_against_oracles(*case)
 
 
+# Words of 0-140 code points, so patterns span one, two or three 64-bit
+# blocks: a small alphabet (many matches), NUL and astral-plane scalars, and
+# arbitrary unicode.
+LONG_WORDS = st.integers(0, 140).flatmap(
+    lambda n: st.text(
+        alphabet=st.one_of(
+            st.sampled_from("ab\x00\U0001F600"),
+            st.characters(exclude_categories=("Cs",)),
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.one_of(WORDS, LONG_WORDS), min_size=1, max_size=4, unique=True),
+    st.lists(st.one_of(WORDS, LONG_WORDS), min_size=1, max_size=4, unique=True),
+    st.integers(1, 8),
+    st.integers(1, 8),
+)
+def test_long_words_match_per_pair_oracles(words1, words2, tile_cells, block_cells):
+    # Small tiles and row blocks put their edges inside the universe.
+    with mock.patch.object(scorers, "_TILE_CELLS", tile_cells), mock.patch.object(
+        matrix, "_BLOCK_CELLS", block_cells
+    ):
+        scores = score_all_pairs(MetricId.PHONETIC, words1, words2).scores
+        dist = scorers._edit_distances(tuple(words1), tuple(words2))
+    for i, x in enumerate(words1):
+        for j, y in enumerate(words2):
+            assert dist[i, j] == oracle_levenshtein(x, y), (x, y)
+            assert scores[i, j] == oracle_phonetic(x, y), (x, y)
+
+
+EDGE_LENGTHS = (0, 1, 63, 64, 65, 127, 128, 129)
+
+
+def edge_distance_table():
+    """(x, y, distance) at the block edges, known in closed form.  No y word
+    has "z", and "\\x00" and an astral-plane scalar stand for any code point."""
+    for n in EDGE_LENGTHS:
+        yield "a" * n, "a" * n, 0
+        yield "", "\x00" * n, n
+        yield "\x00" * n, "", n
+        yield "z" * n, "a" * n, n
+        yield "a" * n + "\U0001F600", "a" * n, 1
+        yield "a" * n, "b" + "a" * n, 1
+        yield "\x00" + "a" * n, "\U0001F600" + "a" * n, 1
+        yield ("ab" * n)[:n], ("ba" * n)[:n], min(n, 2)
+
+
+EDGE_TABLE = tuple(edge_distance_table())
+
+
+@pytest.mark.parametrize("x, y, d", EDGE_TABLE)
+def test_edge_lengths_fixed_table(x, y, d):
+    assert levenshtein(x, y) == d == oracle_levenshtein(x, y)
+    assert phonetic_score(x, y) == oracle_phonetic(x, y)
+
+
+def test_edge_table_as_one_universe():
+    # The same pairs inside one matrix, cut into tiles and row blocks of a
+    # few cells, give the table's distances and the untiled matrix.
+    xs, ys, ds = (tuple(col) for col in zip(*EDGE_TABLE))
+    with mock.patch.object(scorers, "_TILE_CELLS", 40), mock.patch.object(
+        matrix, "_BLOCK_CELLS", 300
+    ):
+        dist = scorers._edit_distances(xs, ys)
+    assert np.array_equal(np.diag(dist), ds)
+    assert np.array_equal(dist, scorers._edit_distances(xs, ys))
+
+
+def dp_edit_distances(x_words, y_words):
+    """The vectorised Levenshtein DP that the bit-parallel kernel replaced,
+    kept as the matrix oracle.
+
+    The DP advances one character of x at a time over a row of all y; entry
+    j of the row is the distance to y[:j].  The insertion chain
+    ``cur[j] = min(cur[j], cur[j - 1] + 1)`` is a prefix minimum of
+    ``cur[j] - j``.  Padding past len(y) only feeds entries further right.
+    """
+    y_len = np.array([len(y) for y in y_words], dtype=np.int64)
+    width = int(y_len.max(initial=0))
+    codes = np.full((width, len(y_words)), -1, dtype=np.int64)
+    for j, y in enumerate(y_words):
+        codes[: len(y), j] = [ord(c) for c in y]
+    cols = np.arange(width + 1, dtype=np.int64)[:, None]
+    last = (y_len, np.arange(len(y_words)))
+    out = np.empty((len(x_words), len(y_words)), dtype=np.int64)
+    for i, x in enumerate(x_words):
+        prev = np.broadcast_to(cols, (width + 1, len(y_words)))
+        for k, ch in enumerate(x, start=1):
+            cur = np.empty_like(prev)
+            cur[0] = k
+            np.minimum(prev[1:] + 1, prev[:-1] + (codes != ord(ch)), out=cur[1:])
+            prev = np.minimum.accumulate(cur - cols, axis=0) + cols
+        out[i] = prev[last]
+    return out
+
+
+def random_universe_words(rng, n):
+    """A mix of words over a 4-letter alphabet, of arbitrary unicode scalars
+    (astral-plane and NUL included) and of 60-140 code points."""
+    words = []
+    for kind in rng.integers(0, 10, size=n):
+        if kind < 6:
+            words.append("".join(rng.choice(list("acgt"), size=rng.integers(0, 12))))
+        elif kind < 9:
+            points = rng.integers(0, 0x110000, size=rng.integers(0, 10))
+            words.append("".join(chr(p) for p in points if not 0xD800 <= p < 0xE000))
+        else:
+            words.append("".join(rng.choice(list("acgt\x00é"), size=rng.integers(60, 141))))
+    return tuple(words)
+
+
+@pytest.mark.slow
+def test_kernel_equals_dp_on_random_universe():
+    rng = np.random.default_rng(20261018)
+    xs, ys = random_universe_words(rng, 600), random_universe_words(rng, 3000)
+    # The DP pads every y word to the longest, so the oracle runs once for
+    # the long and once for the short y words.
+    expected = np.empty((len(xs), len(ys)), dtype=np.int64)
+    long_y = np.array([len(y) >= 60 for y in ys])
+    for cols in (np.flatnonzero(long_y), np.flatnonzero(~long_y)):
+        expected[:, cols] = dp_edit_distances(xs, tuple(ys[j] for j in cols))
+    assert long_y.any() and not long_y.all()
+    assert np.array_equal(scorers._edit_distances(xs, ys), expected)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_stacked_daily_features_equal_per_word_calls(seed):
