@@ -17,9 +17,11 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, count, repeat
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .matrix import GoldPairs, _read_only
 
@@ -30,9 +32,12 @@ UNIVERSE_MODES = ("standard", "large")
 
 @dataclass(frozen=True)
 class LexiconSide:
-    """One language's vocabulary with corpus statistics.
+    """One language's vocabulary with corpus statistics, stored by column.
 
-    ``daily_counts`` vectors all have length ``n_days``; words missing from
+    ``daily_counts`` holds one int64 row of ``n_days`` counts per word of
+    ``daily_words``.  ``cooc_counts`` is an int64 CSR matrix over
+    ``cooc_words`` x ``cooc_contexts``, one entry per (word, context) at
+    most, each row in the order of the word's profile.  Words missing from
     the daily or co-occurrence data implicitly have a zero vector / an empty
     profile (see :meth:`daily` and :meth:`cooc_profile`).
     """
@@ -40,9 +45,15 @@ class LexiconSide:
     words: tuple[str, ...]
     total_tokens: int
     freq: dict[str, int]
-    daily_counts: dict[str, np.ndarray] = field(default_factory=dict)
-    cooc: dict[str, dict[str, int]] = field(default_factory=dict)
     n_days: int = 0
+    daily_words: tuple[str, ...] = ()
+    daily_counts: np.ndarray | None = None
+    cooc_words: tuple[str, ...] = ()
+    cooc_contexts: tuple[str, ...] = ()
+    cooc_counts: csr_matrix | None = None
+    # The row of each word of ``daily_words`` and of ``cooc_words``.
+    daily_index: dict[str, int] = field(init=False, repr=False)
+    cooc_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.total_tokens <= 0:
@@ -51,49 +62,63 @@ class LexiconSide:
             raise ValueError("frequency counts must be non-negative")
         if sum(self.freq.values()) > self.total_tokens:
             raise ValueError("frequency counts exceed total_tokens")
-        daily: dict[str, np.ndarray] = {}
-        for w, vec in self.daily_counts.items():
-            vec = np.asarray(vec, dtype=np.int64)
-            if vec.ndim != 1 or len(vec) != self.n_days:
-                raise ValueError(
-                    f"daily counts for {w!r} have length {vec.size}, expected {self.n_days}"
-                )
-            if (vec < 0).any():
-                raise ValueError(f"negative daily count for {w!r}")
-            daily[w] = _read_only(vec)
-        object.__setattr__(self, "daily_counts", daily)
-        for w, profile in self.cooc.items():
-            if min(profile.values(), default=0) < 0:
-                raise ValueError(f"negative co-occurrence count for {w!r}")
+        words, n_days = self.daily_words, self.n_days
+        daily = np.zeros((0, n_days)) if self.daily_counts is None else self.daily_counts
+        daily = _read_only(np.asarray(daily, dtype=np.int64))
+        if daily.ndim != 2 or len(daily) != len(words):
+            raise ValueError(f"daily counts of shape {daily.shape} for {len(words)} words")
+        if daily.shape[1] != n_days:
+            raise ValueError(
+                f"daily counts for {words[0]!r} have length {daily.shape[1]}, expected {n_days}"
+            )
+        if (daily < 0).any():
+            raise ValueError(f"negative daily count for {words[np.argmax((daily < 0).any(1))]!r}")
+        shape = (len(self.cooc_words), len(self.cooc_contexts))
+        cooc = csr_matrix(shape, dtype=np.int64) if self.cooc_counts is None else self.cooc_counts
+        if cooc.shape != shape or cooc.dtype != np.int64:
+            raise ValueError(
+                f"co-occurrence counts are {cooc.dtype} {cooc.shape}, not int64 {shape}"
+            )
+        if (cooc.data < 0).any():
+            row = np.searchsorted(cooc.indptr, np.argmax(cooc.data < 0), side="right") - 1
+            raise ValueError(f"negative co-occurrence count for {self.cooc_words[row]!r}")
+        for name, value in (("daily_counts", daily), ("cooc_counts", cooc)):
+            object.__setattr__(self, name, value)
+        for name in ("daily", "cooc"):
+            words = getattr(self, f"{name}_words")
+            index = dict(zip(words, range(len(words))))
+            if len(index) != len(words):
+                raise ValueError(f"{name}_words holds a word twice")
+            object.__setattr__(self, f"{name}_index", index)
 
     def rel_freq(self, word: str) -> float:
         return self.freq.get(word, 0) / self.total_tokens
 
     def daily(self, word: str) -> np.ndarray:
-        vec = self.daily_counts.get(word)
-        if vec is None:
-            return np.zeros(self.n_days, dtype=np.int64)
-        return vec
+        row = self.daily_index.get(word)
+        return np.zeros(self.n_days, dtype=np.int64) if row is None else self.daily_counts[row]
 
     def cooc_profile(self, word: str) -> dict[str, int]:
-        return self.cooc.get(word, {})
+        row = self.cooc_index.get(word)
+        if row is None:
+            return {}
+        entries = slice(*self.cooc_counts.indptr[row : row + 2])
+        contexts = map(self.cooc_contexts.__getitem__, self.cooc_counts.indices[entries].tolist())
+        return dict(zip(contexts, self.cooc_counts.data[entries].tolist()))
 
-    # Marginals of the co-occurrence table, shared by all context scoring.
+    # Marginals of the co-occurrence table, shared by all context scoring:
+    # int64 sums per row of ``cooc_words`` and per column of ``cooc_contexts``.
     @cached_property
-    def cooc_word_totals(self) -> dict[str, int]:
-        return {w: sum(p.values()) for w, p in self.cooc.items()}
+    def cooc_word_totals(self) -> np.ndarray:
+        return np.asarray(self.cooc_counts.sum(axis=1)).ravel()
 
     @cached_property
-    def cooc_context_totals(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for profile in self.cooc.values():
-            for ctx, c in profile.items():
-                totals[ctx] = totals.get(ctx, 0) + c
-        return totals
+    def cooc_context_totals(self) -> np.ndarray:
+        return np.asarray(self.cooc_counts.sum(axis=0)).ravel()
 
     @cached_property
     def cooc_grand_total(self) -> int:
-        return sum(self.cooc_word_totals.values())
+        return int(self.cooc_word_totals.sum())
 
 
 @dataclass(frozen=True)
@@ -188,36 +213,63 @@ def _records(path: Path, shape: str, directive: str | None = None):
                 yield linenos, fields
 
 
-def _parse_count(tok: str, path: Path, lineno: int, what: str) -> int:
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _parse_count(tok: str, path: Path, lineno: int, what: str, int64: str = "") -> int:
+    """``int(tok)``, rejected when not a non-negative count or, if ``int64``
+    names it, beyond int64."""
     try:
         value = int(tok)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: unparseable {what} {tok!r}") from None
     if value < 0:
         raise ValueError(f"{path}:{lineno}: negative {what} {tok!r}")
+    if int64 and value > _INT64_MAX:
+        raise ValueError(f"{path}:{lineno}: {int64} {value} exceeds {_INT64_MAX}")
     return value
 
 
 def _bulk_counts(rows: list[str], n_cols: int) -> np.ndarray | None:
     """The comma-separated counts of ``rows`` as one read-only int64 array of
     ``n_cols`` columns, converted in one call; None unless every count is
-    plain ASCII digits within int64 and every row has ``n_cols`` of them.
+    plain ASCII digits below the int64 maximum and every row has ``n_cols``
+    of them.
 
-    Digits only, because ``np.loadtxt`` and ``int()`` differ elsewhere
-    (``1_000``, non-ASCII digits, some control characters); on None the caller
+    Digits only, because ``np.fromstring`` and ``int()`` differ elsewhere
+    (``1_000``, non-ASCII digits, some control characters, and a count of
+    2^63 or more, which reads as the int64 maximum); on None the caller
     parses each count with ``int()``, which also names a bad one.
     """
-    text = "".join(rows)
-    if not text or not text.isascii() or text.encode().translate(None, b"0123456789,"):
+    text = ",".join(rows)
+    # Every row holds n_cols - 1 commas; with one column, text holds only the joins.
+    if n_cols == 1:
+        ragged = text.count(",") != len(rows) - 1
+    else:
+        ragged = set(map(str.count, rows, repeat(","))) != {n_cols - 1}
+    if ragged or not text.isascii() or text.encode().translate(None, b"0123456789,"):
         return None
     try:
-        counts = np.loadtxt(rows, dtype=np.int64, delimiter=",", comments=None, ndmin=2)
-    except (ValueError, OverflowError):
+        counts = np.fromstring(text, dtype=np.int64, sep=",")
+    except ValueError:  # an empty count
         return None
-    if counts.shape != (len(rows), n_cols):
+    if counts.size != len(rows) * n_cols or (counts == _INT64_MAX).any():
         return None
+    counts = counts.reshape(len(rows), n_cols)
     counts.setflags(write=False)
     return counts
+
+
+def _add_new(seen: dict, words: list[str], where, path: Path) -> None:
+    """Add ``words`` (read on lines ``where``) to ``seen``, rejecting the
+    first one that is already there or earlier in ``words``."""
+    if len(set(words)) < len(words) or not seen.keys().isdisjoint(words):
+        known = set(seen)
+        for lineno, word in zip(where, words):
+            if word in known:
+                raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
+            known.add(word)
+    seen.update(dict.fromkeys(words))
 
 
 def _load_freq(path: Path) -> tuple[dict[str, int], int]:
@@ -227,72 +279,93 @@ def _load_freq(path: Path) -> tuple[dict[str, int], int]:
         if isinstance(fields, str):
             total = _parse_count(fields.strip(), path, where, "total")
             continue
-        for lineno, word, tok in zip(where, fields[0::2], fields[1::2]):
-            if word in freq:
-                raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
-            freq[word] = _parse_count(tok, path, lineno, "count")
+        words, toks = fields[0::2], fields[1::2]
+        counts = _bulk_counts(toks, 1)
+        if counts is None:
+            # Line by line, so that the first fault is the one named.
+            for lineno, word, tok in zip(where, words, toks):
+                _add_new(freq, [word], [lineno], path)
+                freq[word] = _parse_count(tok, path, lineno, "count")
+        else:
+            _add_new(freq, words, where, path)
+            freq.update(zip(words, counts[:, 0].tolist()))
     if total is None:
         raise ValueError(f"{path}: missing '#total <N>' header")
     return freq, total
 
 
-def _parse_daily(word: str, csv: str, n_days: int, path: Path, lineno: int) -> np.ndarray:
-    """One line's ``n_days`` daily counts, each parsed with ``int()``, which
-    names a bad one, then converted once."""
-    toks = csv.split(",") if csv != "" else []
-    if len(toks) != n_days:
-        raise ValueError(
-            f"{path}:{lineno}: expected {n_days} daily counts for {word!r}, got {len(toks)}"
-        )
-    values = [_parse_count(t, path, lineno, "daily count") for t in toks]
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ValueError(
-            f"{path}:{lineno}: daily count {max(values)} exceeds {np.iinfo(np.int64).max}"
-        ) from None
-
-
-def _load_daily(path: Path) -> tuple[dict[str, np.ndarray], int]:
+def _load_daily(path: Path) -> tuple[tuple[str, ...], np.ndarray, int]:
+    """The words of the daily-count file in file order, their counts as one
+    array with a row per word, and the number of days."""
     n_days: int | None = None
-    daily: dict[str, np.ndarray] = {}
+    words: dict[str, None] = {}
+    blocks: list[np.ndarray] = []
     for where, fields in _records(path, "word<TAB>c1,c2,...", "days"):
         if isinstance(fields, str):
             n_days = _parse_count(fields.strip(), path, where, "day count")
             continue
         if n_days is None:
             raise ValueError(f"{path}:{where[0]}: data before '#days <T>' header")
-        words, csvs = fields[0::2], fields[1::2]
-        # One array for the chunk; without it, each line is checked and
-        # converted on its own, in line order.
+        chunk, csvs = fields[0::2], fields[1::2]
+        # One array for the chunk; without it, each line is checked and each
+        # count parsed with ``int()``, which names a bad one, in line order.
         rows = _bulk_counts(csvs, n_days)
-        for i, (lineno, word) in enumerate(zip(where, words)):
-            if word in daily:
-                raise ValueError(f"{path}:{lineno}: duplicate word {word!r}")
-            if rows is None:
-                daily[word] = _parse_daily(word, csvs[i], n_days, path, lineno)
-            else:
-                daily[word] = rows[i]
+        if rows is None:
+            rows = np.empty((len(chunk), n_days), dtype=np.int64)
+            what = ("daily count", "daily count")
+            for i, (lineno, word, csv) in enumerate(zip(where, chunk, csvs)):
+                _add_new(words, [word], [lineno], path)
+                toks = csv.split(",") if csv != "" else []
+                if len(toks) != n_days:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected {n_days} daily counts for {word!r},"
+                        f" got {len(toks)}"
+                    )
+                rows[i] = [_parse_count(t, path, lineno, *what) for t in toks]
+        else:
+            _add_new(words, chunk, where, path)
+        blocks.append(rows)
     if n_days is None:
         raise ValueError(f"{path}: missing '#days <T>' header")
-    return daily, n_days
+    return tuple(words), np.concatenate([np.empty((0, n_days), np.int64), *blocks]), n_days
 
 
-def _load_cooc(path: Path) -> dict[str, dict[str, int]]:
-    cooc: dict[str, dict[str, int]] = {}
+def _load_cooc(path: Path) -> tuple[tuple[str, ...], tuple[str, ...], csr_matrix]:
+    """The words and contexts of the co-occurrence file in order of first
+    appearance, and their counts as one CSR matrix: repeated lines add up,
+    and each row lists its contexts in order of first appearance."""
+    words: dict[str, int] = {}
+    contexts: dict[str, int] = {}
+    # Each key maps to the position of the line it first appears on; a
+    # chunk's keys are looked up while the chunk is fresh.
+    at_word, at_context = count(), count()
+    blocks = [(np.empty(0, np.int64),) * 3]
     for linenos, fields in _records(path, "word<TAB>context<TAB>count"):
         toks = fields[2::3]
         counts = _bulk_counts(toks, 1)
-        if counts is not None:
-            values = counts[:, 0].tolist()
-        else:
-            values = [_parse_count(t, path, n, "count") for n, t in zip(linenos, toks)]
-        for word, ctx, value in zip(fields[0::3], fields[1::3], values):
-            profile = cooc.get(word)
-            if profile is None:
-                profile = cooc[word] = {}
-            profile[ctx] = profile.get(ctx, 0) + value
-    return cooc
+        if counts is None:
+            what = ("count", "co-occurrence count")
+            counts = np.array([_parse_count(t, path, n, *what) for n, t in zip(linenos, toks)])
+        blocks.append((
+            np.fromiter(map(words.setdefault, fields[0::3], at_word), np.int64, len(toks)),
+            np.fromiter(map(contexts.setdefault, fields[1::3], at_context), np.int64, len(toks)),
+            counts.reshape(-1),
+        ))
+    rows, cols, counts = map(np.concatenate, zip(*blocks))
+    # A float64 sum below 2^62 cannot hide an exact sum beyond int64.
+    if counts.sum(dtype=np.float64) >= 2.0**62 and (total := sum(counts.tolist())) > _INT64_MAX:
+        raise ValueError(f"{path}: co-occurrence total {total} exceeds {_INT64_MAX}")
+    # Numbered in order of first appearance.
+    positions = np.arange(len(counts))
+    rows, cols = ((np.cumsum(ids == positions) - 1)[ids] for ids in (rows, cols))
+    # One entry per (row, column), at its first line; ordered by row, then line.
+    _, first, cell = np.unique(rows * len(contexts) + cols, return_index=True, return_inverse=True)
+    sums = np.zeros(len(first), dtype=np.int64)
+    np.add.at(sums, cell, counts)
+    order = np.lexsort((first, rows[first]))
+    indptr = np.searchsorted(rows[first[order]], np.arange(len(words) + 1))
+    table = (sums[order], cols[first[order]], indptr)
+    return tuple(words), tuple(contexts), csr_matrix(table, shape=(len(words), len(contexts)))
 
 
 def load_lexicon(
@@ -306,23 +379,14 @@ def load_lexicon(
     the daily or co-occurrence files are appended with frequency 0.
     """
     freq, total = _load_freq(Path(freq_path))
-    daily: dict[str, np.ndarray] = {}
-    n_days = 0
+    side = {}
     if daily_path is not None:
-        daily, n_days = _load_daily(Path(daily_path))
-    cooc: dict[str, dict[str, int]] = {}
+        side["daily_words"], side["daily_counts"], side["n_days"] = _load_daily(Path(daily_path))
     if cooc_path is not None:
-        cooc = _load_cooc(Path(cooc_path))
-    for extra in (*daily, *cooc):
-        freq.setdefault(extra, 0)
-    return LexiconSide(
-        words=tuple(freq),
-        total_tokens=total,
-        freq=freq,
-        daily_counts=daily,
-        cooc=cooc,
-        n_days=n_days,
-    )
+        side["cooc_words"], side["cooc_contexts"], side["cooc_counts"] = _load_cooc(Path(cooc_path))
+    extra = chain(side.get("daily_words", ()), side.get("cooc_words", ()))
+    freq = {**dict.fromkeys(chain(freq, extra), 0), **freq}
+    return LexiconSide(words=tuple(freq), total_tokens=total, freq=freq, **side)
 
 
 def load_gold_pairs(path: str | Path) -> GoldPairs:

@@ -25,6 +25,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul, truediv
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -215,9 +217,12 @@ def _edit_distances(x_words: tuple[str, ...], y_words: tuple[str, ...]) -> np.nd
 
 
 def _daily_rows(lex: LexiconSide, words: tuple[str, ...]) -> np.ndarray:
-    """The daily counts of ``words`` as one float64 array, one row per word."""
-    rows = np.array([lex.daily(w) for w in words], dtype=np.float64)
-    return rows.reshape(len(words), lex.n_days)
+    """The daily counts of ``words`` as one float64 array, one row per word;
+    a word without a series gets a row of zeros."""
+    rows = np.fromiter(map(lex.daily_index.get, words, repeat(-1)), np.intp, len(words))
+    out = np.zeros((len(words), lex.n_days), dtype=np.float64)
+    out[rows >= 0] = lex.daily_counts[rows[rows >= 0]]
+    return out
 
 
 def _rel_freqs(lex: LexiconSide, words: tuple[str, ...]) -> np.ndarray:
@@ -255,26 +260,37 @@ def _associations(
     CSR rows with sorted column indices, and their Euclidean norms.
 
     ``dim_of`` maps a context word of this side to its dimension; context
-    words without one are dropped, and several context words sharing one
-    dimension add up in context-word order.
+    words without one, and zero counts, are dropped.  Several context words
+    sharing one dimension add up in context-word order, starting from 0.0.
+    Each PMI is ``math.log`` of the ratio of exact integer products, as one
+    true division.
     """
-    total, ctx_totals = lex.cooc_grand_total, lex.cooc_context_totals
-    indptr, indices, data = [0], [], []
-    norms = np.empty(len(words), dtype=np.float64)
-    for i, w in enumerate(words):
-        profile = lex.cooc_profile(w)
-        row: dict[int, float] = {}
-        for ctx in sorted(profile):
-            dim = dim_of.get(ctx)
-            if dim is not None and profile[ctx]:
-                pmi = math.log(profile[ctx] * total / (lex.cooc_word_totals[w] * ctx_totals[ctx]))
-                row[dim] = row.get(dim, 0.0) + max(0.0, pmi)
-        dims = sorted(row)
-        indices += dims
-        data += [row[d] for d in dims]
-        indptr.append(len(indices))
-        norms[i] = math.sqrt(math.fsum(row[d] * row[d] for d in dims))
-    vectors = csr_matrix((data, indices, indptr), shape=(len(words), n_dims), dtype=np.float64)
+    contexts = lex.cooc_contexts
+    ctx_dim = np.fromiter(map(dim_of.get, contexts, repeat(-1)), np.int64, len(contexts))
+    ctx_rank = np.empty(len(contexts), dtype=np.int64)
+    ctx_rank[sorted(range(len(contexts)), key=contexts.__getitem__)] = np.arange(len(contexts))
+    rows = np.fromiter(map(lex.cooc_index.get, words, repeat(-1)), np.intp, len(words))
+    present = np.flatnonzero(rows >= 0)
+    table = lex.cooc_counts[rows[present]]
+    word = np.repeat(present, np.diff(table.indptr))
+    # The entries that reach a dimension, by word, dimension, context word.
+    keep = np.flatnonzero((ctx_dim[table.indices] >= 0) & (table.data != 0))
+    col = table.indices[keep]
+    keep = keep[np.lexsort((ctx_rank[col], ctx_dim[col], word[keep]))]
+    word, col, count = word[keep], table.indices[keep], table.data[keep]
+    dim = ctx_dim[col]
+    totals = lex.cooc_word_totals[rows[word]].tolist(), lex.cooc_context_totals[col].tolist()
+    ratios = map(truediv, map(mul, count.tolist(), repeat(lex.cooc_grand_total)), map(mul, *totals))
+    ppmi = np.maximum(np.fromiter(map(math.log, ratios), np.float64, len(keep)), 0.0)
+    # One cell per (word, dimension): ``np.add.at`` adds in entry order.
+    new = np.diff(word * n_dims + dim, prepend=-1) != 0
+    data = np.zeros(np.count_nonzero(new), dtype=np.float64)
+    np.add.at(data, np.cumsum(new) - 1, ppmi)
+    indptr = np.searchsorted(word[new], np.arange(len(words) + 1))
+    squares = (data * data).tolist()
+    rows_squares = map(squares.__getitem__, map(slice, indptr[:-1].tolist(), indptr[1:].tolist()))
+    norms = np.sqrt(np.fromiter(map(math.fsum, rows_squares), np.float64, len(words)))
+    vectors = csr_matrix((data, dim[new], indptr), shape=(len(words), n_dims), dtype=np.float64)
     return vectors, norms
 
 

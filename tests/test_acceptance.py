@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict lines.
 Every tolerance is pinned here; nothing is deferred to later calibration.
 """
 
+import dataclasses
 import itertools
 import resource
 import time
@@ -13,6 +14,7 @@ import pytest
 
 import cogmatrix as cgm
 from cogmatrix.cli import main as cli_main
+from sides import lexicon_side
 
 # Noise levels frozen after calibration (see the ensemble tests below):
 # ENSEMBLE_SIGMA puts the 300-pair baseline at 0.47-0.57 IAP, the target
@@ -263,11 +265,11 @@ def test_metric_properties():
     ctx2 = [f"k{i}" for i in range(8)]
 
     def make_lex(words, ctxs, total):
-        return cgm.LexiconSide(
+        return lexicon_side(
             words=tuple(dict.fromkeys(words)),
             total_tokens=total,
             freq={w: int(rng.integers(0, 40)) for w in words},
-            daily_counts={w: rng.integers(0, 10, size=n_days) for w in words},
+            daily={w: rng.integers(0, 10, size=n_days) for w in words},
             cooc={
                 w: {c: int(rng.integers(1, 9)) for c in ctxs if rng.random() < 0.6}
                 for w in words
@@ -300,11 +302,7 @@ def test_metric_properties():
     # temporal score bit-identical (ranks are scale-invariant)
     scaling_ok = True
     for scale in (2, 3, 4, 7):
-        scaled = {w: v * scale for w, v in lex1.daily_counts.items()}
-        lex1_scaled = cgm.LexiconSide(
-            words=lex1.words, total_tokens=lex1.total_tokens, freq=lex1.freq,
-            daily_counts=scaled, cooc=lex1.cooc, n_days=n_days,
-        )
+        lex1_scaled = dataclasses.replace(lex1, daily_counts=lex1.daily_counts * scale)
         for w1, w2 in zip(words1[:25], words2[:25]):
             scaling_ok &= (
                 cgm.temporal_score(w1, lex1, w2, lex2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from cogmatrix import ingest
 from cogmatrix import (
@@ -47,8 +48,8 @@ class TestLoadLexicon:
         assert lex.freq["bake"] == 10
         assert lex.rel_freq("bake") == 0.1
         assert lex.n_days == 4
-        assert lex.daily_counts["salt"].tolist() == [0, 0, 5, 0]
-        assert lex.cooc["bake"] == {"bread": 4, "oven": 2}
+        assert lex.daily("salt").tolist() == [0, 0, 5, 0]
+        assert lex.cooc_profile("bake") == {"bread": 4, "oven": 2}
 
     def test_word_missing_from_daily_gets_zero_vector(self, freq_file, daily_file):
         lex = load_lexicon(freq_file, daily_file)
@@ -113,9 +114,19 @@ class TestLoadLexicon:
         ({"total_tokens": 0}, "total_tokens must be positive"),
         ({"freq": {"bake": -1}}, "frequency counts must be non-negative"),
         ({"freq": {"bake": 6, "salt": 5}}, "frequency counts exceed total_tokens"),
-        ({"daily_counts": {"bake": [1, 2]}}, "daily counts for 'bake' have length 2, expected 3"),
-        ({"daily_counts": {"bake": [1, -2, 3]}}, "negative daily count for 'bake'"),
-        ({"cooc": {"bake": {"oven": 2, "salt": -1}}}, "negative co-occurrence count for 'bake'"),
+        ({"daily_words": ("bake",), "daily_counts": [[1, 2]]},
+         "daily counts for 'bake' have length 2, expected 3"),
+        ({"daily_words": ("salt", "bake"), "daily_counts": [[1, 2, 3], [1, -2, 3]]},
+         "negative daily count for 'bake'"),
+        ({"cooc_words": ("salt", "bake"), "cooc_contexts": ("oven", "salt"),
+          "cooc_counts": csr_matrix(np.array([[1, 0], [2, -1]]))},
+         "negative co-occurrence count for 'bake'"),
+        ({"daily_words": ("bake", "salt"), "daily_counts": [[1, 2, 3]]},
+         "daily counts of shape (1, 3) for 2 words"),
+        ({"daily_words": ("bake", "bake"), "daily_counts": [[1, 2, 3], [1, 2, 3]]},
+         "daily_words holds a word twice"),
+        ({"cooc_words": ("bake",), "cooc_contexts": ("oven",), "cooc_counts": csr_matrix([[1, 2]])},
+         "co-occurrence counts are int64 (1, 2), not int64 (1, 1)"),
     ],
 )
 def test_lexicon_side_rejects_bad_statistics(kwargs, message):
@@ -190,6 +201,11 @@ READER_FAULTS = [
     pytest.param("daily", "#days 2\nbake\t1,99999999999999999999\n",
                  "{path}:2: daily count 99999999999999999999 exceeds 9223372036854775807",
                  id="daily-over-int64"),
+    pytest.param("daily", "#days 2\nbake\t1,2,3\nsalt\t4\n",
+                 "{path}:2: expected 2 daily counts for 'bake', got 3", id="daily-ragged-rows"),
+    pytest.param("daily", "#days 2\nbake\t1,18446744073709551616\n",
+                 "{path}:2: daily count 18446744073709551616 exceeds 9223372036854775807",
+                 id="daily-at-2^64"),
     pytest.param("daily", "#days two\n", "{path}:1: unparseable day count 'two'",
                  id="daily-unparseable-days"),
     pytest.param("daily", "# counts\n", "{path}: missing '#days <T>' header",
@@ -209,6 +225,18 @@ READER_FAULTS = [
                  id="cooc-two-faults"),
     pytest.param("cooc", "bake\tbread\t2\nbake\toven\t\x1c2\n", "{path}:2: unparseable count '\\x1c2'",
                  id="cooc-control-char-count"),
+    pytest.param("cooc", "bake\tbread\t1\nbake\toven\t99999999999999999999\n",
+                 "{path}:2: co-occurrence count 99999999999999999999 exceeds 9223372036854775807",
+                 id="cooc-over-int64"),
+    pytest.param("cooc", "bake\tbread\t9223372036854775808\n",
+                 "{path}:1: co-occurrence count 9223372036854775808 exceeds 9223372036854775807",
+                 id="cooc-at-2^63"),
+    pytest.param("cooc", "bake\tbread\t9223372036854775807\n#c\nbake\tbread\t1\n",
+                 "{path}: co-occurrence total 9223372036854775808 exceeds 9223372036854775807",
+                 id="cooc-cell-over-int64"),
+    pytest.param("cooc", "bake\tbread\t4611686018427387904\nsalt\toven\t4611686018427387904\n",
+                 "{path}: co-occurrence total 9223372036854775808 exceeds 9223372036854775807",
+                 id="cooc-total-over-int64"),
     pytest.param("gold", "bake backen\n",
                  "{path}:1: expected 'l1_word<TAB>l2_word', got 'bake backen'", id="gold-fields"),
     pytest.param("gold", "bake\tbacken\nbake\tbacken\nbake\tsalz\n",
@@ -269,8 +297,10 @@ def test_reader_error_messages_one_line_chunks(tmp_path, kind, text, message):
 
 
 def reference_lexicon(freq_path, daily_path, cooc_path):
-    """The per-line loader that the chunked one replaced, kept as the oracle
-    for valid files: every count goes through ``int()`` on its own."""
+    """The per-line loader of dicts that the chunked, columnar one replaced,
+    kept as the oracle for valid files: every count goes through ``int()``
+    on its own.  Returns the words, total, frequencies, day count, daily
+    series and co-occurrence profiles."""
 
     def records(path, header=None):
         with open(path, encoding="utf-8", newline="\n") as f:
@@ -292,7 +322,7 @@ def reference_lexicon(freq_path, daily_path, cooc_path):
             n_days = int(rec.strip())
         else:
             toks = rec[1].split(",") if rec[1] else []
-            daily[rec[0]] = np.array([int(t) for t in toks], dtype=np.int64)
+            daily[rec[0]] = [int(t) for t in toks]
     cooc = {}
     for word, ctx, tok in records(cooc_path):
         profile = cooc.setdefault(word, {})
@@ -302,22 +332,32 @@ def reference_lexicon(freq_path, daily_path, cooc_path):
         if extra not in freq:
             freq[extra] = 0
             words.append(extra)
-    return LexiconSide(words=tuple(words), total_tokens=total, freq=freq,
-                       daily_counts=daily, cooc=cooc, n_days=n_days)
+    return tuple(words), total, freq, n_days, daily, cooc
 
 
 def assert_same_side(got, want):
-    """Equal fields, dict insertion orders, value types and array values."""
-    assert (got.words, got.total_tokens, got.n_days) == (want.words, want.total_tokens, want.n_days)
-    assert list(got.freq.items()) == list(want.freq.items())
-    assert list(got.daily_counts) == list(want.daily_counts)
-    for word, vec in got.daily_counts.items():
-        assert vec.dtype == np.int64 and not vec.flags.writeable
-        assert np.array_equal(vec, want.daily_counts[word])
-    assert [(w, list(p.items())) for w, p in got.cooc.items()] == [
-        (w, list(p.items())) for w, p in want.cooc.items()
-    ]
-    assert all(type(c) is int for p in got.cooc.values() for c in p.values())
+    """Equal fields, word orders, profile orders, value types, array values
+    and co-occurrence marginals."""
+    words, total, freq, n_days, daily, cooc = want
+    assert (got.words, got.total_tokens, got.n_days) == (words, total, n_days)
+    assert list(got.freq.items()) == list(freq.items())
+    assert got.daily_words == tuple(daily)
+    assert got.daily_counts.shape == (len(daily), n_days) and not got.daily_counts.flags.writeable
+    for word in words:
+        vec = got.daily(word)
+        assert vec.dtype == np.int64 and vec.tolist() == daily.get(word, [0] * n_days)
+    assert got.cooc_words == tuple(cooc)
+    for word in words:
+        assert list(got.cooc_profile(word).items()) == list(cooc.get(word, {}).items())
+    assert all(type(c) is int for w in words for c in got.cooc_profile(w).values())
+    assert got.cooc_word_totals.tolist() == [sum(p.values()) for p in cooc.values()]
+    contexts = {}
+    for profile in cooc.values():
+        for ctx, c in profile.items():
+            contexts[ctx] = contexts.get(ctx, 0) + c
+    assert dict(zip(got.cooc_contexts, got.cooc_context_totals.tolist())) == contexts
+    assert type(got.cooc_grand_total) is int
+    assert got.cooc_grand_total == sum(contexts.values())
 
 
 INT64_MAX = 2**63 - 1
@@ -371,12 +411,17 @@ def lexicon_files(draw):
     ]
     contexts = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
     # Few words and contexts, so (word, context) pairs repeat, also apart.
-    big = st.integers(INT64_MAX - 1, INT64_MAX if plain else 2**70)
-    cooc_count = _count(st.one_of(st.integers(0, 30), big), spellings)
-    cooc_lines = draw(st.lists(
-        st.builds("{}\t{}\t{}".format, st.sampled_from(words), st.sampled_from(contexts), cooc_count),
+    cooc = draw(st.lists(
+        st.tuples(st.sampled_from(words), st.sampled_from(contexts), st.integers(0, 30)),
         max_size=25,
     ))
+    # One count may take up the rest of int64, so that the counts add up to
+    # INT64_MAX or just below it.
+    if cooc and draw(st.booleans()):
+        i = draw(st.integers(0, len(cooc) - 1))
+        rest = sum(c for _, _, c in cooc) - cooc[i][2]
+        cooc[i] = (*cooc[i][:2], INT64_MAX - rest - draw(st.integers(0, 1)))
+    cooc_lines = [f"{w}\t{c}\t{draw(_count(st.just(n), spellings))}" for w, c, n in cooc]
     return (
         draw(_file(f"#total {50 * len(in_freq) + 1}", freq_lines)),
         draw(_file(f"#days {n_days}", daily_lines)),

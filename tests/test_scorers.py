@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from scipy.stats import rankdata
 
 from cogmatrix import (
@@ -22,19 +23,13 @@ from cogmatrix import (
     temporal_score,
 )
 from cogmatrix import matrix, scorers
+from sides import cooc_dicts, lexicon_side
 
 
 def lexicon(total=100, freq=None, daily=None, cooc=None, n_days=0):
     freq = freq or {}
     words = tuple(dict.fromkeys([*freq, *(daily or {}), *(cooc or {})]))
-    return LexiconSide(
-        words=words,
-        total_tokens=total,
-        freq=freq,
-        daily_counts=daily or {},
-        cooc=cooc or {},
-        n_days=n_days,
-    )
+    return lexicon_side(words, total, freq, daily, cooc, n_days)
 
 
 class TestLevenshtein:
@@ -290,11 +285,12 @@ class TestContext:
     def test_hand_computed_cosine(self):
         lex1, lex2, bridge = self.cooc_lexica()
         dims = ("bread", "oven", "walk")
-        v1 = [self.ppmi_oracle(lex1.cooc, "bake", d) for d in dims]
+        cooc1, cooc2 = cooc_dicts(lex1), cooc_dicts(lex2)
+        v1 = [self.ppmi_oracle(cooc1, "bake", d) for d in dims]
         v2 = [
-            self.ppmi_oracle(lex2.cooc, "backen", "brot"),
-            self.ppmi_oracle(lex2.cooc, "backen", "ofen"),
-            self.ppmi_oracle(lex2.cooc, "backen", "geht"),
+            self.ppmi_oracle(cooc2, "backen", "brot"),
+            self.ppmi_oracle(cooc2, "backen", "ofen"),
+            self.ppmi_oracle(cooc2, "backen", "geht"),
         ]
         num = sum(a * b for a, b in zip(v1, v2))
         den = math.sqrt(sum(a * a for a in v1)) * math.sqrt(sum(b * b for b in v2))
@@ -444,22 +440,14 @@ def oracle_temporal(daily1, daily2):
     return (rho + 1.0) / 2.0
 
 
-def oracle_ppmi(lex, word, ctx):
-    n_wc = lex.cooc_profile(word).get(ctx, 0)
-    if n_wc == 0:
-        return 0.0
-    row = lex.cooc_word_totals[word]
-    col = lex.cooc_context_totals[ctx]
-    return max(0.0, math.log(n_wc * lex.cooc_grand_total / (row * col)))
-
-
 def oracle_context(w1, lex1, w2, lex2, bridge):
     dims = sorted(set(bridge.mapping.values()))
-    v1 = [oracle_ppmi(lex1, w1, d) for d in dims]
+    cooc1, cooc2 = cooc_dicts(lex1), cooc_dicts(lex2)
+    v1 = [TestContext.ppmi_oracle(cooc1, w1, d) for d in dims]
     v2 = [0.0] * len(dims)
     for ctx in sorted(lex2.cooc_profile(w2)):
         if ctx in bridge.mapping:
-            v2[dims.index(bridge.mapping[ctx])] += oracle_ppmi(lex2, w2, ctx)
+            v2[dims.index(bridge.mapping[ctx])] += TestContext.ppmi_oracle(cooc2, w2, ctx)
     n1 = math.sqrt(sum(a * a for a in v1))
     n2 = math.sqrt(sum(b * b for b in v2))
     if n1 == 0.0 or n2 == 0.0:
@@ -491,14 +479,8 @@ def corpus_sides(draw, n_days, contexts):
     cooc = {w: draw(profile) for w in words if draw(st.booleans())}
     # at least one positive count, so the side has co-occurrence data
     cooc[contexts[0]] = {contexts[-1]: draw(st.integers(1, 6))}
-    lex = LexiconSide(
-        words=tuple(dict.fromkeys([*words, *cooc])),
-        total_tokens=sum(freq.values()) + draw(st.integers(1, 20)),
-        freq=freq,
-        daily_counts=daily,
-        cooc=cooc,
-        n_days=n_days,
-    )
+    total = sum(freq.values()) + draw(st.integers(1, 20))
+    lex = lexicon_side(dict.fromkeys([*words, *cooc]), total, freq, daily, cooc, n_days)
     return words, lex
 
 
@@ -700,3 +682,100 @@ def check_against_oracles(words1, lex1, words2, lex2, bridge):
     for x in words1:
         for y in words2:
             assert levenshtein(x, y) == oracle_levenshtein(x, y)
+
+
+class DictSide:
+    """The co-occurrence half of the dict-of-dicts side the columnar
+    ``LexiconSide`` replaced, with its marginals as they were computed."""
+
+    def __init__(self, cooc):
+        self.cooc = cooc
+        self.cooc_word_totals = {w: sum(p.values()) for w, p in self.cooc.items()}
+        totals = {}
+        for profile in self.cooc.values():
+            for ctx, c in profile.items():
+                totals[ctx] = totals.get(ctx, 0) + c
+        self.cooc_context_totals = totals
+        self.cooc_grand_total = sum(self.cooc_word_totals.values())
+
+    def cooc_profile(self, word):
+        return self.cooc.get(word, {})
+
+
+def dict_loop_associations(lex, words, dim_of, n_dims):
+    """The per-entry loop that computed the PPMI vectors before the columnar
+    kernel, kept verbatim as its oracle (``lex`` is a ``DictSide``)."""
+    total, ctx_totals = lex.cooc_grand_total, lex.cooc_context_totals
+    indptr, indices, data = [0], [], []
+    norms = np.empty(len(words), dtype=np.float64)
+    for i, w in enumerate(words):
+        profile = lex.cooc_profile(w)
+        row: dict[int, float] = {}
+        for ctx in sorted(profile):
+            dim = dim_of.get(ctx)
+            if dim is not None and profile[ctx]:
+                pmi = math.log(profile[ctx] * total / (lex.cooc_word_totals[w] * ctx_totals[ctx]))
+                row[dim] = row.get(dim, 0.0) + max(0.0, pmi)
+        dims = sorted(row)
+        indices += dims
+        data += [row[d] for d in dims]
+        indptr.append(len(indices))
+        norms[i] = math.sqrt(math.fsum(row[d] * row[d] for d in dims))
+    vectors = csr_matrix((data, indices, indptr), shape=(len(words), n_dims), dtype=np.float64)
+    return vectors, norms
+
+
+# Twelve L2 contexts, nine or more of them bridged to one L1 dimension.
+CTX1 = [f"c{i}" for i in range(4)]
+CTX2 = [f"k{i:02d}" for i in range(12)]
+
+
+@st.composite
+def context_cases(draw):
+    """Two sides whose profiles hold zero counts and counts up to 2^40, a
+    universe with words that have no profile, and a bridge that sends at
+    least nine L2 contexts to one dimension."""
+    count = st.one_of(st.integers(0, 9), st.integers(0, 2**40))
+
+    def side(contexts):
+        words = draw(st.lists(WORDS, min_size=1, max_size=6, unique=True))
+        profile = st.dictionaries(st.sampled_from(contexts), count, max_size=len(contexts))
+        cooc = {w: draw(profile) for w in [*words, *contexts] if draw(st.booleans())}
+        # Some word sees every context, so each dimension can collect many.
+        cooc[draw(st.sampled_from(words))] = {c: draw(st.integers(1, 2**40)) for c in contexts}
+        universe = [*words, *draw(st.lists(st.sampled_from(contexts), max_size=3, unique=True))]
+        return dict.fromkeys(universe), cooc
+
+    (words1, cooc1), (words2, cooc2) = side(CTX1), side(CTX2)
+    shared = draw(st.lists(st.sampled_from(CTX2), min_size=9, max_size=12, unique=True))
+    mapping = {**draw(st.dictionaries(st.sampled_from(CTX2), st.sampled_from(CTX1))),
+               **dict.fromkeys(shared, draw(st.sampled_from(CTX1)))}
+    return words1, cooc1, words2, cooc2, SeedLexicon(mapping)
+
+
+@settings(max_examples=150, deadline=None)
+@given(context_cases())
+def test_context_matrix_equals_dict_loop_oracle(case):
+    words1, cooc1, words2, cooc2, bridge = case
+    cooc = (cooc1, cooc2)
+    sides = [lexicon_side(dict.fromkeys([*w, *c]), 1, {}, cooc=c) for w, c in zip((words1, words2), cooc)]
+    got = score_all_pairs(MetricId.CONTEXT, words1, words2, *sides, bridge).scores
+    oracle = {id(side): DictSide(c) for side, c in zip(sides, cooc)}
+    with mock.patch.object(
+        scorers, "_associations", lambda lex, *args: dict_loop_associations(oracle[id(lex)], *args)
+    ):
+        want = score_all_pairs(MetricId.CONTEXT, words1, words2, *sides, bridge).scores
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # The association vectors and norms themselves, bit for bit.
+    dims = sorted(set(bridge.mapping.values()))
+    dim_of = {d: i for i, d in enumerate(dims)}
+    bridged = {ctx: dim_of[l1] for ctx, l1 in bridge.mapping.items()}
+    for side, words, ctx_dim in zip(sides, (words1, words2), (dim_of, bridged)):
+        args = (tuple(words), ctx_dim, len(dims))
+        vectors, norms = scorers._associations(side, *args)
+        want, want_norms = dict_loop_associations(oracle[id(side)], *args)
+        assert vectors.has_sorted_indices
+        assert np.array_equal(vectors.indptr, want.indptr)
+        assert np.array_equal(vectors.indices, want.indices)
+        assert np.array_equal(vectors.data.view(np.uint64), want.data.view(np.uint64))
+        assert np.array_equal(norms.view(np.uint64), want_norms.view(np.uint64))
