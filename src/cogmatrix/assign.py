@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .evaluate import PRCurve, _label_ranks, _sweep
-from .matrix import GoldPairs, ScoreMatrix
+from .evaluate import PRCurve, _sweep
+from .matrix import GoldPairs, ScoreMatrix, _label_ranks
 
 # Refuse to solve beyond this per-side size rather than thrash: the cubic
 # solver is infeasible at the large-data scale.

@@ -11,11 +11,12 @@ mean of the interpolated precision at recall 0.0, 0.1, ..., 1.0.
 summaries depend only on the points where a gold pair is hit: between two
 hits recall is flat and precision only falls, so no point between them beats
 the hit that starts the run, neither for F1 nor for the interpolated
-precision at any recall level.  ``hit_curve`` therefore computes only the
-rank of each gold pair, by counting the cells that precede it, and returns
-those hit points plus the sweep's last point; its summaries equal
-``pr_curve``'s bit for bit.  ``compare_methods`` evaluates and writes curve
-files with ``hit_curve``.
+precision at any recall level.  ``hit_curve`` therefore returns only those
+hit points plus the sweep's last, with summaries equal to ``pr_curve``'s bit
+for bit.  It ranks each gold pair by counting the cells that precede it, one
+sorted block of rows at a time, in O(B + G) memory for blocks of B cells and
+G gold pairs.  ``compare_methods`` evaluates and writes curve files with
+``hit_curve``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .matrix import GoldPairs, ScoreMatrix, _blocks, _read_only
+from .matrix import GoldPairs, ScoreMatrix, _blocks, _label_ranks, _read_only
 from .rescore import RescoreMethod
 
 
@@ -84,13 +85,6 @@ def _gold_cells(m: ScoreMatrix, gold: GoldPairs) -> tuple[np.ndarray, np.ndarray
     return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
-def _label_ranks(labels: tuple[str, ...]) -> np.ndarray:
-    """Position of each label in Python string order, the tie order of every sweep."""
-    ranks = np.empty(len(labels), dtype=np.int64)
-    ranks[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
-    return ranks
-
-
 def _sweep(scores: np.ndarray, is_gold: np.ndarray, n_gold: int) -> PRCurve:
     """The curve of cells listed in label order, which a stable sort keeps among ties."""
     order = np.argsort(-scores, kind="stable")
@@ -118,75 +112,41 @@ def pr_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
 def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
     """The points of ``pr_curve(m, gold)`` where a gold pair is hit, plus its last.
 
-    A cell precedes a gold cell when its score is higher, or equal with an
-    earlier (row label, column label) position.  With the G gold cells sorted
-    by (score ascending, label position descending), every cell precedes a
-    prefix of that list, and the rank of gold cell j is one plus the number
-    of cells whose prefix is longer than j.  The prefix lengths are counted
-    per row block: cells whose score equals no gold score are counted from
-    the block's sorted scores, and only blocks where some non-gold cell ties
-    a gold score look up the label positions of their tied cells.  For blocks
-    of B cells that takes O(N log B) time and O(G + B) memory, with no sort
-    or index array over all N cells.  MaxF1 and IAP11 of the result equal
-    those of ``pr_curve`` bit for bit.
+    A gold cell's rank is one plus the count of cells before it in the sweep.
+    Rows are walked in label order, in blocks of about ``_BLOCK_CELLS`` cells.
+    Two searches of the gold scores in a block's sorted scores count its
+    higher cells, and its equal ones for gold rows after it.  Only a gold cell
+    tied within its own block compares cells: the equal ones in the block's
+    earlier rows, and in its own row at a lower column label.
     """
     rows, cols = _gold_cells(m, gold)
-    n_rows, n_cols = m.shape
-    n_cells = n_rows * n_cols
+    by_score = np.argsort(m.scores[rows, cols])  # sorted keys are searched faster
+    rows, cols = rows[by_score], cols[by_score]
     row_rank, col_rank = _label_ranks(m.row_labels), _label_ranks(m.col_labels)
-
-    gold_scores = m.scores[rows, cols]
-    gold_keys = row_rank[rows] * n_cols + col_rank[cols]
-    order = np.lexsort((-gold_keys, gold_scores))
-    rows, gold_scores, gold_keys = rows[order], gold_scores[order], gold_keys[order]
-    n_gold = len(order)
-    new_group = np.concatenate(([True], gold_scores[1:] != gold_scores[:-1]))
-    starts = np.flatnonzero(new_group)
-    group_scores = gold_scores[starts]
-    # Group index times n_cells plus the reversed label key orders the gold
-    # list by one integer, and the cells tied with a gold score by the same
-    # integer, so one sort of a block's tied cells places the whole gold list
-    # among them with G binary searches.
-    tie_keys = (np.cumsum(new_group) - 1) * n_cells + (n_cells - 1 - gold_keys)
-
-    counts = np.zeros(n_gold + 1, dtype=np.int64)
-    # Scratch memory is at most about a hundred bytes per cell of one block.
-    for block_rows in _blocks(n_rows, n_cols):
-        block = m.scores[block_rows]
-        ordered = np.sort(block, axis=None)
-        below = np.searchsorted(ordered, group_scores, side="left")
-        upto = np.searchsorted(ordered, group_scores, side="right")
-        # A cell scored strictly between two gold scores precedes exactly the
-        # gold cells scored below it.
-        counts[starts] += below - np.concatenate(([0], upto[:-1]))
-        counts[n_gold] += ordered.size - upto[-1]
-        gold_here = np.flatnonzero((rows >= block_rows.start) & (rows < block_rows.stop))
-        if (upto - below).sum() == gold_here.size:
-            # The only ties are the gold cells, and gold cell j's prefix is j.
-            counts[gold_here] += 1
-            continue
-        # The cells tied with gold group g are the run below[g]:upto[g] of
-        # the block's sorted order.
-        sizes = upto - below
-        runs = np.arange(sizes.sum()) + np.repeat(below - (np.cumsum(sizes) - sizes), sizes)
-        tied = np.argsort(block, axis=None)[runs]
-        reversed_keys = (n_cells - 1) - (row_rank[block_rows, None] * n_cols + col_rank)
-        group_base = np.repeat(np.arange(sizes.size) * n_cells, sizes)
-        tied_keys = np.sort(group_base + reversed_keys.ravel()[tied])
-        # A tied cell's prefix is the number of gold keys below its key, so
-        # the cells with a prefix longer than j are those above gold key j.
-        longer = tied_keys.size - np.searchsorted(tied_keys, tie_keys, side="right")
-        counts += -np.diff(longer, prepend=tied_keys.size, append=0)
-
-    # Gold cell j is preceded by every cell whose prefix is longer than j.
-    preceding = np.cumsum(counts[::-1])[::-1][1:]
-    hits = np.append(np.arange(1, n_gold + 1), n_gold)
-    positions = np.append(preceding[::-1] + 1, n_cells).astype(np.float64)
-    return PRCurve(
-        thresholds=np.append(gold_scores[::-1], m.scores.min()),
-        precisions=hits / positions,
-        recalls=hits / len(gold.pairs),
-    )
+    row_order = np.argsort(row_rank)
+    gold_scores, gold_pos, gold_col = m.scores[rows, cols], row_rank[rows], col_rank[cols]
+    before = np.zeros(len(rows), dtype=np.int64)
+    for block in _blocks(*m.shape):
+        cells = m.scores[row_order[block]].ravel()
+        cells.sort()
+        below = np.searchsorted(cells, gold_scores, side="left")
+        upto = np.searchsorted(cells, gold_scores, side="right")
+        before += cells.size - upto + np.where(gold_pos >= block.stop, upto - below, 0)
+        inside = (gold_pos >= block.start) & (gold_pos < block.stop)
+        tied = np.flatnonzero(inside & (upto - below > 1))
+        block_scores = m.scores[row_order[block]] if tied.size else None
+        for score in np.unique(gold_scores[tied]):  # one scan of the block per score
+            same = tied[gold_scores[tied] == score]
+            row = gold_pos[same] - block.start
+            equal = block_scores[: row.max() + 1] == score
+            per_row = np.count_nonzero(equal, axis=1)
+            left = np.count_nonzero(equal[row] & (col_rank < gold_col[same, None]), axis=1)
+            before[same] += np.cumsum(per_row)[row] - per_row[row] + left
+    order = np.argsort(before)  # the counts are distinct, in sweep order
+    hits = np.append(np.arange(1, len(order) + 1), len(order))
+    positions = np.append(before[order] + 1, m.scores.size)
+    thresholds = np.append(gold_scores[order], m.scores.min())
+    return PRCurve(thresholds, hits / positions, hits / len(gold.pairs))
 
 
 def interpolated_precision(curve: PRCurve, r: float) -> float:

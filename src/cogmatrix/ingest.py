@@ -390,13 +390,17 @@ def load_lexicon(
 
 
 def load_gold_pairs(path: str | Path) -> GoldPairs:
-    """Read ``l1_word<TAB>l2_word`` lines into a one-to-one pair set."""
+    """Read ``l1_word<TAB>l2_word`` lines, LF-terminated, into a one-to-one pair set."""
     path = Path(path)
     pairs: set[tuple[str, str]] = set()
     l1_seen: dict[str, int] = {}
     l2_seen: dict[str, int] = {}
     for where, fields in _records(path, "l1_word<TAB>l2_word"):
         for lineno, l1, l2 in zip(where, fields[0::2], fields[1::2]):
+            if l2.endswith("\r"):
+                raise ValueError(
+                    f"{path}:{lineno}: line ends in a carriage return; expected LF line endings"
+                )
             if (l1, l2) in pairs:
                 continue
             if l1 in l1_seen:

@@ -106,6 +106,13 @@ def _row_ranks_ge(a: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _label_ranks(labels: tuple[str, ...]) -> np.ndarray:
+    """Position of each label in Python string order, the tie order of every sweep."""
+    ranks = np.empty(len(labels), dtype=np.int64)
+    ranks[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    return ranks
+
+
 @dataclass(frozen=True)
 class ScoreMatrix:
     """Dense n1 x n2 matrix of finite pair scores with word labels.

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .ingest import LexiconSide
-from .matrix import ScoreMatrix, _by_row_blocks, _row_ranks_ge
+from .matrix import ScoreMatrix, _by_row_blocks, _label_ranks, _row_ranks_ge
 
 
 class MetricId(str, enum.Enum):
@@ -267,8 +267,7 @@ def _associations(
     """
     contexts = lex.cooc_contexts
     ctx_dim = np.fromiter(map(dim_of.get, contexts, repeat(-1)), np.int64, len(contexts))
-    ctx_rank = np.empty(len(contexts), dtype=np.int64)
-    ctx_rank[sorted(range(len(contexts)), key=contexts.__getitem__)] = np.arange(len(contexts))
+    ctx_rank = _label_ranks(contexts)
     rows = np.fromiter(map(lex.cooc_index.get, words, repeat(-1)), np.intp, len(words))
     present = np.flatnonzero(rows >= 0)
     table = lex.cooc_counts[rows[present]]

@@ -3,6 +3,7 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,14 +79,23 @@ def test_one_by_one_matrix():
     assert curve.recalls.tolist() == [0.5, 0.5]
 
 
-def test_larger_tie_heavy_matrix_across_blocks():
+@pytest.mark.parametrize(
+    "n, levels, block_cells",
+    [
+        pytest.param(60, 4, 300, id="four-levels-five-rows-per-block"),
+        # Every cell tied: many gold cells share one block and one score.
+        pytest.param(50, 1, 600, id="constant"),
+        # Real multi-row blocks at the default size, label order not index order.
+        pytest.param(701, 5, matrix._BLOCK_CELLS, id="701-five-levels-default-blocks"),
+    ],
+)
+def test_larger_tie_heavy_matrix_across_blocks(n, levels, block_cells):
     rng = np.random.default_rng(7)
-    n = 60
-    scores = np.floor(rng.random((n, n)) * 4) / 4
-    rows = tuple(f"w{i:02d}" for i in rng.permutation(n))
-    cols = tuple(f"v{j:02d}" for j in rng.permutation(n))
+    scores = np.floor(rng.random((n, n)) * levels) / levels
+    rows = tuple(f"w{i:03d}" for i in rng.permutation(n))
+    cols = tuple(f"v{j:03d}" for j in rng.permutation(n))
     gold = GoldPairs(frozenset((rows[i], cols[(7 * i) % n]) for i in range(0, n, 2)))
-    with mock.patch.object(matrix, "_BLOCK_CELLS", 300):
+    with mock.patch.object(matrix, "_BLOCK_CELLS", block_cells):
         assert_matches_oracle(ScoreMatrix(rows, cols, scores), gold)
 
 

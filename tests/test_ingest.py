@@ -245,6 +245,9 @@ READER_FAULTS = [
                  "{path}:3: L2 word 'backen' already paired on line 2", id="gold-l2-repeat"),
     pytest.param("gold", "bake\tbacken\nbake\tsalz\nsalt\n",
                  "{path}:2: L1 word 'bake' already paired on line 1", id="gold-two-faults"),
+    pytest.param("gold", "# pairs\r\nbake\tbacken\r\nsalt\tsalz\r\n",
+                 "{path}:2: line ends in a carriage return; expected LF line endings",
+                 id="gold-crlf"),
     pytest.param("weights", "#bias lots\n", "{path}:1: unparseable bias", id="weights-bias"),
     pytest.param("weights", "#bias \x1c1.5\n", "{path}:1: unparseable bias",
                  id="weights-bias-control-char"),
