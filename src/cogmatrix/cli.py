@@ -374,6 +374,7 @@ def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
         baseline, gold_eval = generate(_synth_config(cfg))
         save_gold_pairs(gold_eval, run.out_path("gold.tsv"))
     elif cfg.source == "files":
+        training = cfg.training_config()  # a bad value fails before any output
         gold, lexica, seed, gold_eval, bridge = _load_corpus(run, cfg)
         if cfg.weights == "uniform":
             weights = uniform_weights(cfg.metric_ids())
@@ -384,7 +385,7 @@ def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
             train_cfg = replace(cfg, mode="standard")
             weights = train_weights(
                 _score_universe(run, train_cfg, lexica, bridge, gold, prefix="train_"),
-                seed, cfg.training_config(),
+                seed, training,
             )
         save_weights(weights, run.out_path("weights.tsv"))
 

@@ -46,8 +46,10 @@ class TrainingConfig:
     rng_seed: int = 13
 
     def __post_init__(self) -> None:
-        if self.regularization <= 0:
-            raise ValueError("regularization must be positive")
+        if not (math.isfinite(self.regularization) and self.regularization > 0):
+            raise ValueError(
+                f"regularization must be a finite positive number, got {self.regularization!r}"
+            )
         if self.epochs <= 0:
             raise ValueError("epochs must be positive")
         if self.negative_ratio <= 0:

@@ -118,7 +118,9 @@ class ScoreMatrix:
     """Dense n1 x n2 matrix of finite pair scores with word labels.
 
     Immutable: the scores array is made read-only at construction, so
-    instances are safe to share across threads.
+    instances are safe to share across threads.  The column ranks that the
+    ``rr`` rescorers divide by are computed on first use and kept as
+    ``reverse_ranks`` (4 bytes per cell), so every method shares one pass.
     """
 
     row_labels: tuple[str, ...]
@@ -161,6 +163,16 @@ class ScoreMatrix:
     @cached_property
     def col_index(self) -> dict[str, int]:
         return {lab: j for j, lab in enumerate(self.col_labels)}
+
+    @cached_property
+    def reverse_ranks(self) -> np.ndarray:
+        """Read-only rank of every cell down its column, computed once: the
+        row ranks of a contiguous transposed copy of one block of columns at
+        a time."""
+        ranks = np.empty(self.shape, dtype=_rank_dtype(self.n_rows))
+        for cols in _blocks(self.n_cols, self.n_rows):
+            ranks[:, cols] = _row_ranks_ge(self.scores[:, cols].T.copy()).T
+        return _read_only(ranks)
 
     def with_scores(self, scores: np.ndarray) -> "ScoreMatrix":
         """New matrix with the same labels and different scores."""

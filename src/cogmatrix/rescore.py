@@ -17,6 +17,10 @@ The rank of entry (i, j) within its column is the number of entries in that
 column with a score >= s(i, j), so ranks start at 1 and tied entries all
 share the worst rank of their tie group.  Scores must be non-negative
 (normalize first): dividing a negative score by a large rank would raise it.
+
+Column ranks are the input matrix's cached ``reverse_ranks``: ``rr``,
+``rr_fr_1step`` and ``rr_fr_2step`` on one matrix share a single column pass.
+Row ranks are computed per row block by each method that needs them.
 """
 
 from __future__ import annotations
@@ -39,16 +43,6 @@ class RescoreMethod(str, enum.Enum):
 ALL_METHODS = tuple(RescoreMethod)
 
 
-def _by_column_blocks(a: np.ndarray, kernel, dtype) -> np.ndarray:
-    """The matrix whose columns ``cols`` are ``kernel(t).T``, where ``t`` is a
-    contiguous copy of ``a[:, cols].T`` that the kernel may overwrite: column
-    work as row work, one block of columns at a time."""
-    out = np.empty(a.shape, dtype=dtype)
-    for cols in _blocks(a.shape[1], a.shape[0]):
-        out[:, cols] = kernel(a[:, cols].T.copy()).T
-    return out
-
-
 def forward_rank_matrix(m: ScoreMatrix) -> np.ndarray:
     """forward_rank for every cell: competitors along the cell's row."""
     s = m.scores
@@ -56,8 +50,9 @@ def forward_rank_matrix(m: ScoreMatrix) -> np.ndarray:
 
 
 def reverse_rank_matrix(m: ScoreMatrix) -> np.ndarray:
-    """reverse_rank for every cell: competitors down the cell's column."""
-    return _by_column_blocks(m.scores, _row_ranks_ge, _rank_dtype(m.n_rows))
+    """reverse_rank for every cell: competitors down the cell's column.  This
+    is the matrix's own read-only ``reverse_ranks``, computed once."""
+    return m.reverse_ranks
 
 
 def _check_index(n: int, idx: int, kind: str) -> None:
@@ -92,15 +87,10 @@ def _divide_by_forward_ranks(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rr(scores: np.ndarray) -> np.ndarray:
-    """``scores`` divided by their reverse ranks."""
-    return _by_column_blocks(scores, lambda t: np.divide(t, _row_ranks_ge(t), out=t), np.float64)
-
-
 def rescore_rr(m: ScoreMatrix) -> ScoreMatrix:
     """Divide every score by its reverse rank on the input matrix."""
     _require_non_negative(m)
-    return m.with_scores(_rr(m.scores))
+    return m.with_scores(np.divide(m.scores, m.reverse_ranks))
 
 
 def rescore_fr(m: ScoreMatrix) -> ScoreMatrix:
@@ -112,7 +102,7 @@ def rescore_fr(m: ScoreMatrix) -> ScoreMatrix:
 def rescore_rr_fr_1step(m: ScoreMatrix) -> ScoreMatrix:
     """Divide by the product of both ranks, both taken on the input matrix."""
     _require_non_negative(m)
-    s, rr = m.scores, reverse_rank_matrix(m)
+    s, rr = m.scores, m.reverse_ranks
 
     def divide(rows):
         # The float64 product of two ranks is exact below 2^53.
@@ -125,7 +115,7 @@ def rescore_rr_fr_1step(m: ScoreMatrix) -> ScoreMatrix:
 def rescore_rr_fr_2step(m: ScoreMatrix) -> ScoreMatrix:
     """Reverse-rank rescore, then forward-rank rescore the adjusted scores."""
     _require_non_negative(m)
-    adjusted = _rr(m.scores)
+    adjusted = np.divide(m.scores, m.reverse_ranks)
     return m.with_scores(_divide_by_forward_ranks(adjusted, adjusted))
 
 

@@ -9,6 +9,7 @@ are not in the relation.  Generation is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,10 @@ class SynthConfig:
             raise ValueError("n_pairs must be >= 1")
         if self.n_distractors_per_side < 0:
             raise ValueError("n_distractors_per_side must be >= 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be a finite number >= 0, got {self.noise_sigma!r}")
+        if not math.isfinite(self.signal_mu):
+            raise ValueError(f"signal_mu must be a finite number, got {self.signal_mu!r}")
 
 
 def _labels(prefix: str, n: int) -> tuple[str, ...]:

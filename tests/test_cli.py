@@ -286,6 +286,23 @@ class TestFilePipeline:
         train_matrix = cgm.load_matrix(out / "train_metric_phonetic.tsv")
         assert set(train_matrix.row_labels) == gold.l1_words()
 
+    @pytest.mark.parametrize("source, flag, message", [
+        ("files", "--regularization", "regularization must be a finite positive number, got nan"),
+        ("synth", "--noise-sigma", "noise_sigma must be a finite number >= 0, got nan"),
+        ("synth", "--signal-mu", "signal_mu must be a finite number, got nan"),
+    ])
+    def test_non_finite_parameter_fails_before_output(self, corpus, tmp_path, capsys,
+                                                      source, flag, message):
+        out = tmp_path / "run"
+        rc = run_cli(
+            "pipeline", "--source", source, "--out", out, flag, "nan",
+            "--gold", corpus / "gold.tsv",
+            "--freq1", corpus / "freq1.tsv", "--freq2", corpus / "freq2.tsv",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"cogmatrix: error: {message}\n"
+        assert list(out.iterdir()) == []
+
     def test_large_mode_eval_universe_excludes_seed_words(self, corpus, tmp_path):
         common = ("--gold", corpus / "gold.tsv",
                   "--freq1", corpus / "freq1.tsv", "--freq2", corpus / "freq2.tsv",

@@ -52,6 +52,12 @@ class TestTrainingConfig:
         with pytest.raises(ValueError, match="regularization"):
             TrainingConfig(regularization=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_regularization_named(self, value):
+        with pytest.raises(ValueError) as exc:
+            TrainingConfig(regularization=value)
+        assert str(exc.value) == f"regularization must be a finite positive number, got {value!r}"
+
     def test_nonpositive_ratio_forbidden(self):
         with pytest.raises(ValueError, match="negative_ratio"):
             TrainingConfig(negative_ratio=0)

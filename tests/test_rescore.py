@@ -279,6 +279,10 @@ def test_rank_operators_match_set_enumeration(m, block_cells):
     with mock.patch.object(matrix, "_BLOCK_CELLS", block_cells):
         rr, fr = reverse_rank_matrix(m), forward_rank_matrix(m)
     assert rr.shape == fr.shape == m.shape
+    # The column ranks are the matrix's own, shared and read-only.
+    assert rr is m.reverse_ranks
+    assert not rr.flags.writeable
+    assert rr.dtype == matrix._rank_dtype(m.n_rows)
     for i in range(m.n_rows):
         for j in range(m.n_cols):
             assert rr[i, j] == reverse_rank(m, i, j) == reverse_rank_oracle(m.scores, i, j)
@@ -288,8 +292,30 @@ def test_rank_operators_match_set_enumeration(m, block_cells):
 @settings(max_examples=300, deadline=None)
 @given(score_matrices(min_value=0.0), st.integers(1, 50))
 def test_rescorers_bit_identical_to_searchsorted_ranks(m, block_cells):
+    # Three orders of computing the methods: all on one matrix in order, each
+    # on a fresh matrix (cold column-rank cache), all on one matrix in reverse.
     with mock.patch.object(matrix, "_BLOCK_CELLS", block_cells):
-        got = {method: apply(method, m).scores for method in RescoreMethod}
+        in_order = {method: apply(method, m).scores for method in RescoreMethod}
+        cold = {method: apply(method, mat(m.scores)).scores for method in RescoreMethod}
+        shared = mat(m.scores)
+        reverse = {method: apply(method, shared).scores for method in reversed(RescoreMethod)}
     for method, want in searchsorted_rescore(m.scores).items():
-        assert got[method].shape == m.shape
-        assert np.array_equal(got[method].view(np.uint64), want.view(np.uint64)), method
+        for got in (in_order, cold, reverse):
+            assert got[method].shape == m.shape
+            assert np.array_equal(got[method].view(np.uint64), want.view(np.uint64)), method
+
+
+def test_methods_on_one_matrix_share_one_column_rank_pass():
+    rng = np.random.default_rng(7)
+    m = mat(np.round(rng.random((40, 30)), 1))
+    # Row ranks are called from rescore; only the column pass calls the kernel
+    # from matrix.
+    with mock.patch.object(matrix, "_BLOCK_CELLS", 64), mock.patch.object(
+        matrix, "_row_ranks_ge", wraps=matrix._row_ranks_ge
+    ) as kernel:
+        column_blocks = len(matrix._blocks(m.n_cols, m.n_rows))
+        for method in RescoreMethod:
+            apply(method, m)
+        reverse_rank_matrix(m)
+    assert column_blocks > 1
+    assert kernel.call_count == column_blocks

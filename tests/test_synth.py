@@ -15,6 +15,18 @@ class TestSynthConfig:
         with pytest.raises(ValueError, match="noise_sigma"):
             SynthConfig(n_pairs=3, noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_sigma_named(self, value):
+        with pytest.raises(ValueError) as exc:
+            SynthConfig(n_pairs=3, noise_sigma=value)
+        assert str(exc.value) == f"noise_sigma must be a finite number >= 0, got {value!r}"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mu_named(self, value):
+        with pytest.raises(ValueError) as exc:
+            SynthConfig(n_pairs=3, signal_mu=value)
+        assert str(exc.value) == f"signal_mu must be a finite number, got {value!r}"
+
 
 class TestGenerate:
     def test_noiseless_separation_is_perfect(self):
