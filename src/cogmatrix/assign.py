@@ -54,9 +54,10 @@ class Assignment:
 def hungarian_max(m: ScoreMatrix, max_side: int = DEFAULT_MAX_SIDE) -> Assignment:
     """Maximum-total assignment of size min(n1, n2).
 
-    Scores are negated into a standard minimization assignment solve;
-    rectangular matrices assign every element of the shorter side.  Raises
-    ResourceLimitError beyond ``max_side`` per side.
+    Scores are negated into a standard minimization assignment solve, one
+    copy of the matrix; rectangular matrices assign every element of the
+    shorter side, and pairs come in row order.  Raises ResourceLimitError
+    beyond ``max_side`` per side.
     """
     if m.n_rows < 1 or m.n_cols < 1:
         raise ValueError("assignment requires a non-empty matrix")
@@ -64,7 +65,14 @@ def hungarian_max(m: ScoreMatrix, max_side: int = DEFAULT_MAX_SIDE) -> Assignmen
         raise ResourceLimitError(
             f"matrix {m.n_rows}x{m.n_cols} exceeds the assignment size limit {max_side}"
         )
-    rows, cols = linear_sum_assignment(-m.scores)
+    if m.n_rows > m.n_cols:
+        # The solver would transpose a tall negated copy into a second one;
+        # negating into the transposed layout makes one copy in all.
+        cols, rows = linear_sum_assignment(np.negative(m.scores.T, order="C"))
+        order = np.argsort(rows)
+        rows, cols = rows[order], cols[order]
+    else:
+        rows, cols = linear_sum_assignment(-m.scores)
     scores = m.scores[rows, cols]
     assignment = Assignment(
         pairs=tuple(zip(rows.tolist(), cols.tolist())),

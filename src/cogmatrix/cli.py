@@ -8,6 +8,11 @@ to end from the same step helpers.  Each flag is built from the
 recording the resolved configuration, SHA-256 digests of the input files,
 and the tool version, so a run can be reproduced from its output directory
 alone.
+
+``pipeline`` writes the report, the curves, the assignment, the weights and
+(synth only) the gold pairs.  The metric and rescored matrices (0.9 GB each
+at k = 10^4) and the training matrices are written only with
+``--keep-intermediates``.
 """
 
 from __future__ import annotations
@@ -17,12 +22,20 @@ import hashlib
 import json
 import logging
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
 from .assign import ResourceLimitError, hungarian_max, max_assignment_curve, save_assignment
-from .combine import TrainingConfig, combine, load_weights, save_weights, train_weights, uniform_weights
+from .combine import (
+    TrainingConfig,
+    combine,
+    load_weights,
+    save_weights,
+    train_weights,
+    uniform_weights,
+)
 from .evaluate import ReportRow, compare_methods, save_curve, save_report
 from .ingest import build_universe, load_gold_pairs, load_lexicon, save_gold_pairs, split_seed
 from .matrix import load_matrix, save_matrix
@@ -67,6 +80,7 @@ class PipelineConfig:
     distractors: int = 0
     noise_sigma: float = 0.25
     signal_mu: float = 1.0
+    keep_intermediates: bool = False
     out: str = "."
 
     def metric_ids(self) -> tuple[MetricId, ...]:
@@ -227,19 +241,43 @@ def _load_corpus(run: RunWriter, cfg: PipelineConfig):
     return gold, lexica, seed, gold_eval, SeedLexicon.from_pairs(seed.pairs.pairs)
 
 
-def _score_universe(run, cfg, lexica, bridge, universe_gold, prefix="", exclude=None) -> dict:
-    """Score every active metric over the universe of ``universe_gold`` and
-    save each matrix as ``<prefix>metric_<name>.tsv``."""
-    x_words, y_words = build_universe(
-        *lexica, universe_gold, mode=cfg.mode, k=cfg.k, exclude=exclude
-    )
-    matrices = {
-        metric: score_all_pairs(metric, x_words, y_words, *lexica, bridge)
-        for metric in cfg.metric_ids()
-    }
-    for metric, matrix in matrices.items():
-        save_matrix(matrix, run.out_path(prefix + _metric_matrix_name(metric)))
-    return matrices
+class _OnAccess(Mapping):
+    """A read-only mapping over ``keys`` whose value ``load(key)`` builds on
+    each access.  Nothing is cached, so a caller that reads one value at a
+    time holds one at a time."""
+
+    def __init__(self, keys, load):
+        self._keys = tuple(keys)
+        self._load = load
+
+    def __getitem__(self, key):
+        if key not in self._keys:
+            raise KeyError(key)
+        return self._load(key)
+
+    def __contains__(self, key):
+        return key in self._keys
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
+def _universe_matrices(run, cfg, lexica, bridge, universe_gold, save, prefix="", exclude=None):
+    """The active metrics' matrices over the universe of ``universe_gold``,
+    each scored when it is read and, with ``save``, saved as
+    ``<prefix>metric_<name>.tsv``."""
+    words = build_universe(*lexica, universe_gold, mode=cfg.mode, k=cfg.k, exclude=exclude)
+
+    def score(metric: MetricId):
+        matrix = score_all_pairs(metric, *words, *lexica, bridge)
+        if save:
+            save_matrix(matrix, run.out_path(prefix + _metric_matrix_name(metric)))
+        return matrix
+
+    return _OnAccess(cfg.metric_ids(), score)
 
 
 def _synth_config(cfg: PipelineConfig) -> SynthConfig:
@@ -252,10 +290,11 @@ def _synth_config(cfg: PipelineConfig) -> SynthConfig:
     )
 
 
-def _rescore(run: RunWriter, method: RescoreMethod, matrix):
-    """Rescore ``matrix`` with ``method`` and save it as ``<method>.tsv``."""
+def _rescore(run: RunWriter, method: RescoreMethod, matrix, save: bool):
+    """Rescore ``matrix`` with ``method``; with ``save``, save it as ``<method>.tsv``."""
     rescored = apply(method, matrix)
-    save_matrix(rescored, run.out_path(f"{method.value}.tsv"))
+    if save:
+        save_matrix(rescored, run.out_path(f"{method.value}.tsv"))
     return rescored
 
 
@@ -301,16 +340,15 @@ def cmd_score(run: RunWriter, args: argparse.Namespace) -> None:
     # The universe is built from the full gold file, so training pairs are
     # present as candidates.
     gold, lexica, _, _, bridge = _load_corpus(run, run.cfg)
-    _score_universe(run, run.cfg, lexica, bridge, gold)
+    matrices = _universe_matrices(run, run.cfg, lexica, bridge, gold, save=True)
+    for metric in matrices:
+        matrices[metric]  # scored and saved, then dropped before the next metric
     run.write_manifest()
 
 
-def _load_metric_matrices(run: RunWriter, matrices_dir: str) -> dict:
-    found = {}
-    for metric in MetricId:
-        path = Path(matrices_dir) / _metric_matrix_name(metric)
-        if path.exists():
-            found[metric] = load_matrix(run.track_input(path))
+def _metric_matrix_paths(matrices_dir: str) -> dict[MetricId, Path]:
+    paths = {metric: Path(matrices_dir) / _metric_matrix_name(metric) for metric in MetricId}
+    found = {metric: path for metric, path in paths.items() if path.exists()}
     if not found:
         raise ValueError(f"no metric_<name>.tsv matrices found in {matrices_dir}")
     return found
@@ -318,7 +356,8 @@ def _load_metric_matrices(run: RunWriter, matrices_dir: str) -> dict:
 
 def cmd_train(run: RunWriter, args: argparse.Namespace) -> None:
     cfg = run.cfg
-    matrices = _load_metric_matrices(run, _require(cfg.matrices, "matrices"))
+    paths = _metric_matrix_paths(_require(cfg.matrices, "matrices"))
+    matrices = {metric: load_matrix(run.track_input(path)) for metric, path in paths.items()}
     seed, _ = split_seed(_load_gold(run), cfg.seed_fraction, cfg.seed)
     weights = train_weights(matrices, seed, cfg.training_config())
     save_weights(weights, run.out_path("weights.tsv"))
@@ -327,13 +366,14 @@ def cmd_train(run: RunWriter, args: argparse.Namespace) -> None:
 
 def cmd_combine(run: RunWriter, args: argparse.Namespace) -> None:
     cfg = run.cfg
-    matrices = _load_metric_matrices(run, _require(cfg.matrices, "matrices"))
+    paths = _metric_matrix_paths(_require(cfg.matrices, "matrices"))
     if cfg.weights == "uniform":
-        weights = uniform_weights(matrices)
+        weights = uniform_weights(paths)
     else:
         weights_path = cfg.weights_file or str(Path(cfg.matrices) / "weights.tsv")
         weights = load_weights(run.track_input(weights_path))
-    baseline = combine(matrices, weights)
+    # One metric matrix is loaded at a time, added in and dropped.
+    baseline = combine(_OnAccess(paths, lambda m: load_matrix(run.track_input(paths[m]))), weights)
     save_matrix(baseline, run.out_path("baseline.tsv"))
     run.write_manifest()
 
@@ -341,7 +381,7 @@ def cmd_combine(run: RunWriter, args: argparse.Namespace) -> None:
 def cmd_rescore(run: RunWriter, args: argparse.Namespace) -> None:
     matrix = load_matrix(run.track_input(_require(run.cfg.matrix, "matrix")))
     for method in run.cfg.method_ids():
-        _rescore(run, method, matrix)
+        _rescore(run, method, matrix, save=True)
     run.write_manifest()
 
 
@@ -369,6 +409,7 @@ def cmd_eval(run: RunWriter, args: argparse.Namespace) -> None:
 def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
     cfg = run.cfg
     methods = cfg.method_ids()
+    keep = cfg.keep_intermediates
 
     if cfg.source == "synth":
         baseline, gold_eval = generate(_synth_config(cfg))
@@ -383,27 +424,27 @@ def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
             # pairs must be present as candidates); evaluation below never
             # sees those matrices.
             train_cfg = replace(cfg, mode="standard")
-            weights = train_weights(
-                _score_universe(run, train_cfg, lexica, bridge, gold, prefix="train_"),
-                seed, training,
+            matrices = _universe_matrices(
+                run, train_cfg, lexica, bridge, gold, keep, prefix="train_"
             )
+            weights = train_weights(dict(matrices), seed, training)
         save_weights(weights, run.out_path("weights.tsv"))
 
         # Candidates for evaluation come from the eval split only: the seed
         # pairs were consumed by training and are not scored or counted, not
-        # even as frequent words in the large-mode top k.  The metric
-        # matrices are dropped as soon as they are combined.
-        baseline = combine(
-            _score_universe(run, cfg, lexica, bridge, gold_eval, exclude=seed.pairs), weights
-        )
+        # even as frequent words in the large-mode top k.  ``combine``
+        # reads one metric at a time, so each matrix is scored, added into
+        # the baseline and dropped before the next one is scored.
+        matrices = _universe_matrices(run, cfg, lexica, bridge, gold_eval, keep, exclude=seed.pairs)
+        baseline = combine(matrices, weights)
     else:
         raise ValueError(f"unknown source {cfg.source!r}; expected 'files' or 'synth'")
 
-    # One rescored matrix at a time: rescore, save and evaluate each method,
-    # in report order, before the next one is built.
+    # One rescored matrix at a time: rescore, save if asked, and evaluate
+    # each method, in report order, before the next one is built.
     rows = []
     for method in sorted(methods, key=list(RescoreMethod).index):
-        rows += _evaluate(run, {method: _rescore(run, method, baseline)}, gold_eval)
+        rows += _evaluate(run, {method: _rescore(run, method, baseline, keep)}, gold_eval)
     if cfg.assign:
         try:
             rows.append(_assign(run, baseline, gold_eval))
@@ -488,6 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.choices["pipeline"].add_argument(
         "--no-assign", dest="assign", action="store_false", default=None,
         help="skip the maximum assignment stage",
+    )
+    sub.choices["pipeline"].add_argument(
+        "--keep-intermediates", action="store_true", default=None,
+        help="also write the metric, training and rescored matrices",
     )
     return parser
 

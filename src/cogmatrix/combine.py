@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .ingest import SeedSet, _records
-from .matrix import ScoreMatrix, _normalize_in_place, matrices_share_labels
+from .matrix import ScoreMatrix, _blocks, _normalize_in_place, matrices_share_labels
 from .scorers import MetricId
 
 # Constant step size for the full-batch subgradient updates.  Deterministic
@@ -61,11 +61,14 @@ def uniform_weights(metrics: Iterable[MetricId]) -> WeightVector:
     return WeightVector({MetricId(m): 1.0 for m in metrics}, bias=0.0)
 
 
+_LABELS_DIFFER = "metric matrices must share identical row and column labels"
+
+
 def _check_shared_labels(metric_matrices: Mapping[MetricId, ScoreMatrix]) -> ScoreMatrix:
     if not metric_matrices:
         raise ValueError("no metric matrices given")
     if not matrices_share_labels(metric_matrices.values()):
-        raise ValueError("metric matrices must share identical row and column labels")
+        raise ValueError(_LABELS_DIFFER)
     return next(iter(metric_matrices.values()))
 
 
@@ -146,20 +149,38 @@ def combine(
 
     Normalization maps the combined scores onto [0, 1], which rescoring
     requires; it preserves the ranking of every row and column.  Every
-    matrix needs a weight and every weighted metric a matrix.
+    matrix needs a weight and every weighted metric a matrix; both are
+    checked against the mapping's keys before any matrix is read.
+
+    The total starts at the bias.  Each matrix, in metric-name order, is read
+    from the mapping once and added into it one row block at a time (so no
+    full-size ``weight * scores`` is built), and no reference to it is kept
+    once it is added: a mapping that builds each matrix on access has at
+    most one alive.  Every cell sees the same operations in the same order
+    as a whole-array sum.
     """
-    first = _check_shared_labels(metric_matrices)
     metrics = sorted(metric_matrices, key=lambda m: m.value)
+    if not metrics:
+        raise ValueError("no metric matrices given")
     for metric in metrics:
         if metric not in weights.weights:
-            raise ValueError(f"no weight for metric {MetricId(metric).value!r}")
-    unmatched = sorted(m.value for m in weights.weights if m not in metric_matrices)
+            raise ValueError(f"no weight for metric {metric.value!r}")
+    unmatched = sorted(m.value for m in weights.weights if m not in metrics)
     if unmatched:
         raise ValueError(f"no matrix for weighted metric {', '.join(map(repr, unmatched))}")
-    total = np.full(first.shape, weights.bias, dtype=np.float64)
+    labels = total = None
     for metric in metrics:
-        total += weights.weights[metric] * metric_matrices[metric].scores
-    return first.with_scores(_normalize_in_place(total))
+        m = metric_matrices[metric]
+        if total is None:
+            labels = (m.row_labels, m.col_labels)
+            total = np.full(m.shape, weights.bias, dtype=np.float64)
+        elif (m.row_labels, m.col_labels) != labels:
+            raise ValueError(_LABELS_DIFFER)
+        weight = weights.weights[metric]
+        for rows in _blocks(*total.shape):
+            total[rows] += weight * m.scores[rows]
+        del m
+    return ScoreMatrix(*labels, _normalize_in_place(total))
 
 
 def save_weights(weights: WeightVector, path: str | Path) -> None:

@@ -319,7 +319,7 @@ def test_end_to_end_determinism(tmp_path):
     """Two pipeline runs with identical config produce byte-identical files."""
     argv = [
         "pipeline", "--source", "synth", "--n-pairs", "40",
-        "--noise-sigma", "0.3", "--seed", "17",
+        "--noise-sigma", "0.3", "--seed", "17", "--keep-intermediates",
     ]
     assert cli_main(argv + ["--out", str(tmp_path / "a")]) == 0
     assert cli_main(argv + ["--out", str(tmp_path / "b")]) == 0

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from cogmatrix import (
     Assignment,
@@ -82,6 +83,20 @@ class TestHungarianMax:
         shifted = hungarian_max(mat(scores + 3.7))
         assert set(base.pairs) == set(shifted.pairs)
         assert shifted.total == pytest.approx(base.total + 3.7 * 6, abs=1e-9)
+
+    @pytest.mark.parametrize("shape", [(9, 4), (40, 39), (4, 9), (39, 40), (1, 5), (5, 1), (12, 12)])
+    @pytest.mark.parametrize("levels", [None, 2, 3])
+    def test_same_pairs_as_negated_solve(self, shape, levels):
+        # A tall matrix is solved on its transpose; the pairs, tie breaks
+        # included, must be those of the plain solve, in row order.
+        rng = np.random.default_rng(81)
+        for _ in range(5):
+            scores = rng.random(shape) if levels is None else (
+                rng.integers(0, levels, size=shape).astype(np.float64))
+            rows, cols = linear_sum_assignment(-scores)
+            a = hungarian_max(mat(scores))
+            assert a.pairs == tuple(zip(rows.tolist(), cols.tolist()))
+            assert a.scores == tuple(scores[rows, cols].tolist())
 
     def test_size_guard(self):
         m = mat(np.zeros((3, 2)))

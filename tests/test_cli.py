@@ -208,7 +208,7 @@ class TestSyntheticPipeline:
     def test_repeated_method_runs_once(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("pipeline", "--source", "synth", "--out", out, "--n-pairs", 20,
-                       "--methods", "rr,baseline,rr", "--no-assign") == 0
+                       "--methods", "rr,baseline,rr", "--no-assign", "--keep-intermediates") == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"].count("rr.tsv") == 1
         lines = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
@@ -234,7 +234,7 @@ class TestSyntheticPipeline:
 
     def test_two_runs_byte_identical(self, tmp_path):
         args = ("pipeline", "--source", "synth", "--n-pairs", 20, "--noise-sigma", 0.35,
-                "--seed", 4)
+                "--seed", 4, "--keep-intermediates")
         run_cli(*args, "--out", tmp_path / "a")
         run_cli(*args, "--out", tmp_path / "b")
         for name in ("report.tsv", "curve_rr.tsv", "baseline.tsv", "manifest.json"):
@@ -252,7 +252,7 @@ class TestFilePipeline:
             "--freq2", corpus / "freq2.tsv", "--daily2", corpus / "daily2.tsv",
             "--cooc2", corpus / "cooc2.tsv",
             "--metrics", "phonetic,frequency,temporal,burstiness,context",
-            "--seed", 13, "--seed-fraction", 0.25,
+            "--seed", 13, "--seed-fraction", 0.25, "--keep-intermediates",
         )
         assert rc == 0
         report = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
@@ -276,7 +276,7 @@ class TestFilePipeline:
             "--gold", corpus / "gold.tsv",
             "--freq1", corpus / "freq1.tsv", "--freq2", corpus / "freq2.tsv",
             "--metrics", "phonetic,frequency",
-            "--seed", 13, "--seed-fraction", 0.25,
+            "--seed", 13, "--seed-fraction", 0.25, "--keep-intermediates",
         )
         gold = cgm.load_gold_pairs(corpus / "gold.tsv")
         seed, gold_eval = cgm.split_seed(gold, 0.25, 13)
@@ -308,7 +308,8 @@ class TestFilePipeline:
                   "--freq1", corpus / "freq1.tsv", "--freq2", corpus / "freq2.tsv",
                   "--metrics", "phonetic,frequency", "--mode", "large", "--k", 8,
                   "--seed", 13, "--seed-fraction", 0.25)
-        assert run_cli("pipeline", "--source", "files", "--out", tmp_path / "run", *common) == 0
+        assert run_cli("pipeline", "--source", "files", "--out", tmp_path / "run", *common,
+                       "--keep-intermediates") == 0
         gold = cgm.load_gold_pairs(corpus / "gold.tsv")
         seed, gold_eval = cgm.split_seed(gold, 0.25, 13)
         eval_matrix = cgm.load_matrix(tmp_path / "run" / "metric_phonetic.tsv")
@@ -408,6 +409,71 @@ class TestFilePipeline:
         assert rc == 0
         weights = cgm.load_weights(out / "weights.tsv")
         assert all(w == 1.0 for w in weights.weights.values())
+
+
+def corpus_files(corpus):
+    return ["--gold", corpus / "gold.tsv"] + [
+        a for side in (1, 2) for kind in ("freq", "daily", "cooc")
+        for a in (f"--{kind}{side}", corpus / f"{kind}{side}.tsv")
+    ]
+
+
+ALL_METRICS = ("--metrics", "phonetic,frequency,temporal,burstiness,context")
+CURVES = ["curve_baseline.tsv", "curve_max_assignment.tsv", "curve_rr.tsv",
+          "curve_rr_fr_1step.tsv", "curve_rr_fr_2step.tsv"]
+METHOD_MATRICES = ["baseline.tsv", "rr.tsv", "rr_fr_1step.tsv", "rr_fr_2step.tsv"]
+
+
+class TestIntermediates:
+    @pytest.mark.parametrize("source", ["files", "synth"])
+    def test_default_output_set_and_flag_adds_only_matrices(self, corpus, tmp_path, source):
+        argv = (("pipeline", "--source", "files", *corpus_files(corpus), *ALL_METRICS,
+                 "--seed", 13, "--seed-fraction", 0.25) if source == "files"
+                else ("pipeline", "--source", "synth", "--n-pairs", 30, "--distractors", 5,
+                      "--seed", 2))
+        assert run_cli(*argv, "--out", tmp_path / "default") == 0
+        assert run_cli(*argv, "--out", tmp_path / "kept", "--keep-intermediates") == 0
+        default = sorted(p.name for p in (tmp_path / "default").iterdir())
+        kept = sorted(p.name for p in (tmp_path / "kept").iterdir())
+        written = {"files": ["weights.tsv"], "synth": ["gold.tsv"]}[source]
+        assert default == sorted(["assignment.tsv", *CURVES, "manifest.json", "report.tsv",
+                                  *written])
+        metric_matrices = [f"{prefix}metric_{m.value}.tsv" for m in cgm.MetricId
+                           for prefix in ("", "train_")] if source == "files" else []
+        assert kept == sorted([*default, *METHOD_MATRICES, *metric_matrices])
+        for name in default:
+            if name != "manifest.json":
+                a = (tmp_path / "default" / name).read_bytes()
+                assert a == (tmp_path / "kept" / name).read_bytes(), name
+        manifests = [json.loads((tmp_path / run / "manifest.json").read_text())
+                     for run in ("default", "kept")]
+        assert [m["config"].pop("keep_intermediates") for m in manifests] == [False, True]
+        assert [m.pop("outputs") for m in manifests] == [
+            [n for n in default if n != "manifest.json"], [n for n in kept if n != "manifest.json"]
+        ]
+        assert manifests[0] == manifests[1]
+
+    def test_kept_baseline_is_the_combined_metric_matrices(self, corpus, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("pipeline", "--source", "files", "--out", out, *corpus_files(corpus),
+                       *ALL_METRICS, "--seed", 13, "--seed-fraction", 0.25,
+                       "--keep-intermediates") == 0
+        matrices = {m: cgm.load_matrix(out / f"metric_{m.value}.tsv") for m in cgm.MetricId}
+        baseline = cgm.combine(matrices, cgm.load_weights(out / "weights.tsv"))
+        assert np.array_equal(cgm.load_matrix(out / "baseline.tsv").scores.view(np.uint64),
+                              baseline.scores.view(np.uint64))
+
+    def test_keep_intermediates_config_key(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("source = synth\nn_pairs = 6\nkeep_intermediates = true\n",
+                          encoding="utf-8")
+        assert read_config_file(config)["keep_intermediates"] is True
+        out = tmp_path / "run"
+        assert run_cli("pipeline", "--config", config, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["keep_intermediates"] is True
+        for name in METHOD_MATRICES:
+            assert name in manifest["outputs"] and (out / name).is_file()
 
 
 class TestConfigFile:
@@ -522,6 +588,7 @@ FLAG_SURFACE = {
     "pipeline": _COMMON + _INPUTS + _UNIVERSE + _TRAINING + _SYNTH + [
         _flag("source", choices=("files", "synth")), _flag("metrics"), _flag("methods"),
         _WEIGHTS, (("--no-assign",), "assign", None, None, None, 0), _flag("max-side", int),
+        (("--keep-intermediates",), "keep_intermediates", None, None, None, 0),
     ],
 }
 

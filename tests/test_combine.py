@@ -1,5 +1,8 @@
 """Weight training and matrix combination."""
 
+import weakref
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
@@ -7,15 +10,19 @@ from cogmatrix import (
     GoldPairs,
     MetricId,
     ScoreMatrix,
+    SeedLexicon,
     SeedSet,
     TrainingConfig,
     WeightVector,
     combine,
     load_weights,
     save_weights,
+    score_all_pairs,
     train_weights,
     uniform_weights,
 )
+from cogmatrix import matrix
+from sides import lexicon_side
 
 
 def labeled(scores, rows, cols):
@@ -181,6 +188,116 @@ class TestCombine:
         wv = uniform_weights([MetricId.PHONETIC, MetricId.CONTEXT])
         assert wv.weights == {MetricId.PHONETIC: 1.0, MetricId.CONTEXT: 1.0}
         assert wv.bias == 0.0
+
+
+def scored_universe(n1=23, n2=19, n_days=12, seed=4):
+    """Words, both lexicon sides and a seed bridge with data for every metric."""
+    rng = np.random.default_rng(seed)
+    letters = np.array(list("abcdeklmnorstu"))
+
+    def side(n, tag):
+        words = [tag + "".join(rng.choice(letters, size=int(rng.integers(2, 8)))) + str(i)
+                 for i in range(n)]
+        daily = {w: rng.poisson(3.0, size=n_days) for w in words[: n - 3]}
+        cooc = {w: {f"{tag}ctx{int(c)}": int(rng.integers(1, 9))
+                    for c in rng.choice(10, size=4, replace=False)}
+                for w in words[: n - 2]}
+        freq = {w: int(rng.integers(1, 60)) for w in words}
+        return words, lexicon_side(words, 5000, freq, daily, cooc, n_days)
+
+    x_words, lex1 = side(n1, "x")
+    y_words, lex2 = side(n2, "y")
+    bridge = SeedLexicon.from_pairs((f"xctx{c}", f"yctx{c}") for c in range(0, 10, 2))
+    return x_words, y_words, lex1, lex2, bridge
+
+
+def whole_array_combine(matrices, weights):
+    """The combination as one whole-array sum per metric, in name order."""
+    total = np.full(next(iter(matrices.values())).shape, weights.bias, dtype=np.float64)
+    for metric in sorted(matrices, key=lambda m: m.value):
+        total += weights.weights[metric] * matrices[metric].scores
+    return matrix._normalize_in_place(total)
+
+
+class ScoredOnRead(Mapping):
+    """Metric -> the matrix ``score(metric)`` builds each time it is read.
+
+    Membership tests go through ``__getitem__`` (the ``Mapping`` default),
+    so they count as reads too.
+    """
+
+    def __init__(self, metrics, score):
+        self.metrics = tuple(metrics)
+        self.score = score
+
+    def __getitem__(self, metric):
+        if metric not in self.metrics:
+            raise KeyError(metric)
+        return self.score(metric)
+
+    def __iter__(self):
+        return iter(self.metrics)
+
+    def __len__(self):
+        return len(self.metrics)
+
+
+class TestCombineStreamed:
+    # 23 x 19 cells: one block, 8 blocks of up to 3 rows, and one block per row.
+    @pytest.mark.parametrize("block_cells", [matrix._BLOCK_CELLS, 40, 1])
+    @pytest.mark.parametrize("metrics, raw_weights, bias", [
+        (tuple(MetricId), (0.7, -1.3, 0.25, 2.0, -0.05), 0.375),
+        ((MetricId.CONTEXT, MetricId.PHONETIC), (-2.5, 1.0), -1.75),
+        ((MetricId.TEMPORAL,), (-0.5,), 3.0),
+        ((MetricId.BURSTINESS, MetricId.FREQUENCY, MetricId.TEMPORAL), (1.0, 0.0, -4.0), 0.0),
+    ])
+    def test_bit_identical_to_whole_array_sum(self, monkeypatch, block_cells, metrics,
+                                              raw_weights, bias):
+        monkeypatch.setattr(matrix, "_BLOCK_CELLS", block_cells)
+        x_words, y_words, lex1, lex2, bridge = scored_universe()
+        weights = WeightVector(dict(zip(metrics, raw_weights)), bias=bias)
+        scored = {m: score_all_pairs(m, x_words, y_words, lex1, lex2, bridge) for m in metrics}
+        asked = []
+
+        def score(metric):
+            asked.append(metric)
+            return score_all_pairs(metric, x_words, y_words, lex1, lex2, bridge)
+
+        streamed = combine(ScoredOnRead(metrics, score), weights)
+        expected = whole_array_combine(scored, weights).view(np.uint64)
+        assert asked == sorted(metrics, key=lambda m: m.value)
+        assert np.array_equal(streamed.scores.view(np.uint64), expected)
+        assert np.array_equal(combine(scored, weights).scores.view(np.uint64), expected)
+        assert (streamed.row_labels, streamed.col_labels) == (tuple(x_words), tuple(y_words))
+
+    def test_each_matrix_dropped_before_the_next_is_scored(self):
+        scored = []
+
+        def score(metric):
+            assert all(ref() is None for ref in scored), "an earlier matrix is still alive"
+            m = labeled(np.random.default_rng(len(scored)).random((3, 4)), "abc", "uvwx")
+            scored.append(weakref.ref(m))
+            return m
+
+        combine(ScoredOnRead(MetricId, score), uniform_weights(MetricId))
+        assert len(scored) == len(MetricId)
+
+    def test_weights_checked_before_scoring(self):
+        def score(metric):
+            raise AssertionError("scored before the weights were checked")
+
+        with pytest.raises(ValueError, match="no weight for metric 'context'"):
+            combine(ScoredOnRead([MetricId.CONTEXT], score), WeightVector({MetricId.PHONETIC: 1.0}))
+        both = WeightVector({MetricId.CONTEXT: 1.0, MetricId.PHONETIC: 1.0})
+        with pytest.raises(ValueError, match="no matrix for weighted metric 'phonetic'"):
+            combine(ScoredOnRead([MetricId.CONTEXT], score), both)
+
+    def test_label_mismatch_rejected(self):
+        a = labeled([[0.1, 0.2]], ("a",), ("u", "v"))
+        b = labeled([[0.1, 0.2]], ("a",), ("u", "w"))
+        matrices = {MetricId.PHONETIC: a, MetricId.FREQUENCY: b}
+        with pytest.raises(ValueError, match="share identical"):
+            combine(matrices, uniform_weights(matrices))
 
 
 class TestWeightsFile:
