@@ -1,9 +1,10 @@
 """Maximum-total one-to-one assignment over a score matrix.
 
 Solves the assignment problem: pick min(n1, n2) pairs, no row or column used
-twice, maximizing the summed score.  Useful when every element really does
-have a partner on the other side; with many partnerless distractors the
-all-or-nothing pairing is a poor fit and rank rescoring does better.
+twice, maximizing the summed score.  On planted matrices with 3x partnerless
+distractors per side rank rescoring does better (``test_distractor_robustness``),
+but on the generated corpus at k = 10^4 (one seed) assignment had the best
+MaxF1: 0.8512, against 0.8347 for ``rr_fr_1step``.
 
 The back-traced curve sweeps a threshold down over the chosen pairs so the
 single assignment point expands into a full precision-recall curve.

@@ -86,13 +86,15 @@ def _row_ranks_ge(a: np.ndarray) -> np.ndarray:
 
     One sort per row: in ascending order, count(>= x) is the row length minus
     the position where x's tie group starts.  Group starts are marked where a
-    sorted value differs from its left neighbour (``-0.0 == 0.0``, so they tie)
-    and carried along each group by a running maximum, then the ranks are put
-    back in the row's own order.  Ranks are int32 for rows under 2^31 entries.
+    sorted value differs from its left neighbour (``-0.0 == 0.0`` ties) and
+    carried along each group by a running maximum.  The sort order plus each
+    row's offset is one flat index, which gathers the block's sorted values and
+    scatters the ranks back.  Ranks are int32 for rows under 2^31 entries.
     """
-    n = a.shape[1]
-    order = np.argsort(a, axis=1)
-    srt = np.take_along_axis(a, order, axis=1)
+    r, n = a.shape
+    flat = np.argsort(a, axis=1)
+    flat += n * np.arange(r)[:, None]
+    srt = a.ravel()[flat]
     new = np.empty(a.shape, dtype=bool)
     new[:, :1] = True
     np.not_equal(srt[:, 1:], srt[:, :-1], out=new[:, 1:])
@@ -102,7 +104,7 @@ def _row_ranks_ge(a: np.ndarray) -> np.ndarray:
     del new
     np.maximum.accumulate(start, axis=1, out=start)
     ranks = np.empty_like(start)
-    np.put_along_axis(ranks, order, np.subtract(n, start, out=start), axis=1)
+    ranks.ravel()[flat] = np.subtract(n, start, out=start)
     return ranks
 
 
@@ -343,11 +345,4 @@ def _read_v2(f, n1: int, n2: int, bad) -> ScoreMatrix:
 
 def matrices_share_labels(matrices: Iterable[ScoreMatrix]) -> bool:
     """True when all matrices have identical row and column labels."""
-    it = iter(matrices)
-    try:
-        first = next(it)
-    except StopIteration:
-        return True
-    return all(
-        m.row_labels == first.row_labels and m.col_labels == first.col_labels for m in it
-    )
+    return len({(m.row_labels, m.col_labels) for m in matrices}) <= 1

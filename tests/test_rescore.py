@@ -238,14 +238,23 @@ LEVELS = (-0.0, 0.0, 0.25, 0.5, 1.0)
 
 @st.composite
 def score_matrices(draw, min_value):
-    """Matrices of 0-9 rows and columns, tie-heavy or spread over finite floats."""
+    """Matrices of 0-9 rows and columns: tie-heavy, spread over finite floats,
+    or mixed (spread, with a few cells copied from another cell of the same
+    row, so that tied and tie-free rows share a block)."""
     n_rows, n_cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("levels", "spread", "mixed")))
+    if kind == "levels":
         values = st.sampled_from([v for v in LEVELS if v >= min_value])
     else:
         values = st.floats(min_value, 1e300, allow_nan=False, allow_infinity=False)
     cells = draw(st.lists(values, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
-    return mat(np.array(cells, dtype=np.float64).reshape(n_rows, n_cols))
+    scores = np.array(cells, dtype=np.float64).reshape(n_rows, n_cols)
+    if kind == "mixed" and scores.size:
+        cell = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1),
+                         st.integers(0, n_cols - 1))
+        for i, src, dst in draw(st.lists(cell, max_size=3)):
+            scores[i, dst] = scores[i, src]
+    return mat(scores)
 
 
 def searchsorted_ranks(a):
@@ -303,6 +312,15 @@ def test_rescorers_bit_identical_to_searchsorted_ranks(m, block_cells):
         for got in (in_order, cold, reverse):
             assert got[method].shape == m.shape
             assert np.array_equal(got[method].view(np.uint64), want.view(np.uint64)), method
+
+
+@settings(max_examples=300, deadline=None)
+@given(score_matrices(min_value=-1e300))
+def test_kernel_ranks_non_contiguous_views(m):
+    # A transposed view, and the single-column view that reverse_rank passes.
+    views = (m.scores.T, *(m.scores[None, :, j] for j in range(m.n_cols)))
+    for view in views:
+        assert np.array_equal(matrix._row_ranks_ge(view), searchsorted_ranks(view))
 
 
 def test_methods_on_one_matrix_share_one_column_rank_pass():
