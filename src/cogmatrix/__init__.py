@@ -41,7 +41,6 @@ from .ingest import (
 )
 from .matrix import GoldPairs, ScoreMatrix, load_matrix, normalize_min_max, save_matrix
 from .rescore import (
-    ALL_METHODS,
     RescoreMethod,
     apply,
     forward_rank,
@@ -54,7 +53,6 @@ from .rescore import (
     reverse_rank_matrix,
 )
 from .scorers import (
-    ALL_METRICS,
     MetricId,
     SeedLexicon,
     burstiness_score,
@@ -70,8 +68,6 @@ from .synth import SynthConfig, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_METHODS",
-    "ALL_METRICS",
     "Assignment",
     "GoldPairs",
     "LexiconSide",

@@ -45,9 +45,6 @@ from .synth import SynthConfig, generate
 
 log = logging.getLogger("cogmatrix")
 
-DEFAULT_METHODS = "baseline,rr,rr_fr_1step,rr_fr_2step"
-DEFAULT_METRICS = "phonetic,frequency"
-
 
 @dataclass
 class PipelineConfig:
@@ -66,8 +63,8 @@ class PipelineConfig:
     weights_file: str | None = None
     mode: str = "standard"
     k: int = 10_000
-    metrics: str = DEFAULT_METRICS
-    methods: str = DEFAULT_METHODS
+    metrics: str = "phonetic,frequency"
+    methods: str = "baseline,rr,rr_fr_1step,rr_fr_2step"
     weights: str = "learned"
     regularization: float = 1e-3
     epochs: int = 200
@@ -83,11 +80,18 @@ class PipelineConfig:
     keep_intermediates: bool = False
     out: str = "."
 
+    def __post_init__(self) -> None:
+        # Checked as the config is resolved, before any input is read or output written.
+        if self.seed < 0:
+            raise ValueError(f"config key 'seed': expected a non-negative int, got {self.seed!r}")
+        self.metric_ids()
+        self.method_ids()
+
     def metric_ids(self) -> tuple[MetricId, ...]:
-        return _parse_ids(MetricId, self.metrics, "at least one metric must be active")
+        return _parse_ids(MetricId, "metrics", self.metrics)
 
     def method_ids(self) -> tuple[RescoreMethod, ...]:
-        return _parse_ids(RescoreMethod, self.methods, "at least one method must be selected")
+        return _parse_ids(RescoreMethod, "methods", self.methods)
 
     def training_config(self) -> TrainingConfig:
         return TrainingConfig(
@@ -98,13 +102,15 @@ class PipelineConfig:
         )
 
 
-def _parse_ids(enum, value: str, empty_message: str) -> tuple:
-    """The members of ``enum`` named in the comma-separated ``value``, each
-    once, in the order they are first named."""
-    ids = tuple(dict.fromkeys(enum(tok.strip()) for tok in value.split(",") if tok.strip()))
-    if not ids:
-        raise ValueError(empty_message)
-    return ids
+def _parse_ids(enum, key: str, value: str) -> tuple:
+    """The members of ``enum`` named in the comma-separated ``value`` of config
+    key ``key``, each once, in the order they are first named."""
+    names = [tok.strip() for tok in value.split(",") if tok.strip()]
+    valid = [member.value for member in enum]
+    if not names or not set(names) <= set(valid):
+        raise ValueError(f"config key {key!r}: expected one or more of {', '.join(valid)}, "
+                         f"got {value!r}")
+    return tuple(dict.fromkeys(map(enum, names)))
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -408,7 +414,6 @@ def cmd_eval(run: RunWriter, args: argparse.Namespace) -> None:
 
 def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
     cfg = run.cfg
-    methods = cfg.method_ids()
     keep = cfg.keep_intermediates
 
     if cfg.source == "synth":
@@ -443,7 +448,7 @@ def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
     # One rescored matrix at a time: rescore, save if asked, and evaluate
     # each method, in report order, before the next one is built.
     rows = []
-    for method in sorted(methods, key=list(RescoreMethod).index):
+    for method in sorted(cfg.method_ids(), key=list(RescoreMethod).index):
         rows += _evaluate(run, {method: _rescore(run, method, baseline, keep)}, gold_eval)
     if cfg.assign:
         try:

@@ -18,9 +18,11 @@ column with a score >= s(i, j), so ranks start at 1 and tied entries all
 share the worst rank of their tie group.  Scores must be non-negative
 (normalize first): dividing a negative score by a large rank would raise it.
 
-Column ranks are the input matrix's cached ``reverse_ranks``: ``rr``,
-``rr_fr_1step`` and ``rr_fr_2step`` on one matrix share a single column pass.
-Row ranks are computed per row block by each method that needs them.
+Every method is row-local once the column ranks are known: ``_KERNELS`` holds
+one formula per method that writes a block of output rows, and ``apply``
+alone checks the scores, allocates the output and walks the blocks.  ``rr``,
+``rr_fr_1step`` and ``rr_fr_2step`` share the input's cached
+``reverse_ranks``, one column pass; ``fr`` never reads them.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ class RescoreMethod(str, enum.Enum):
     RR_FR_2STEP = "rr_fr_2step"
 
 
-ALL_METHODS = tuple(RescoreMethod)
-
-
 def forward_rank_matrix(m: ScoreMatrix) -> np.ndarray:
     """forward_rank for every cell: competitors along the cell's row."""
     s = m.scores
@@ -55,79 +54,81 @@ def reverse_rank_matrix(m: ScoreMatrix) -> np.ndarray:
     return m.reverse_ranks
 
 
-def _check_index(n: int, idx: int, kind: str) -> None:
-    if not 0 <= idx < n:
-        raise IndexError(f"{kind} index {idx} out of range for size {n}")
+def _check_cell(m: ScoreMatrix, i: int, j: int) -> None:
+    for kind, n, idx in (("row", m.n_rows, i), ("column", m.n_cols, j)):
+        if not 0 <= idx < n:
+            raise IndexError(f"{kind} index {idx} out of range for size {n}")
 
 
 def reverse_rank(m: ScoreMatrix, i: int, j: int) -> int:
     """Number of rows whose score against column j is >= s(i, j)."""
-    _check_index(m.n_rows, i, "row")
-    _check_index(m.n_cols, j, "column")
+    _check_cell(m, i, j)
     return int(_row_ranks_ge(m.scores[None, :, j])[0, i])
 
 
 def forward_rank(m: ScoreMatrix, i: int, j: int) -> int:
     """Number of columns whose score against row i is >= s(i, j)."""
-    _check_index(m.n_rows, i, "row")
-    _check_index(m.n_cols, j, "column")
+    _check_cell(m, i, j)
     return int(_row_ranks_ge(m.scores[None, i, :])[0, j])
 
 
-def _require_non_negative(m: ScoreMatrix) -> None:
-    if m.scores.size and float(m.scores.min()) < 0.0:
-        raise ValueError("rescoring requires non-negative scores")
+def _rr(m, rows, out):
+    return np.divide(m.scores[rows], m.reverse_ranks[rows], out=out[rows])
 
 
-def _divide_by_forward_ranks(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a`` divided by its forward ranks, into ``out`` (which may be ``a``:
-    a row block's ranks depend on that block alone)."""
-    for rows in _blocks(*a.shape):
-        np.divide(a[rows], _row_ranks_ge(a[rows]), out=out[rows])
-    return out
+def _fr(m, rows, out):
+    return np.divide(m.scores[rows], _row_ranks_ge(m.scores[rows]), out=out[rows])
 
 
-def rescore_rr(m: ScoreMatrix) -> ScoreMatrix:
-    """Divide every score by its reverse rank on the input matrix."""
-    _require_non_negative(m)
-    return m.with_scores(np.divide(m.scores, m.reverse_ranks))
+def _rr_fr_1step(m, rows, out):
+    # The float64 product of two ranks is exact below 2^53.
+    product = np.multiply(m.reverse_ranks[rows], _row_ranks_ge(m.scores[rows]), dtype=np.float64)
+    return np.divide(m.scores[rows], product, out=out[rows])
 
 
-def rescore_fr(m: ScoreMatrix) -> ScoreMatrix:
-    """Divide every score by its forward rank on the input matrix."""
-    _require_non_negative(m)
-    return m.with_scores(_divide_by_forward_ranks(m.scores, np.empty(m.shape)))
+def _rr_fr_2step(m, rows, out):
+    # ``fr`` of the ``rr`` rows, in place: a row block's ranks depend on it alone.
+    a = _rr(m, rows, out)
+    return np.divide(a, _row_ranks_ge(a), out=a)
 
 
-def rescore_rr_fr_1step(m: ScoreMatrix) -> ScoreMatrix:
-    """Divide by the product of both ranks, both taken on the input matrix."""
-    _require_non_negative(m)
-    s, rr = m.scores, m.reverse_ranks
-
-    def divide(rows):
-        # The float64 product of two ranks is exact below 2^53.
-        product = np.multiply(rr[rows], _row_ranks_ge(s[rows]), dtype=np.float64)
-        return np.divide(s[rows], product, out=product)
-
-    return m.with_scores(_by_row_blocks(*m.shape, divide))
-
-
-def rescore_rr_fr_2step(m: ScoreMatrix) -> ScoreMatrix:
-    """Reverse-rank rescore, then forward-rank rescore the adjusted scores."""
-    _require_non_negative(m)
-    adjusted = np.divide(m.scores, m.reverse_ranks)
-    return m.with_scores(_divide_by_forward_ranks(adjusted, adjusted))
-
-
-_DISPATCH = {
-    RescoreMethod.BASELINE: lambda m: m,
-    RescoreMethod.RR: rescore_rr,
-    RescoreMethod.FR: rescore_fr,
-    RescoreMethod.RR_FR_1STEP: rescore_rr_fr_1step,
-    RescoreMethod.RR_FR_2STEP: rescore_rr_fr_2step,
+# Method -> the formula that writes rows ``rows`` (a slice) of its output into ``out``.
+_KERNELS = {
+    RescoreMethod.RR: _rr,
+    RescoreMethod.FR: _fr,
+    RescoreMethod.RR_FR_1STEP: _rr_fr_1step,
+    RescoreMethod.RR_FR_2STEP: _rr_fr_2step,
 }
 
 
 def apply(method: RescoreMethod, m: ScoreMatrix) -> ScoreMatrix:
     """Run one rescoring method; ``baseline`` returns the input unchanged."""
-    return _DISPATCH[RescoreMethod(method)](m)
+    method = RescoreMethod(method)
+    if method is RescoreMethod.BASELINE:
+        return m
+    if m.scores.size and float(m.scores.min()) < 0.0:
+        raise ValueError("rescoring requires non-negative scores")
+    out = np.empty(m.shape)
+    for rows in _blocks(*m.shape):
+        _KERNELS[method](m, rows, out)
+    return m.with_scores(out)
+
+
+def rescore_rr(m: ScoreMatrix) -> ScoreMatrix:
+    """Divide every score by its reverse rank on the input matrix."""
+    return apply(RescoreMethod.RR, m)
+
+
+def rescore_fr(m: ScoreMatrix) -> ScoreMatrix:
+    """Divide every score by its forward rank on the input matrix."""
+    return apply(RescoreMethod.FR, m)
+
+
+def rescore_rr_fr_1step(m: ScoreMatrix) -> ScoreMatrix:
+    """Divide by the product of both ranks, both taken on the input matrix."""
+    return apply(RescoreMethod.RR_FR_1STEP, m)
+
+
+def rescore_rr_fr_2step(m: ScoreMatrix) -> ScoreMatrix:
+    """Reverse-rank rescore, then forward-rank rescore the adjusted scores."""
+    return apply(RescoreMethod.RR_FR_2STEP, m)

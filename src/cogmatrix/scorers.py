@@ -45,9 +45,6 @@ class MetricId(str, enum.Enum):
     PHONETIC = "phonetic"
 
 
-ALL_METRICS = tuple(MetricId)
-
-
 @dataclass(frozen=True)
 class SeedLexicon:
     """Translation bridge (L2 word -> L1 word) for context projection."""

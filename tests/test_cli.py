@@ -122,8 +122,12 @@ class TestRescoreCommand:
         run_cli("synth", "--out", syn, "--n-pairs", 4, "--seed", 1)
         rc = run_cli("rescore", "--out", tmp_path / "x", "--matrix", syn / "matrix.tsv",
                      "--methods", "rr,sideways")
-        assert rc != 0
-        assert "sideways" in capsys.readouterr().err
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "cogmatrix: error: config key 'methods': expected one or more of baseline, rr, fr, "
+            "rr_fr_1step, rr_fr_2step, got 'rr,sideways'\n"
+        )
+        assert not (tmp_path / "x").exists()
 
 
 class TestEvalCommand:
@@ -302,6 +306,36 @@ class TestFilePipeline:
         assert rc == 1
         assert capsys.readouterr().err == f"cogmatrix: error: {message}\n"
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (("synth", "--seed", -3), "config key 'seed': expected a non-negative int, got -3"),
+        (("pipeline", "--source", "synth", "--seed", -1),
+         "config key 'seed': expected a non-negative int, got -1"),
+        (("pipeline", "--source", "synth", "--metrics", "phonetic,foo"),
+         "config key 'metrics': expected one or more of context, frequency, temporal, "
+         "burstiness, phonetic, got 'phonetic,foo'"),
+        (("pipeline", "--source", "files", "--metrics", " , "),
+         "config key 'metrics': expected one or more of context, frequency, temporal, "
+         "burstiness, phonetic, got ' , '"),
+        (("pipeline", "--source", "files", "--methods", "rr,foo"),
+         "config key 'methods': expected one or more of baseline, rr, fr, rr_fr_1step, "
+         "rr_fr_2step, got 'rr,foo'"),
+    ])
+    def test_bad_config_value_fails_before_input_or_output(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "run"
+        # The gold file does not exist: reading any input first would fail on it.
+        rc = run_cli(*argv, "--out", out, *(("--gold", tmp_path / "missing.tsv")
+                                            if argv[0] == "pipeline" else ()))
+        assert rc == 1
+        assert capsys.readouterr().err == f"cogmatrix: error: {message}\n"
+        assert not out.exists()
+
+    def test_bad_config_file_value_names_its_key(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("source = synth\nmethods = rr,sideways\n", encoding="utf-8")
+        assert run_cli("pipeline", "--config", config, "--out", tmp_path / "run") == 1
+        assert "config key 'methods'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_large_mode_eval_universe_excludes_seed_words(self, corpus, tmp_path):
         common = ("--gold", corpus / "gold.tsv",

@@ -168,6 +168,14 @@ class TestApplyDispatch:
             apply(RescoreMethod.RR_FR_2STEP, m).scores, rescore_fr(rescore_rr(m)).scores
         )
 
+    def test_fr_and_baseline_never_compute_column_ranks(self):
+        m = mat(FIXTURE)
+        apply("fr", m)
+        apply("baseline", m)
+        assert "reverse_ranks" not in vars(m)
+        apply("rr", m)
+        assert "reverse_ranks" in vars(m)
+
     def test_accepts_method_names(self):
         m = mat(FIXTURE)
         assert np.array_equal(apply("rr", m).scores, rescore_rr(m).scores)
