@@ -82,8 +82,16 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         # Checked as the config is resolved, before any input is read or output written.
-        if self.seed < 0:
-            raise ValueError(f"config key 'seed': expected a non-negative int, got {self.seed!r}")
+        for key, ok, expected in (
+            ("seed", self.seed >= 0, "a non-negative int"),
+            ("k", self.mode != "large" or self.k >= 1, "an int >= 1 in large mode"),
+            ("seed_fraction", 0.0 < self.seed_fraction < 1.0, "a number in (0, 1)"),
+            ("epochs", self.epochs > 0, "a positive int"),
+            ("negative_ratio", self.negative_ratio > 0, "a positive int"),
+            ("max_side", self.max_side >= 1, "an int >= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"config key {key!r}: expected {expected}, got {getattr(self, key)!r}")
         self.metric_ids()
         self.method_ids()
 

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .ingest import SeedSet, _records
-from .matrix import ScoreMatrix, _blocks, _normalize_in_place, matrices_share_labels
+from .matrix import ScoreMatrix, _blocks, _normalize_in_place, _run_blocks, matrices_share_labels
 from .scorers import MetricId
 
 # Constant step size for the full-batch subgradient updates.  Deterministic
@@ -177,9 +177,12 @@ def combine(
         elif (m.row_labels, m.col_labels) != labels:
             raise ValueError(_LABELS_DIFFER)
         weight = weights.weights[metric]
-        for rows in _blocks(*total.shape):
+
+        def add(rows):
             total[rows] += weight * m.scores[rows]
-        del m
+
+        _run_blocks(add, _blocks(*total.shape))
+        del m  # also empties ``add``'s reference to it
     return ScoreMatrix(*labels, _normalize_in_place(total))
 
 

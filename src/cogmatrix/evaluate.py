@@ -14,20 +14,21 @@ the hit that starts the run, neither for F1 nor for the interpolated
 precision at any recall level.  ``hit_curve`` therefore returns only those
 hit points plus the sweep's last, with summaries equal to ``pr_curve``'s bit
 for bit.  It ranks each gold pair by counting the cells that precede it, one
-sorted block of rows at a time, in O(B + G) memory for blocks of B cells and
-G gold pairs.  ``compare_methods`` evaluates and writes curve files with
-``hit_curve``.
+sorted block of rows at a time, in O(B + G) memory per block in flight for
+blocks of B cells and G gold pairs.  ``compare_methods`` evaluates and writes
+curve files with ``hit_curve``.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .matrix import GoldPairs, ScoreMatrix, _blocks, _label_ranks, _read_only
+from .matrix import GoldPairs, ScoreMatrix, _blocks, _label_ranks, _read_only, _run_blocks
 from .rescore import RescoreMethod
 
 
@@ -113,7 +114,8 @@ def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
     """The points of ``pr_curve(m, gold)`` where a gold pair is hit, plus its last.
 
     A gold cell's rank is one plus the count of cells before it in the sweep.
-    Rows are walked in label order, in blocks of about ``_BLOCK_CELLS`` cells.
+    Rows are walked in label order, in blocks that ``_run_blocks`` runs in
+    parallel; each block adds its counts into the total.
     Two searches of the gold scores in a block's sorted scores count its
     higher cells, and its equal ones for gold rows after it.  Only a gold cell
     tied within its own block compares cells: the equal ones in the block's
@@ -126,12 +128,14 @@ def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
     row_order = np.argsort(row_rank)
     gold_scores, gold_pos, gold_col = m.scores[rows, cols], row_rank[rows], col_rank[cols]
     before = np.zeros(len(rows), dtype=np.int64)
-    for block in _blocks(*m.shape):
+    adding = threading.Lock()
+
+    def count(block):
         cells = m.scores[row_order[block]].ravel()
         cells.sort()
         below = np.searchsorted(cells, gold_scores, side="left")
         upto = np.searchsorted(cells, gold_scores, side="right")
-        before += cells.size - upto + np.where(gold_pos >= block.stop, upto - below, 0)
+        part = cells.size - upto + np.where(gold_pos >= block.stop, upto - below, 0)
         inside = (gold_pos >= block.start) & (gold_pos < block.stop)
         tied = np.flatnonzero(inside & (upto - below > 1))
         block_scores = m.scores[row_order[block]] if tied.size else None
@@ -141,7 +145,11 @@ def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
             equal = block_scores[: row.max() + 1] == score
             per_row = np.count_nonzero(equal, axis=1)
             left = np.count_nonzero(equal[row] & (col_rank < gold_col[same, None]), axis=1)
-            before[same] += np.cumsum(per_row)[row] - per_row[row] + left
+            part[same] += np.cumsum(per_row)[row] - per_row[row] + left
+        with adding:  # integer counts: their sum does not depend on the order
+            np.add(before, part, out=before)
+
+    _run_blocks(count, _blocks(*m.shape))
     order = np.argsort(before)  # the counts are distinct, in sweep order
     hits = np.append(np.arange(1, len(order) + 1), len(order))
     positions = np.append(before[order] + 1, m.scores.size)

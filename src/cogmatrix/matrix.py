@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -52,7 +54,12 @@ def _all_finite(a: np.ndarray) -> bool:
     return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
-# Cells per block of a blockwise kernel (scoring, rescoring).  A kernel's
+# Threads that run a blockwise kernel: one per CPU in the process's affinity
+# mask, so ``taskset`` limits them.  BLAS thread settings do not.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+# Cells per block of a blockwise kernel (scoring, rescoring, evaluation),
+# summed over the ``_WORKERS`` blocks in flight at once.  A kernel's
 # temporaries are a few times one block, so it needs little memory beyond
 # its result matrix.
 _BLOCK_CELLS = 1 << 18
@@ -60,19 +67,76 @@ _BLOCK_CELLS = 1 << 18
 
 def _blocks(n: int, width: int) -> list[slice]:
     """Slices covering ``range(n)`` for items of ``width`` cells each: as few
-    as keep a slice within about ``_BLOCK_CELLS`` cells, at least one item
-    long, and of equal length but for the last.  The largest block sets a
-    kernel's peak memory, so a short last block would only waste it."""
-    n_blocks = max(1, -(-n * width // _BLOCK_CELLS))
+    as keep a slice within about ``_BLOCK_CELLS / _WORKERS`` cells, at least
+    one item long, and of equal length but for the last.  The largest blocks
+    set a kernel's peak memory, so a short last block would only waste it.
+    A count above one is rounded up to a multiple of ``_WORKERS``, so that
+    every worker stays busy to the end of a few-block kernel."""
+    n_blocks = max(1, -(-n * width * _WORKERS // _BLOCK_CELLS))
+    if n_blocks > 1:
+        n_blocks = -(-n_blocks // _WORKERS) * _WORKERS
     step = max(1, -(-n // n_blocks))
     return [slice(start, start + step) for start in range(0, n, step)]
+
+
+_running = threading.local()
+
+
+@cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(threads, thread_name_prefix="cogmatrix-blocks")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the pool's threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _run_blocks(fn, blocks) -> None:
+    """Call ``fn(block)`` for every block: the calling thread and
+    ``_WORKERS - 1`` pool threads each take the next block when done with one.
+    Kernels release the GIL in numpy and write rows or columns of their own,
+    so no result depends on which thread ran a block.  One CPU, one block, or
+    a call from inside a block (which could wait on itself) runs serially.
+    Once a block raises, no block starts; the first exception is raised when
+    every started block has finished."""
+    blocks = list(blocks)
+    if _WORKERS == 1 or len(blocks) <= 1 or getattr(_running, "block", False):
+        for block in blocks:
+            fn(block)
+        return
+    todo, take, failed = iter(blocks), threading.Lock(), []
+
+    def work():
+        _running.block = True
+        try:
+            while not failed:
+                with take:
+                    block = next(todo, None)
+                if block is None:
+                    return
+                fn(block)
+        except BaseException as exc:  # raised in the calling thread below
+            failed.append(exc)
+        finally:
+            _running.block = False
+
+    pool = _pool(_WORKERS - 1)
+    helpers = [pool.submit(work) for _ in range(min(_WORKERS, len(blocks)) - 1)]
+    work()
+    for helper in helpers:
+        helper.result()
+    if failed:
+        raise failed[0]
 
 
 def _by_row_blocks(n1: int, n2: int, kernel, dtype=np.float64) -> np.ndarray:
     """The n1 x n2 matrix whose rows ``rows`` (a slice) are ``kernel(rows)``."""
     out = np.empty((n1, n2), dtype=dtype)
-    for rows in _blocks(n1, n2):
+
+    def fill(rows):
         out[rows] = kernel(rows)
+
+    _run_blocks(fill, _blocks(n1, n2))
     return out
 
 
@@ -121,7 +185,8 @@ class ScoreMatrix:
 
     Immutable: the scores array is made read-only at construction, so
     instances are safe to share across threads.  The column ranks that the
-    ``rr`` rescorers divide by are computed on first use and kept as
+    ``rr`` rescorers divide by are computed on first use, in column blocks
+    run by ``_run_blocks`` on every CPU of the process, and kept as
     ``reverse_ranks`` (4 bytes per cell), so every method shares one pass.
     """
 
@@ -172,8 +237,11 @@ class ScoreMatrix:
         row ranks of a contiguous transposed copy of one block of columns at
         a time."""
         ranks = np.empty(self.shape, dtype=_rank_dtype(self.n_rows))
-        for cols in _blocks(self.n_cols, self.n_rows):
+
+        def rank(cols):
             ranks[:, cols] = _row_ranks_ge(self.scores[:, cols].T.copy()).T
+
+        _run_blocks(rank, _blocks(self.n_cols, self.n_rows))
         return _read_only(ranks)
 
     def with_scores(self, scores: np.ndarray) -> "ScoreMatrix":

@@ -20,9 +20,10 @@ share the worst rank of their tie group.  Scores must be non-negative
 
 Every method is row-local once the column ranks are known: ``_KERNELS`` holds
 one formula per method that writes a block of output rows, and ``apply``
-alone checks the scores, allocates the output and walks the blocks.  ``rr``,
-``rr_fr_1step`` and ``rr_fr_2step`` share the input's cached
-``reverse_ranks``, one column pass; ``fr`` never reads them.
+alone checks the scores, allocates the output and runs the blocks (in
+parallel, by ``matrix._run_blocks``).  ``rr``, ``rr_fr_1step`` and
+``rr_fr_2step`` share the input's cached ``reverse_ranks``, one column pass;
+``fr`` never reads them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import enum
 
 import numpy as np
 
-from .matrix import ScoreMatrix, _blocks, _by_row_blocks, _rank_dtype, _row_ranks_ge
+from .matrix import ScoreMatrix, _blocks, _by_row_blocks, _rank_dtype, _row_ranks_ge, _run_blocks
 
 
 class RescoreMethod(str, enum.Enum):
@@ -108,9 +109,11 @@ def apply(method: RescoreMethod, m: ScoreMatrix) -> ScoreMatrix:
         return m
     if m.scores.size and float(m.scores.min()) < 0.0:
         raise ValueError("rescoring requires non-negative scores")
+    if method is not RescoreMethod.FR:
+        m.reverse_ranks  # the column pass runs its own blocks in parallel, before the rows'
+    kernel = _KERNELS[method]
     out = np.empty(m.shape)
-    for rows in _blocks(*m.shape):
-        _KERNELS[method](m, rows, out)
+    _run_blocks(lambda rows: kernel(m, rows, out), _blocks(*m.shape))
     return m.with_scores(out)
 
 

@@ -320,6 +320,16 @@ class TestFilePipeline:
         (("pipeline", "--source", "files", "--methods", "rr,foo"),
          "config key 'methods': expected one or more of baseline, rr, fr, rr_fr_1step, "
          "rr_fr_2step, got 'rr,foo'"),
+        (("pipeline", "--source", "files", "--mode", "large", "--k", 0),
+         "config key 'k': expected an int >= 1 in large mode, got 0"),
+        (("pipeline", "--source", "files", "--seed-fraction", 2),
+         "config key 'seed_fraction': expected a number in (0, 1), got 2.0"),
+        (("pipeline", "--source", "files", "--epochs", 0),
+         "config key 'epochs': expected a positive int, got 0"),
+        (("pipeline", "--source", "files", "--negative-ratio", -2),
+         "config key 'negative_ratio': expected a positive int, got -2"),
+        (("pipeline", "--source", "synth", "--max-side", -1),
+         "config key 'max_side': expected an int >= 1, got -1"),
     ])
     def test_bad_config_value_fails_before_input_or_output(self, tmp_path, capsys, argv, message):
         out = tmp_path / "run"
