@@ -22,17 +22,14 @@ from .evaluate import (
     ReportRow,
     compare_methods,
     hit_curve,
-    iap11,
     interpolated_precision,
     load_curve,
-    max_f1,
     pr_curve,
     save_curve,
     save_report,
 )
 from .ingest import (
     LexiconSide,
-    SeedSet,
     build_universe,
     load_gold_pairs,
     load_lexicon,
@@ -45,12 +42,7 @@ from .rescore import (
     apply,
     forward_rank,
     forward_rank_matrix,
-    rescore_fr,
-    rescore_rr,
-    rescore_rr_fr_1step,
-    rescore_rr_fr_2step,
     reverse_rank,
-    reverse_rank_matrix,
 )
 from .scorers import (
     MetricId,
@@ -78,7 +70,6 @@ __all__ = [
     "ResourceLimitError",
     "ScoreMatrix",
     "SeedLexicon",
-    "SeedSet",
     "SynthConfig",
     "TrainingConfig",
     "WeightVector",
@@ -94,7 +85,6 @@ __all__ = [
     "generate",
     "hit_curve",
     "hungarian_max",
-    "iap11",
     "interpolated_precision",
     "levenshtein",
     "load_curve",
@@ -103,16 +93,10 @@ __all__ = [
     "load_matrix",
     "load_weights",
     "max_assignment_curve",
-    "max_f1",
     "normalize_min_max",
     "phonetic_score",
     "pr_curve",
-    "rescore_fr",
-    "rescore_rr",
-    "rescore_rr_fr_1step",
-    "rescore_rr_fr_2step",
     "reverse_rank",
-    "reverse_rank_matrix",
     "save_assignment",
     "save_curve",
     "save_gold_pairs",

@@ -66,14 +66,14 @@ def hungarian_max(m: ScoreMatrix, max_side: int = DEFAULT_MAX_SIDE) -> Assignmen
         raise ResourceLimitError(
             f"matrix {m.n_rows}x{m.n_cols} exceeds the assignment size limit {max_side}"
         )
-    if m.n_rows > m.n_cols:
-        # The solver would transpose a tall negated copy into a second one;
-        # negating into the transposed layout makes one copy in all.
-        cols, rows = linear_sum_assignment(np.negative(m.scores.T, order="C"))
-        order = np.argsort(rows)
-        rows, cols = rows[order], cols[order]
-    else:
-        rows, cols = linear_sum_assignment(-m.scores)
+    # The solver would transpose a tall negated copy into a second one;
+    # negating the wide orientation into C order makes one copy in all.
+    tall = m.n_rows > m.n_cols
+    rows, cols = linear_sum_assignment(np.negative(m.scores.T if tall else m.scores, order="C"))
+    if tall:
+        rows, cols = cols, rows
+    order = np.argsort(rows)
+    rows, cols = rows[order], cols[order]
     scores = m.scores[rows, cols]
     assignment = Assignment(
         pairs=tuple(zip(rows.tolist(), cols.tolist())),

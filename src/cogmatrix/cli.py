@@ -46,6 +46,13 @@ from .synth import SynthConfig, generate
 log = logging.getLogger("cogmatrix")
 
 
+_CHOICES = {
+    "source": ("files", "synth"),
+    "mode": ("standard", "large"),
+    "weights": ("learned", "uniform"),
+}
+
+
 @dataclass
 class PipelineConfig:
     """Resolved configuration; field names double as config-file keys."""
@@ -83,6 +90,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         # Checked as the config is resolved, before any input is read or output written.
         for key, ok, expected in (
+            *((key, getattr(self, key) in values, f"one of {', '.join(values)}")
+              for key, values in _CHOICES.items()),
             ("seed", self.seed >= 0, "a non-negative int"),
             ("k", self.mode != "large" or self.k >= 1, "an int >= 1 in large mode"),
             ("seed_fraction", 0.0 < self.seed_fraction < 1.0, "a number in (0, 1)"),
@@ -94,6 +103,8 @@ class PipelineConfig:
                 raise ValueError(f"config key {key!r}: expected {expected}, got {getattr(self, key)!r}")
         self.metric_ids()
         self.method_ids()
+        self.training_config()
+        _synth_config(self)
 
     def metric_ids(self) -> tuple[MetricId, ...]:
         return _parse_ids(MetricId, "metrics", self.metrics)
@@ -252,7 +263,7 @@ def _load_corpus(run: RunWriter, cfg: PipelineConfig):
     gold = _load_gold(run)
     lexica = (_load_side(run, cfg, 1), _load_side(run, cfg, 2))
     seed, gold_eval = split_seed(gold, cfg.seed_fraction, cfg.seed)
-    return gold, lexica, seed, gold_eval, SeedLexicon.from_pairs(seed.pairs.pairs)
+    return gold, lexica, seed, gold_eval, SeedLexicon.from_pairs(seed.pairs)
 
 
 class _OnAccess(Mapping):
@@ -321,7 +332,7 @@ def _assign(run: RunWriter, matrix, gold) -> ReportRow:
     return ReportRow("max_assignment", curve.max_f1, curve.iap11)
 
 
-def _evaluate(run: RunWriter, matrices: dict, gold) -> list[ReportRow]:
+def _evaluate(run: RunWriter, matrices: Mapping, gold) -> list[ReportRow]:
     """Report rows for ``matrices``; each one's curve is saved as ``curve_<name>.tsv``."""
     rows = compare_methods(matrices, gold, out_dir=run.out_dir)
     run.outputs += [f"curve_{row.method}.tsv" for row in rows]
@@ -427,8 +438,7 @@ def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
     if cfg.source == "synth":
         baseline, gold_eval = generate(_synth_config(cfg))
         save_gold_pairs(gold_eval, run.out_path("gold.tsv"))
-    elif cfg.source == "files":
-        training = cfg.training_config()  # a bad value fails before any output
+    else:
         gold, lexica, seed, gold_eval, bridge = _load_corpus(run, cfg)
         if cfg.weights == "uniform":
             weights = uniform_weights(cfg.metric_ids())
@@ -440,7 +450,7 @@ def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
             matrices = _universe_matrices(
                 run, train_cfg, lexica, bridge, gold, keep, prefix="train_"
             )
-            weights = train_weights(dict(matrices), seed, training)
+            weights = train_weights(dict(matrices), seed, cfg.training_config())
         save_weights(weights, run.out_path("weights.tsv"))
 
         # Candidates for evaluation come from the eval split only: the seed
@@ -448,16 +458,13 @@ def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
         # even as frequent words in the large-mode top k.  ``combine``
         # reads one metric at a time, so each matrix is scored, added into
         # the baseline and dropped before the next one is scored.
-        matrices = _universe_matrices(run, cfg, lexica, bridge, gold_eval, keep, exclude=seed.pairs)
+        matrices = _universe_matrices(run, cfg, lexica, bridge, gold_eval, keep, exclude=seed)
         baseline = combine(matrices, weights)
-    else:
-        raise ValueError(f"unknown source {cfg.source!r}; expected 'files' or 'synth'")
 
-    # One rescored matrix at a time: rescore, save if asked, and evaluate
-    # each method, in report order, before the next one is built.
-    rows = []
-    for method in sorted(cfg.method_ids(), key=list(RescoreMethod).index):
-        rows += _evaluate(run, {method: _rescore(run, method, baseline, keep)}, gold_eval)
+    # ``compare_methods`` reads each method once, so each is rescored, saved
+    # if asked and evaluated before the next one is built.
+    rescored = _OnAccess(cfg.method_ids(), lambda method: _rescore(run, method, baseline, keep))
+    rows = _evaluate(run, rescored, gold_eval)
     if cfg.assign:
         try:
             rows.append(_assign(run, baseline, gold_eval))
@@ -488,12 +495,6 @@ _SUBCOMMANDS = {
     "pipeline": (cmd_pipeline, "full run: score, train, combine, rescore, assign, eval",
                  (*_INPUTS, *_UNIVERSE, *_TRAINING, *_SYNTH,
                   "source", "metrics", "methods", "weights", "max_side")),
-}
-
-_CHOICES = {
-    "source": ("files", "synth"),
-    "mode": ("standard", "large"),
-    "weights": ("learned", "uniform"),
 }
 
 _HELP = {

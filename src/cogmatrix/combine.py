@@ -16,8 +16,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .ingest import SeedSet, _records
-from .matrix import ScoreMatrix, _blocks, _normalize_in_place, _run_blocks, matrices_share_labels
+from .ingest import _records
+from .matrix import GoldPairs, ScoreMatrix, _blocks, _normalize_in_place, _run_blocks
 from .scorers import MetricId
 
 # Constant step size for the full-batch subgradient updates.  Deterministic
@@ -64,14 +64,6 @@ def uniform_weights(metrics: Iterable[MetricId]) -> WeightVector:
 _LABELS_DIFFER = "metric matrices must share identical row and column labels"
 
 
-def _check_shared_labels(metric_matrices: Mapping[MetricId, ScoreMatrix]) -> ScoreMatrix:
-    if not metric_matrices:
-        raise ValueError("no metric matrices given")
-    if not matrices_share_labels(metric_matrices.values()):
-        raise ValueError(_LABELS_DIFFER)
-    return next(iter(metric_matrices.values()))
-
-
 def _sample_negative_indices(
     rng: np.random.Generator, rows: np.ndarray, cols: np.ndarray, count: int
 ) -> list[tuple[int, int]]:
@@ -89,7 +81,7 @@ def _sample_negative_indices(
 
 def train_weights(
     metric_matrices: Mapping[MetricId, ScoreMatrix],
-    seed: SeedSet,
+    seed: GoldPairs,
     cfg: TrainingConfig = TrainingConfig(),
 ) -> WeightVector:
     """Learn one weight per metric from the seed pairs.
@@ -99,7 +91,12 @@ def train_weights(
     columns that no seed pair touches.  Training order is fixed, so identical
     inputs and config produce identical weights.
     """
-    first = _check_shared_labels(metric_matrices)
+    if not metric_matrices:
+        raise ValueError("no metric matrices given")
+    first = next(iter(metric_matrices.values()))
+    for m in metric_matrices.values():
+        if (m.row_labels, m.col_labels) != (first.row_labels, first.col_labels):
+            raise ValueError(_LABELS_DIFFER)
     metrics = sorted(metric_matrices, key=lambda m: m.value)
 
     missing = sorted(

@@ -3,9 +3,10 @@
 The curve protocol: sort every candidate pair by score descending (ties broken
 by row label, then column label, as Python strings) and walk down the list;
 the prefix of length k gives the point (threshold, hits/k, hits/|gold|).  Two
-summaries are reported per curve: MaxF1, the best harmonic mean of precision
-and recall on the curve, and the 11-point interpolated average precision, the
-mean of the interpolated precision at recall 0.0, 0.1, ..., 1.0.
+summaries are reported per curve, as properties of ``PRCurve``: ``max_f1``,
+the best harmonic mean of precision and recall on the curve, and ``iap11``,
+the 11-point interpolated average precision, the mean of the interpolated
+precision at recall 0.0, 0.1, ..., 1.0.
 
 ``pr_curve`` materialises that sweep, one point per candidate pair.  Both
 summaries depend only on the points where a gold pair is hit: between two
@@ -58,11 +59,21 @@ class PRCurve:
 
     @property
     def max_f1(self) -> float:
-        return max_f1(self)
+        """Maximum harmonic mean of precision and recall over the curve."""
+        if len(self) == 0:
+            raise ValueError("empty curve")
+        p, r = self.precisions, self.recalls
+        denom = p + r
+        f1 = np.divide(2.0 * p * r, denom, out=np.zeros_like(denom), where=denom > 0)
+        return float(f1.max())
 
     @property
     def iap11(self) -> float:
-        return iap11(self)
+        """Mean interpolated precision at recall 0.0, 0.1, ..., 1.0."""
+        if len(self) == 0:
+            raise ValueError("empty curve")
+        levels = np.arange(11) / 10.0
+        return float(np.mean([interpolated_precision(self, r) for r in levels]))
 
 
 class ReportRow(NamedTuple):
@@ -167,24 +178,6 @@ def interpolated_precision(curve: PRCurve, r: float) -> float:
     return float(qualifying.max())
 
 
-def iap11(curve: PRCurve) -> float:
-    """Mean interpolated precision at recall 0.0, 0.1, ..., 1.0."""
-    if len(curve) == 0:
-        raise ValueError("empty curve")
-    levels = np.arange(11) / 10.0
-    return float(np.mean([interpolated_precision(curve, r) for r in levels]))
-
-
-def max_f1(curve: PRCurve) -> float:
-    """Maximum harmonic mean of precision and recall over the curve."""
-    if len(curve) == 0:
-        raise ValueError("empty curve")
-    p, r = curve.precisions, curve.recalls
-    denom = p + r
-    f1 = np.divide(2.0 * p * r, denom, out=np.zeros_like(denom), where=denom > 0)
-    return float(f1.max())
-
-
 def compare_methods(
     matrices: Mapping[RescoreMethod | str, ScoreMatrix],
     gold: GoldPairs,
@@ -207,7 +200,7 @@ def compare_methods(
     rows = []
     for key in keys:
         curve = hit_curve(matrices[key], gold)
-        rows.append(ReportRow(name_of(key), max_f1(curve), iap11(curve)))
+        rows.append(ReportRow(name_of(key), curve.max_f1, curve.iap11))
         if out_dir is not None:
             save_curve(curve, Path(out_dir) / f"curve_{name_of(key)}.tsv", name_of(key))
     return rows

@@ -121,16 +121,6 @@ class LexiconSide:
         return int(self.cooc_word_totals.sum())
 
 
-@dataclass(frozen=True)
-class SeedSet:
-    """Known pairs reserved for weight training, disjoint from evaluation."""
-
-    pairs: GoldPairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
 # Data lines are read and converted in chunks of about this many characters,
 # so a loader holds little beyond its result.
 _CHUNK_CHARS = 1 << 16
@@ -425,7 +415,7 @@ def save_gold_pairs(gold: GoldPairs, path: str | Path, comments: tuple[str, ...]
             f.write(f"{l1}\t{l2}\n")
 
 
-def split_seed(gold: GoldPairs, fraction: float, rng_seed: int) -> tuple[SeedSet, GoldPairs]:
+def split_seed(gold: GoldPairs, fraction: float, rng_seed: int) -> tuple[GoldPairs, GoldPairs]:
     """Partition gold pairs into a training seed and an evaluation remainder.
 
     The seed gets ``floor(fraction * len(gold))`` pairs, chosen by a seeded
@@ -441,7 +431,7 @@ def split_seed(gold: GoldPairs, fraction: float, rng_seed: int) -> tuple[SeedSet
     perm = rng.permutation(len(ordered))
     seed_pairs = frozenset(ordered[i] for i in perm[:n_seed])
     eval_pairs = frozenset(ordered[i] for i in perm[n_seed:])
-    return SeedSet(GoldPairs(seed_pairs)), GoldPairs(eval_pairs)
+    return GoldPairs(seed_pairs), GoldPairs(eval_pairs)
 
 
 def build_universe(

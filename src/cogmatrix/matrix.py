@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -409,8 +408,3 @@ def _read_v2(f, n1: int, n2: int, bad) -> ScoreMatrix:
             f"column {col_labels[j]!r}",
         )
     return ScoreMatrix(row_labels, col_labels, scores)
-
-
-def matrices_share_labels(matrices: Iterable[ScoreMatrix]) -> bool:
-    """True when all matrices have identical row and column labels."""
-    return len({(m.row_labels, m.col_labels) for m in matrices}) <= 1

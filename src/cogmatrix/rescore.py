@@ -18,12 +18,14 @@ column with a score >= s(i, j), so ranks start at 1 and tied entries all
 share the worst rank of their tie group.  Scores must be non-negative
 (normalize first): dividing a negative score by a large rank would raise it.
 
-Every method is row-local once the column ranks are known: ``_KERNELS`` holds
-one formula per method that writes a block of output rows, and ``apply``
-alone checks the scores, allocates the output and runs the blocks (in
-parallel, by ``matrix._run_blocks``).  ``rr``, ``rr_fr_1step`` and
-``rr_fr_2step`` share the input's cached ``reverse_ranks``, one column pass;
-``fr`` never reads them.
+``apply(method, m)`` is the one way to run a method.  Every method is
+row-local once the column ranks are known: ``_KERNELS`` holds one formula
+per method that writes a block of output rows, and ``apply`` alone checks
+the scores, allocates the output and runs the blocks (in parallel, by
+``matrix._run_blocks``).  ``rr``, ``rr_fr_1step`` and ``rr_fr_2step`` share
+the input's cached ``ScoreMatrix.reverse_ranks`` (every cell's column rank,
+one column pass); ``fr`` never reads them.  ``forward_rank_matrix`` gives
+every cell's row rank.
 """
 
 from __future__ import annotations
@@ -47,12 +49,6 @@ def forward_rank_matrix(m: ScoreMatrix) -> np.ndarray:
     """forward_rank for every cell: competitors along the cell's row."""
     s = m.scores
     return _by_row_blocks(*m.shape, lambda rows: _row_ranks_ge(s[rows]), _rank_dtype(m.n_cols))
-
-
-def reverse_rank_matrix(m: ScoreMatrix) -> np.ndarray:
-    """reverse_rank for every cell: competitors down the cell's column.  This
-    is the matrix's own read-only ``reverse_ranks``, computed once."""
-    return m.reverse_ranks
 
 
 def _check_cell(m: ScoreMatrix, i: int, j: int) -> None:
@@ -116,22 +112,3 @@ def apply(method: RescoreMethod, m: ScoreMatrix) -> ScoreMatrix:
     _run_blocks(lambda rows: kernel(m, rows, out), _blocks(*m.shape))
     return m.with_scores(out)
 
-
-def rescore_rr(m: ScoreMatrix) -> ScoreMatrix:
-    """Divide every score by its reverse rank on the input matrix."""
-    return apply(RescoreMethod.RR, m)
-
-
-def rescore_fr(m: ScoreMatrix) -> ScoreMatrix:
-    """Divide every score by its forward rank on the input matrix."""
-    return apply(RescoreMethod.FR, m)
-
-
-def rescore_rr_fr_1step(m: ScoreMatrix) -> ScoreMatrix:
-    """Divide by the product of both ranks, both taken on the input matrix."""
-    return apply(RescoreMethod.RR_FR_1STEP, m)
-
-
-def rescore_rr_fr_2step(m: ScoreMatrix) -> ScoreMatrix:
-    """Reverse-rank rescore, then forward-rank rescore the adjusted scores."""
-    return apply(RescoreMethod.RR_FR_2STEP, m)

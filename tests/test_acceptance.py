@@ -57,7 +57,7 @@ def test_rank_oracle_equivalence():
         # oracle: materialize every pairwise comparison of the set definition
         rr_oracle = (scores[:, None, :] >= scores[None, :, :]).sum(axis=0)
         fr_oracle = (scores[:, :, None] >= scores[:, None, :]).sum(axis=1)
-        assert np.array_equal(cgm.reverse_rank_matrix(m), rr_oracle)
+        assert np.array_equal(m.reverse_ranks, rr_oracle)
         assert np.array_equal(cgm.forward_rank_matrix(m), fr_oracle)
         # spot-check the literal enumeration and the single-entry operations
         for _ in range(3):
@@ -79,8 +79,8 @@ def test_rank_oracle_equivalence():
 def test_rescoring_fixtures():
     """The 2x2 worked examples match to machine precision."""
     m = _mat([[0.9, 0.2], [0.5, 0.7]])
-    rr_ok = cgm.rescore_rr(m).scores.tolist() == [[0.9, 0.1], [0.25, 0.7]]
-    two_ok = cgm.rescore_rr_fr_2step(m).scores.tolist() == [[0.9, 0.05], [0.125, 0.7]]
+    rr_ok = cgm.apply("rr", m).scores.tolist() == [[0.9, 0.1], [0.25, 0.7]]
+    two_ok = cgm.apply("rr_fr_2step", m).scores.tolist() == [[0.9, 0.05], [0.125, 0.7]]
     _verdict("rescoring fixtures", rr_ok and two_ok)
 
 
@@ -130,8 +130,8 @@ def test_evaluation_fixtures():
     m = cgm.ScoreMatrix(("a", "b"), ("u", "v"), np.array([[4.0, 3.0], [1.0, 2.0]]))
     gold = cgm.GoldPairs(frozenset({("a", "u"), ("b", "v")}))
     curve = cgm.pr_curve(m, gold)
-    f1_ok = cgm.max_f1(curve) == 0.8
-    iap = cgm.iap11(curve)
+    f1_ok = curve.max_f1 == 0.8
+    iap = curve.iap11
     iap_ok = iap == (6 * 1.0 + 5 * (2 / 3)) / 11 and abs(iap - 28 / 33) < 1e-15
 
     rng = np.random.default_rng(31)
@@ -149,7 +149,7 @@ def test_evaluation_fixtures():
     _verdict(
         "evaluation fixtures",
         f1_ok and iap_ok and mono_ok,
-        f"max_f1={cgm.max_f1(curve)}, iap11={iap!r}",
+        f"max_f1={curve.max_f1}, iap11={iap!r}",
     )
 
 
@@ -157,7 +157,7 @@ def _method_iaps(matrix, gold, methods):
     out = {}
     for method in methods:
         curve = cgm.hit_curve(cgm.apply(method, matrix), gold)
-        out[method] = (cgm.iap11(curve), cgm.max_f1(curve))
+        out[method] = (curve.iap11, curve.max_f1)
     return out
 
 
@@ -239,7 +239,7 @@ def test_performance_envelope():
         cgm.SynthConfig(n_pairs=10_000, noise_sigma=0.3, signal_mu=1.0, rng_seed=0)
     )
     start = time.monotonic()
-    out = cgm.rescore_rr_fr_2step(matrix)
+    out = cgm.apply("rr_fr_2step", matrix)
     elapsed = time.monotonic() - start
     peak_gib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024**2
     ok = out.shape == (10_000, 10_000) and elapsed < 600.0 and peak_gib < 16.0

@@ -140,7 +140,7 @@ class TestEvalCommand:
         gold = cgm.load_gold_pairs(syn / "gold.tsv")
         curve = cgm.pr_curve(matrix, gold)
         report = (out / "report.tsv").read_text(encoding="utf-8")
-        assert report == f"matrix\t{cgm.max_f1(curve):.4f}\t{cgm.iap11(curve):.4f}\n"
+        assert report == f"matrix\t{curve.max_f1:.4f}\t{curve.iap11:.4f}\n"
 
     def test_missing_gold_file_fails_cleanly(self, tmp_path, capsys):
         syn = tmp_path / "syn"
@@ -286,26 +286,31 @@ class TestFilePipeline:
         seed, gold_eval = cgm.split_seed(gold, 0.25, 13)
         eval_matrix = cgm.load_matrix(out / "metric_phonetic.tsv")
         assert set(eval_matrix.row_labels) == gold_eval.l1_words()
-        assert not (set(eval_matrix.row_labels) & seed.pairs.l1_words())
+        assert not (set(eval_matrix.row_labels) & seed.l1_words())
         train_matrix = cgm.load_matrix(out / "train_metric_phonetic.tsv")
         assert set(train_matrix.row_labels) == gold.l1_words()
 
-    @pytest.mark.parametrize("source, flag, message", [
-        ("files", "--regularization", "regularization must be a finite positive number, got nan"),
-        ("synth", "--noise-sigma", "noise_sigma must be a finite number >= 0, got nan"),
-        ("synth", "--signal-mu", "signal_mu must be a finite number, got nan"),
+    @pytest.mark.parametrize("source, flag, value, message", [
+        ("files", "--regularization", "nan",
+         "regularization must be a finite positive number, got nan"),
+        ("synth", "--noise-sigma", "nan", "noise_sigma must be a finite number >= 0, got nan"),
+        ("synth", "--signal-mu", "nan", "signal_mu must be a finite number, got nan"),
+        ("files", "--regularization", "-1",
+         "regularization must be a finite positive number, got -1.0"),
+        ("synth", "--n-pairs", "0", "n_pairs must be >= 1"),
+        ("synth", "--distractors", "-1", "n_distractors_per_side must be >= 0"),
     ])
     def test_non_finite_parameter_fails_before_output(self, corpus, tmp_path, capsys,
-                                                      source, flag, message):
+                                                      source, flag, value, message):
         out = tmp_path / "run"
         rc = run_cli(
-            "pipeline", "--source", source, "--out", out, flag, "nan",
+            "pipeline", "--source", source, "--out", out, flag, value,
             "--gold", corpus / "gold.tsv",
             "--freq1", corpus / "freq1.tsv", "--freq2", corpus / "freq2.tsv",
         )
         assert rc == 1
         assert capsys.readouterr().err == f"cogmatrix: error: {message}\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (("synth", "--seed", -3), "config key 'seed': expected a non-negative int, got -3"),
@@ -330,9 +335,23 @@ class TestFilePipeline:
          "config key 'negative_ratio': expected a positive int, got -2"),
         (("pipeline", "--source", "synth", "--max-side", -1),
          "config key 'max_side': expected an int >= 1, got -1"),
+        (("pipeline", "--config", "source = synt"),
+         "config key 'source': expected one of files, synth, got 'synt'"),
+        (("pipeline", "--source", "files", "--config", "mode = larg"),
+         "config key 'mode': expected one of standard, large, got 'larg'"),
+        (("pipeline", "--source", "files", "--config", "weights = unifrom"),
+         "config key 'weights': expected one of learned, uniform, got 'unifrom'"),
+        (("pipeline", "--source", "files", "--config", "regularization = -1"),
+         "regularization must be a finite positive number, got -1.0"),
+        (("pipeline", "--source", "synth", "--config", "n_pairs = 0"), "n_pairs must be >= 1"),
     ])
     def test_bad_config_value_fails_before_input_or_output(self, tmp_path, capsys, argv, message):
         out = tmp_path / "run"
+        if "--config" in argv:  # the argument after it is the file's text
+            at = argv.index("--config") + 1
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{argv[at]}\n", encoding="utf-8")
+            argv = (*argv[:at], config, *argv[at + 1:])
         # The gold file does not exist: reading any input first would fail on it.
         rc = run_cli(*argv, "--out", out, *(("--gold", tmp_path / "missing.tsv")
                                             if argv[0] == "pipeline" else ()))
@@ -358,15 +377,15 @@ class TestFilePipeline:
         seed, gold_eval = cgm.split_seed(gold, 0.25, 13)
         eval_matrix = cgm.load_matrix(tmp_path / "run" / "metric_phonetic.tsv")
         assert gold_eval.l1_words() <= set(eval_matrix.row_labels)
-        assert not (set(eval_matrix.row_labels) & seed.pairs.l1_words())
-        assert not (set(eval_matrix.col_labels) & seed.pairs.l2_words())
+        assert not (set(eval_matrix.row_labels) & seed.l1_words())
+        assert not (set(eval_matrix.col_labels) & seed.l2_words())
         train_matrix = cgm.load_matrix(tmp_path / "run" / "train_metric_phonetic.tsv")
         assert set(train_matrix.row_labels) == gold.l1_words()
         # ``score`` builds the training universe: seed pairs stay candidates.
         assert run_cli("score", "--out", tmp_path / "scored", *common) == 0
         scored = cgm.load_matrix(tmp_path / "scored" / "metric_phonetic.tsv")
-        assert seed.pairs.l1_words() <= set(scored.row_labels)
-        assert seed.pairs.l2_words() <= set(scored.col_labels)
+        assert seed.l1_words() <= set(scored.row_labels)
+        assert seed.l2_words() <= set(scored.col_labels)
 
     @pytest.mark.parametrize(
         "metrics, given, missing",

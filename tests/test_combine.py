@@ -11,7 +11,6 @@ from cogmatrix import (
     MetricId,
     ScoreMatrix,
     SeedLexicon,
-    SeedSet,
     TrainingConfig,
     WeightVector,
     combine,
@@ -46,7 +45,7 @@ def toy_universe(n=30, seed=0):
         MetricId.FREQUENCY: labeled(noise, rows, cols),
     }
     gold = GoldPairs(frozenset((rows[i], cols[i]) for i in range(n)))
-    seed_set = SeedSet(GoldPairs(frozenset((rows[i], cols[i]) for i in range(n // 3))))
+    seed_set = GoldPairs(frozenset((rows[i], cols[i]) for i in range(n // 3)))
     return matrices, gold, seed_set
 
 
@@ -120,7 +119,7 @@ class TestTrainWeights:
 
     def test_seed_pair_missing_from_universe_rejected(self):
         matrices, _, _ = toy_universe()
-        ghost = SeedSet(GoldPairs(frozenset({("ghost", "b000")})))
+        ghost = GoldPairs(frozenset({("ghost", "b000")}))
         with pytest.raises(ValueError, match=r"seed pairs not in universe.*ghost"):
             train_weights(matrices, ghost, TrainingConfig())
 

@@ -12,11 +12,9 @@ from cogmatrix import (
     ScoreMatrix,
     compare_methods,
     hit_curve,
-    iap11,
     interpolated_precision,
     load_curve,
     max_assignment_curve,
-    max_f1,
     pr_curve,
     save_curve,
     save_report,
@@ -164,30 +162,30 @@ class TestInterpolatedPrecision:
 class TestSummaries:
     def test_iap11_matches_hand_sum(self, ranked_101_curve):
         # six levels see precision 1.0, five see 2/3
-        assert iap11(ranked_101_curve) == (6 * 1.0 + 5 * (2 / 3)) / 11
+        assert ranked_101_curve.iap11 == (6 * 1.0 + 5 * (2 / 3)) / 11
 
     def test_iap11_on_matrix_fixture(self, ranked_101_matrix):
         m, gold = ranked_101_matrix
-        assert iap11(pr_curve(m, gold)) == (6 * 1.0 + 5 * (2 / 3)) / 11
+        assert pr_curve(m, gold).iap11 == (6 * 1.0 + 5 * (2 / 3)) / 11
 
     def test_max_f1_exact(self, ranked_101_curve):
-        assert max_f1(ranked_101_curve) == 0.8
+        assert ranked_101_curve.max_f1 == 0.8
 
     def test_max_f1_on_matrix_fixture(self, ranked_101_matrix):
         m, gold = ranked_101_matrix
-        assert max_f1(pr_curve(m, gold)) == 0.8
+        assert pr_curve(m, gold).max_f1 == 0.8
 
     def test_perfect_ranking_scores_one(self):
         m = mat([[0.9, 0.1], [0.2, 0.8]], rows=("a", "b"), cols=("u", "v"))
         gold = GoldPairs(frozenset({("a", "u"), ("b", "v")}))
         curve = pr_curve(m, gold)
-        assert iap11(curve) == 1.0
-        assert max_f1(curve) == 1.0
+        assert curve.iap11 == 1.0
+        assert curve.max_f1 == 1.0
 
     def test_f1_zero_when_no_hits_in_prefix(self):
         curve = PRCurve(np.array([1.0]), np.array([0.0]), np.array([0.0]))
-        assert max_f1(curve) == 0.0
-        assert iap11(curve) == 0.0
+        assert curve.max_f1 == 0.0
+        assert curve.iap11 == 0.0
 
     def test_invariant_under_strictly_increasing_transform(self):
         rng = np.random.default_rng(41)
@@ -198,8 +196,8 @@ class TestSummaries:
         m1 = mat(scores, rows, cols)
         m2 = mat(np.exp(3.0 * scores) + 5.0, rows, cols)
         c1, c2 = pr_curve(m1, gold), pr_curve(m2, gold)
-        assert max_f1(c1) == max_f1(c2)
-        assert iap11(c1) == iap11(c2)
+        assert c1.max_f1 == c2.max_f1
+        assert c1.iap11 == c2.iap11
 
 
 class TestCompareMethods:

@@ -453,19 +453,19 @@ class TestSplitSeed:
         seed, rest = split_seed(make_gold(10), 0.2, rng_seed=42)
         assert len(seed) == 2
         assert len(rest) == 8
-        assert not (seed.pairs.pairs & rest.pairs)
-        assert seed.pairs.pairs | rest.pairs == make_gold(10).pairs
+        assert not (seed.pairs & rest.pairs)
+        assert seed.pairs | rest.pairs == make_gold(10).pairs
 
     def test_deterministic(self):
         a = split_seed(make_gold(50), 0.3, rng_seed=7)
         b = split_seed(make_gold(50), 0.3, rng_seed=7)
-        assert a[0].pairs.pairs == b[0].pairs.pairs
+        assert a[0].pairs == b[0].pairs
         assert a[1].pairs == b[1].pairs
 
     def test_different_seeds_differ(self):
         a = split_seed(make_gold(50), 0.3, rng_seed=7)
         b = split_seed(make_gold(50), 0.3, rng_seed=8)
-        assert a[0].pairs.pairs != b[0].pairs.pairs
+        assert a[0].pairs != b[0].pairs
 
     def test_floor_size(self):
         seed, _ = split_seed(make_gold(600), 0.19999, rng_seed=1)

@@ -13,12 +13,7 @@ from cogmatrix import (
     apply,
     forward_rank,
     forward_rank_matrix,
-    rescore_fr,
-    rescore_rr,
-    rescore_rr_fr_1step,
-    rescore_rr_fr_2step,
     reverse_rank,
-    reverse_rank_matrix,
 )
 from cogmatrix import matrix
 
@@ -74,7 +69,7 @@ class TestSingleEntryRanks:
 class TestRankMatrices:
     def test_fixture_ranks(self):
         m = mat(FIXTURE)
-        assert reverse_rank_matrix(m).tolist() == [[1, 2], [2, 1]]
+        assert m.reverse_ranks.tolist() == [[1, 2], [2, 1]]
         assert forward_rank_matrix(m).tolist() == [[1, 2], [2, 1]]
 
     def test_matches_set_enumeration_oracle(self):
@@ -86,7 +81,7 @@ class TestRankMatrices:
             if trial % 2:
                 scores = np.round(scores, 1)  # force heavy ties
             m = mat(scores)
-            rr = reverse_rank_matrix(m)
+            rr = m.reverse_ranks
             fr = forward_rank_matrix(m)
             for i in range(n1):
                 for j in range(n2):
@@ -98,7 +93,7 @@ class TestRankMatrices:
     def test_rank_bounds(self):
         rng = np.random.default_rng(123)
         m = mat(np.round(rng.random((9, 7)), 1))
-        rr = reverse_rank_matrix(m)
+        rr = m.reverse_ranks
         fr = forward_rank_matrix(m)
         assert rr.min() >= 1 and rr.max() <= 9
         assert fr.min() >= 1 and fr.max() <= 7
@@ -106,67 +101,57 @@ class TestRankMatrices:
 
 class TestRescoreFixtures:
     def test_rr_worked_example(self):
-        out = rescore_rr(mat(FIXTURE))
+        out = apply("rr", mat(FIXTURE))
         assert out.scores.tolist() == [[0.9, 0.1], [0.25, 0.7]]
 
     def test_fr_worked_example(self):
-        out = rescore_fr(mat(FIXTURE))
+        out = apply("fr", mat(FIXTURE))
         assert out.scores.tolist() == [[0.9, 0.1], [0.25, 0.7]]
 
     def test_1step_worked_example(self):
-        out = rescore_rr_fr_1step(mat(FIXTURE))
+        out = apply("rr_fr_1step", mat(FIXTURE))
         assert out.scores[0, 0] == 0.9
         assert out.scores[1, 0] == 0.5 / 4
         assert out.scores.tolist() == [[0.9, 0.05], [0.125, 0.7]]
 
     def test_2step_worked_example(self):
-        out = rescore_rr_fr_2step(mat(FIXTURE))
+        out = apply("rr_fr_2step", mat(FIXTURE))
         assert out.scores.tolist() == [[0.9, 0.05], [0.125, 0.7]]
 
     def test_2step_is_fr_after_rr(self):
         rng = np.random.default_rng(5)
         m = mat(rng.random((6, 8)))
-        assert np.array_equal(rescore_rr_fr_2step(m).scores, rescore_fr(rescore_rr(m)).scores)
+        assert np.array_equal(apply("rr_fr_2step", m).scores, apply("fr", apply("rr", m)).scores)
 
     def test_single_column_collapses_to_descending_ranks(self):
         m = mat([[0.9], [0.1], [0.5]])
-        out = rescore_rr(m)
+        out = apply("rr", m)
         assert out.scores.tolist() == [[0.9 / 1], [0.1 / 3], [0.5 / 2]]
 
     def test_single_row_fr(self):
         m = mat([[0.6, 0.3]])
-        out = rescore_fr(m)
+        out = apply("fr", m)
         assert out.scores.tolist() == [[0.6, 0.15]]
 
     def test_all_equal_matrix_divides_by_n(self):
         m = mat(np.full((4, 4), 0.8))
-        assert np.array_equal(rescore_rr(m).scores, np.full((4, 4), 0.8 / 4))
+        assert np.array_equal(apply("rr", m).scores, np.full((4, 4), 0.8 / 4))
 
     def test_1step_one_by_one_unchanged(self):
         m = mat([[0.4]])
-        assert rescore_rr_fr_1step(m).scores[0, 0] == 0.4
+        assert apply("rr_fr_1step", m).scores[0, 0] == 0.4
 
     def test_negative_scores_rejected(self):
         m = mat([[0.5, -0.1]])
-        for op in (rescore_rr, rescore_fr, rescore_rr_fr_1step, rescore_rr_fr_2step):
+        for method in ("rr", "fr", "rr_fr_1step", "rr_fr_2step"):
             with pytest.raises(ValueError, match="non-negative"):
-                op(m)
+                apply(method, m)
 
 
 class TestApplyDispatch:
     def test_baseline_is_identity(self):
         m = mat(FIXTURE)
         assert apply(RescoreMethod.BASELINE, m) is m
-
-    def test_dispatch_matches_functions(self):
-        rng = np.random.default_rng(2)
-        m = mat(rng.random((5, 5)))
-        assert np.array_equal(apply(RescoreMethod.RR, m).scores, rescore_rr(m).scores)
-        assert np.array_equal(apply(RescoreMethod.FR, m).scores, rescore_fr(m).scores)
-        assert np.array_equal(apply(RescoreMethod.RR_FR_1STEP, m).scores, rescore_rr_fr_1step(m).scores)
-        assert np.array_equal(
-            apply(RescoreMethod.RR_FR_2STEP, m).scores, rescore_fr(rescore_rr(m)).scores
-        )
 
     def test_fr_and_baseline_never_compute_column_ranks(self):
         m = mat(FIXTURE)
@@ -178,7 +163,8 @@ class TestApplyDispatch:
 
     def test_accepts_method_names(self):
         m = mat(FIXTURE)
-        assert np.array_equal(apply("rr", m).scores, rescore_rr(m).scores)
+        for method in RescoreMethod:
+            assert np.array_equal(apply(method.value, m).scores, apply(method, m).scores)
 
 
 class TestRescoreProperties:
@@ -187,7 +173,7 @@ class TestRescoreProperties:
         for _ in range(10):
             m = mat(rng.random((int(rng.integers(1, 9)), int(rng.integers(1, 9)))))
             mt = ScoreMatrix(m.col_labels, m.row_labels, m.scores.T)
-            assert np.array_equal(rescore_fr(m).scores, rescore_rr(mt).scores.T)
+            assert np.array_equal(apply("fr", m).scores, apply("rr", mt).scores.T)
 
     def test_entrywise_dominance(self):
         rng = np.random.default_rng(32)
@@ -198,7 +184,7 @@ class TestRescoreProperties:
     def test_column_weak_order_preserved_by_rr(self):
         rng = np.random.default_rng(33)
         m = mat(np.round(rng.random((12, 6)), 1))
-        out = rescore_rr(m).scores
+        out = apply("rr", m).scores
         for j in range(6):
             order = np.argsort(m.scores[:, j], kind="stable")
             col_in = m.scores[order, j]
@@ -227,16 +213,16 @@ class TestRescoreProperties:
     def test_not_idempotent_in_general(self):
         rng = np.random.default_rng(35)
         m = mat(rng.random((6, 6)))
-        once = rescore_rr(m)
-        twice = rescore_rr(once)
+        once = apply("rr", m)
+        twice = apply("rr", once)
         assert not np.array_equal(once.scores, twice.scores)
 
     def test_2step_equals_1step_when_rr_keeps_row_order(self):
         # constant columns: every reverse rank is n1, so the RR step divides
         # the whole matrix uniformly and no row ordering changes
         m = mat(np.tile(np.array([1.0, 0.8, 0.6, 0.4, 0.2]), (4, 1)))
-        one = rescore_rr_fr_1step(m)
-        two = rescore_rr_fr_2step(m)
+        one = apply("rr_fr_1step", m)
+        two = apply("rr_fr_2step", m)
         assert np.allclose(one.scores, two.scores, rtol=0, atol=1e-15)
 
 
@@ -294,7 +280,7 @@ def searchsorted_rescore(scores):
 def test_rank_operators_match_set_enumeration(m, block_cells):
     # Small blocks give single-row, single-column and ragged last blocks.
     with mock.patch.object(matrix, "_BLOCK_CELLS", block_cells):
-        rr, fr = reverse_rank_matrix(m), forward_rank_matrix(m)
+        rr, fr = m.reverse_ranks, forward_rank_matrix(m)
     assert rr.shape == fr.shape == m.shape
     # The column ranks are the matrix's own, shared and read-only.
     assert rr is m.reverse_ranks
@@ -342,6 +328,6 @@ def test_methods_on_one_matrix_share_one_column_rank_pass():
         column_blocks = len(matrix._blocks(m.n_cols, m.n_rows))
         for method in RescoreMethod:
             apply(method, m)
-        reverse_rank_matrix(m)
+        m.reverse_ranks
     assert column_blocks > 1
     assert kernel.call_count == column_blocks

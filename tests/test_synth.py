@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cogmatrix import GoldPairs, SynthConfig, generate, iap11, pr_curve
+from cogmatrix import GoldPairs, SynthConfig, generate, pr_curve
 
 
 class TestSynthConfig:
@@ -31,7 +31,7 @@ class TestSynthConfig:
 class TestGenerate:
     def test_noiseless_separation_is_perfect(self):
         matrix, gold = generate(SynthConfig(n_pairs=20, noise_sigma=0.0, signal_mu=1.0, rng_seed=1))
-        assert iap11(pr_curve(matrix, gold)) == 1.0
+        assert pr_curve(matrix, gold).iap11 == 1.0
 
     def test_square_full_permutation_without_distractors(self):
         cfg = SynthConfig(n_pairs=15, n_distractors_per_side=0, rng_seed=2)
@@ -68,6 +68,6 @@ class TestGenerate:
         values = []
         for sigma in (0.5, 0.2, 0.05):
             matrix, gold = generate(SynthConfig(n_pairs=40, noise_sigma=sigma, rng_seed=6))
-            values.append(iap11(pr_curve(matrix, gold)))
+            values.append(pr_curve(matrix, gold).iap11)
         assert values == sorted(values)
         assert values[-1] > 0.99
