@@ -46,7 +46,6 @@ from .rescore import (
 )
 from .scorers import (
     MetricId,
-    SeedLexicon,
     burstiness_score,
     context_score,
     frequency_score,
@@ -69,7 +68,6 @@ __all__ = [
     "RescoreMethod",
     "ResourceLimitError",
     "ScoreMatrix",
-    "SeedLexicon",
     "SynthConfig",
     "TrainingConfig",
     "WeightVector",

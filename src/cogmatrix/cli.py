@@ -27,7 +27,8 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .assign import ResourceLimitError, hungarian_max, max_assignment_curve, save_assignment
+from .assign import (DEFAULT_MAX_SIDE, ResourceLimitError, hungarian_max, max_assignment_curve,
+                     save_assignment)
 from .combine import (
     TrainingConfig,
     combine,
@@ -37,10 +38,11 @@ from .combine import (
     uniform_weights,
 )
 from .evaluate import ReportRow, compare_methods, save_curve, save_report
-from .ingest import build_universe, load_gold_pairs, load_lexicon, save_gold_pairs, split_seed
+from .ingest import (UNIVERSE_MODES, build_universe, load_gold_pairs, load_lexicon, save_gold_pairs,
+                     split_seed)
 from .matrix import load_matrix, save_matrix
 from .rescore import RescoreMethod, apply
-from .scorers import MetricId, SeedLexicon, score_all_pairs
+from .scorers import MetricId, _check_inputs, score_all_pairs
 from .synth import SynthConfig, generate
 
 log = logging.getLogger("cogmatrix")
@@ -48,7 +50,7 @@ log = logging.getLogger("cogmatrix")
 
 _CHOICES = {
     "source": ("files", "synth"),
-    "mode": ("standard", "large"),
+    "mode": UNIVERSE_MODES,
     "weights": ("learned", "uniform"),
 }
 
@@ -73,17 +75,17 @@ class PipelineConfig:
     metrics: str = "phonetic,frequency"
     methods: str = "baseline,rr,rr_fr_1step,rr_fr_2step"
     weights: str = "learned"
-    regularization: float = 1e-3
-    epochs: int = 200
-    negative_ratio: int = 5
+    regularization: float = TrainingConfig.regularization
+    epochs: int = TrainingConfig.epochs
+    negative_ratio: int = TrainingConfig.negative_ratio
     seed: int = 13
     seed_fraction: float = 0.2
     assign: bool = True
-    max_side: int = 20_000
+    max_side: int = DEFAULT_MAX_SIDE
     n_pairs: int = 300
     distractors: int = 0
-    noise_sigma: float = 0.25
-    signal_mu: float = 1.0
+    noise_sigma: float = SynthConfig.noise_sigma
+    signal_mu: float = SynthConfig.signal_mu
     keep_intermediates: bool = False
     out: str = "."
 
@@ -185,14 +187,6 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**merged)
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    return f"sha256:{digest.hexdigest()}"
-
-
 class RunWriter:
     """Tracks inputs/outputs of one command and writes the manifest."""
 
@@ -208,7 +202,8 @@ class RunWriter:
         if path is None:
             return None
         path = Path(path)
-        self.inputs[str(path)] = _sha256(path)
+        with open(path, "rb") as f:
+            self.inputs[str(path)] = f"sha256:{hashlib.file_digest(f, 'sha256').hexdigest()}"
         return path
 
     def out_path(self, name: str) -> Path:
@@ -259,11 +254,17 @@ def _metric_matrix_name(metric: MetricId) -> str:
 
 def _load_corpus(run: RunWriter, cfg: PipelineConfig):
     """Gold pairs, both lexicon sides, the training seed split off the gold
-    pairs, the evaluation remainder, and the seed's context bridge."""
+    pairs, the evaluation remainder and the seed's context bridge (L2 word ->
+    L1 word), each selected metric's inputs checked before anything is written."""
     gold = _load_gold(run)
     lexica = (_load_side(run, cfg, 1), _load_side(run, cfg, 2))
     seed, gold_eval = split_seed(gold, cfg.seed_fraction, cfg.seed)
-    return gold, lexica, seed, gold_eval, SeedLexicon.from_pairs(seed.pairs)
+    bridge = {l2: l1 for l1, l2 in seed.pairs}
+    if cfg.mode == "large" and None in lexica:
+        raise ValueError("large mode requires lexicons")
+    for metric in cfg.metric_ids():
+        _check_inputs(metric, *lexica, bridge)
+    return gold, lexica, seed, gold_eval, bridge
 
 
 class _OnAccess(Mapping):

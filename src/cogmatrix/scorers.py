@@ -12,7 +12,8 @@ each: it computes per-word features once, then runs one pairwise kernel.
                    (one matrix product of centred rank vectors)
 * ``burstiness`` - ratio of Fano factors (variance/mean of daily counts)
 * ``context``    - cosine of positive-PMI association vectors projected
-                   through a seed translation lexicon (one CSR product)
+                   through a bridge, a mapping from L2 word to L1 word
+                   (one CSR product)
 
 The single-pair functions are 1x1 calls of :func:`score_all_pairs`, so a
 matrix entry equals the single-pair score bit for bit.  Co-occurrence counts
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
 from itertools import repeat
 from operator import mul, truediv
 
@@ -45,36 +46,9 @@ class MetricId(str, enum.Enum):
     PHONETIC = "phonetic"
 
 
-@dataclass(frozen=True)
-class SeedLexicon:
-    """Translation bridge (L2 word -> L1 word) for context projection."""
-
-    mapping: dict[str, str]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "SeedLexicon":
-        """Build the bridge from (l1, l2) pairs, e.g. a training seed set."""
-        return cls({l2: l1 for l1, l2 in pairs})
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-
 # Cells per tile of the edit-distance kernel: small enough that a tile's
 # dozen uint64 work arrays stay in cache while it steps through its texts.
 _TILE_CELLS = 1 << 14
-
-# Every bit operand is uint64: numpy 1.x turns uint64 with int64 into float64.
-_ONE = np.uint64(1)
-_ALL = ~np.uint64(0)
-
-
-def _popcount(v: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64, summed over bit pairs, nibbles, then bytes."""
-    v = v - ((v >> _ONE) & np.uint64(0x5555555555555555))
-    v = (v & np.uint64(0x3333333333333333)) + ((v >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    v = (v + (v >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (v * np.uint64(0x0101010101010101)) >> np.uint64(56)
 
 
 def _advance(codes: np.ndarray, peq: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -94,7 +68,7 @@ def _advance(codes: np.ndarray, peq: np.ndarray, last: np.ndarray) -> np.ndarray
     r, n = codes.shape
     state = np.zeros((2, n_blocks, r, c), dtype=np.uint64)
     pv, mv = state
-    pv.fill(_ALL)
+    pv.fill(np.iinfo(np.uint64).max)
     eq, xv, xh, ph, mh = (np.empty((r, c), dtype=np.uint64) for _ in range(5))
     h_in = (np.empty((r, c), dtype=np.uint64), np.empty((r, c), dtype=np.uint64))
     h_out = (np.empty((r, c), dtype=np.uint64), np.empty((r, c), dtype=np.uint64))
@@ -116,15 +90,15 @@ def _advance(codes: np.ndarray, peq: np.ndarray, last: np.ndarray) -> np.ndarray
             np.bitwise_or(ph, m, out=ph)
             np.bitwise_and(xh, p, out=mh)
             if b < n_blocks - 1:
-                np.right_shift(ph, np.uint64(63), out=h_out[0])
-                np.right_shift(mh, np.uint64(63), out=h_out[1])
-            np.left_shift(ph, _ONE, out=ph)
-            np.left_shift(mh, _ONE, out=mh)
+                np.right_shift(ph, 63, out=h_out[0])
+                np.right_shift(mh, 63, out=h_out[1])
+            np.left_shift(ph, 1, out=ph)
+            np.left_shift(mh, 1, out=mh)
             if b:
                 np.bitwise_or(ph, h_in[0], out=ph)
                 np.bitwise_or(mh, h_in[1], out=mh)
             else:
-                np.bitwise_or(ph, _ONE, out=ph)
+                np.bitwise_or(ph, 1, out=ph)
             # Pv = Mh | ~(Xv | Ph), Mv = Ph & Xv
             np.bitwise_or(xv, ph, out=p)
             np.invert(p, out=p)
@@ -132,7 +106,7 @@ def _advance(codes: np.ndarray, peq: np.ndarray, last: np.ndarray) -> np.ndarray
             np.bitwise_and(ph, xv, out=m)
             h_in, h_out = h_out, h_in
     state[:, -1] &= last
-    ones = _popcount(state).sum(axis=1, dtype=np.int64)
+    ones = np.bitwise_count(state).sum(axis=1, dtype=np.int64)
     return n + (ones[0] - ones[1])
 
 
@@ -181,7 +155,7 @@ def _edit_distance_rows(x_words: tuple[str, ...], y_words: tuple[str, ...]):
         at = shared & (y_blocks[y_col] == n_blocks)
         pos = y_pos[at]
         peq = np.zeros((n_blocks, len(alphabet) + 1, len(cols)), dtype=np.uint64)
-        bits = np.left_shift(_ONE, (pos % 64).astype(np.uint64))
+        bits = np.left_shift(np.uint64(1), (pos % 64).astype(np.uint64))
         np.bitwise_or.at(peq, (pos // 64, y_codes[at], slot[y_col[at]]), bits)
         tail = y_len[cols] - 64 * (n_blocks - 1)
         last = np.array([(1 << k) - 1 for k in tail.tolist()], dtype=np.uint64)
@@ -290,9 +264,16 @@ def _associations(
     return vectors, norms
 
 
-def _check_inputs(metric: MetricId, lex1: LexiconSide, lex2: LexiconSide) -> None:
-    """Reject a side that lacks the data the metric reads: every word would
-    get the same statistics, and the matrix would be constant."""
+def _check_inputs(metric: MetricId, lex1: LexiconSide | None, lex2: LexiconSide | None,
+                  bridge: Mapping[str, str] | None) -> None:
+    """Reject input the metric cannot score: a missing lexicon, a side that
+    lacks the data the metric reads (every word would get the same
+    statistics, and the matrix would be constant), daily series of unequal
+    length or shorter than 4 (temporal), or an empty bridge (context)."""
+    if metric is MetricId.PHONETIC:
+        return
+    if lex1 is None or lex2 is None:
+        raise ValueError(f"{metric.value} metric requires lexicon statistics")
     if metric in (MetricId.TEMPORAL, MetricId.BURSTINESS):
         what, flag = "daily counts", "daily"
         missing = [lex.n_days == 0 for lex in (lex1, lex2)]
@@ -307,6 +288,13 @@ def _check_inputs(metric: MetricId, lex1: LexiconSide, lex2: LexiconSide) -> Non
                 f"{metric.value} metric needs L{side} {what} (--{flag}{side}), "
                 "but that side has none"
             )
+    if metric is MetricId.TEMPORAL:
+        if lex1.n_days != lex2.n_days:
+            raise ValueError(f"daily series lengths differ: {lex1.n_days} vs {lex2.n_days}")
+        if lex1.n_days < 4:
+            raise ValueError("temporal metric requires daily series of length >= 4")
+    if metric is MetricId.CONTEXT and not bridge:
+        raise ValueError("context metric requires seed lexicon")
 
 
 def score_all_pairs(
@@ -315,16 +303,19 @@ def score_all_pairs(
     y_words,
     lex1: LexiconSide | None = None,
     lex2: LexiconSide | None = None,
-    bridge: SeedLexicon | None = None,
+    bridge: Mapping[str, str] | None = None,
 ) -> ScoreMatrix:
     """Score every (x, y) pair of the universe under one metric.
 
-    Words missing from the daily or co-occurrence data get a zero series or
-    an empty profile.
+    ``bridge`` maps an L2 word to its L1 translation (several L2 words may
+    share one); the context metric projects L2 profiles through it.  Words
+    missing from the daily or co-occurrence data get a zero series or an
+    empty profile.
     """
     x_words = tuple(x_words)
     y_words = tuple(y_words)
     metric = MetricId(metric)
+    _check_inputs(metric, lex1, lex2, bridge)
 
     n1, n2 = len(x_words), len(y_words)
     if metric is MetricId.PHONETIC:
@@ -345,10 +336,6 @@ def score_all_pairs(
 
         return ScoreMatrix(x_words, y_words, _by_row_blocks(n1, n2, phonetic))
 
-    if lex1 is None or lex2 is None:
-        raise ValueError(f"{metric.value} metric requires lexicon statistics")
-    _check_inputs(metric, lex1, lex2)
-
     if metric in (MetricId.FREQUENCY, MetricId.BURSTINESS):
         values = _rel_freqs if metric is MetricId.FREQUENCY else _fano_factors
         r1, r2 = values(lex1, x_words), values(lex2, y_words)
@@ -363,10 +350,6 @@ def score_all_pairs(
         return ScoreMatrix(x_words, y_words, _by_row_blocks(n1, n2, ratio))
 
     if metric is MetricId.TEMPORAL:
-        if lex1.n_days != lex2.n_days:
-            raise ValueError(f"daily series lengths differ: {lex1.n_days} vs {lex2.n_days}")
-        if lex1.n_days < 4:
-            raise ValueError("temporal metric requires daily series of length >= 4")
         c1, q1 = _spectrum_ranks(lex1, x_words)
         c2, q2 = _spectrum_ranks(lex2, y_words)
 
@@ -384,27 +367,22 @@ def score_all_pairs(
 
         return ScoreMatrix(x_words, y_words, _by_row_blocks(n1, n2, temporal))
 
-    if metric is MetricId.CONTEXT:
-        if bridge is None or not bridge.mapping:
-            raise ValueError("context metric requires seed lexicon")
-        dims = sorted(set(bridge.mapping.values()))
-        dim_of = {d: i for i, d in enumerate(dims)}
-        v1, norms1 = _associations(lex1, x_words, dim_of, len(dims))
-        bridged = {ctx: dim_of[l1] for ctx, l1 in bridge.mapping.items()}
-        v2, norms2 = _associations(lex2, y_words, bridged, len(dims))
-        v2t = v2.T.tocsr()
+    dims = sorted(set(bridge.values()))
+    dim_of = {d: i for i, d in enumerate(dims)}
+    v1, norms1 = _associations(lex1, x_words, dim_of, len(dims))
+    bridged = {ctx: dim_of[l1] for ctx, l1 in bridge.items()}
+    v2, norms2 = _associations(lex2, y_words, bridged, len(dims))
+    v2t = v2.T.tocsr()
 
-        def cosine(rows):
-            # CSR x CSR adds up each cell over the shared dimensions in index
-            # order, so a cell does not depend on the universe or the block.
-            num = (v1[rows] @ v2t).toarray()
-            denom = np.multiply.outer(norms1[rows], norms2)
-            out = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
-            return np.clip(out, 0.0, 1.0, out=out)
+    def cosine(rows):
+        # CSR x CSR adds up each cell over the shared dimensions in index
+        # order, so a cell does not depend on the universe or the block.
+        num = (v1[rows] @ v2t).toarray()
+        denom = np.multiply.outer(norms1[rows], norms2)
+        out = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0.0)
+        return np.clip(out, 0.0, 1.0, out=out)
 
-        return ScoreMatrix(x_words, y_words, _by_row_blocks(n1, n2, cosine))
-
-    raise ValueError(f"unknown metric {metric!r}")
+    return ScoreMatrix(x_words, y_words, _by_row_blocks(n1, n2, cosine))
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -437,7 +415,7 @@ def temporal_score(w1: str, lex1: LexiconSide, w2: str, lex2: LexiconSide) -> fl
 
 
 def context_score(
-    w1: str, lex1: LexiconSide, w2: str, lex2: LexiconSide, bridge: SeedLexicon
+    w1: str, lex1: LexiconSide, w2: str, lex2: LexiconSide, bridge: Mapping[str, str]
 ) -> float:
     """Cosine of PPMI association vectors over the bridge dimensions.
 

@@ -279,7 +279,7 @@ def test_metric_properties():
 
     lex1 = make_lex(words1, ctx1, 5_000)
     lex2 = make_lex(words2, ctx2, 9_000)
-    bridge = cgm.SeedLexicon({k: c for k, c in zip(ctx2, ctx1)})
+    bridge = dict(zip(ctx2, ctx1))
 
     checks = 0
     range_ok = True

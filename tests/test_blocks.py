@@ -15,7 +15,6 @@ from cogmatrix import (
     MetricId,
     RescoreMethod,
     ScoreMatrix,
-    SeedLexicon,
     WeightVector,
     apply,
     combine,
@@ -55,7 +54,7 @@ def universe():
     rng = np.random.default_rng(11)
     words1, lex1 = random_side(rng, "x", [f"x{i}" for i in range(6)], 23)
     words2, lex2 = random_side(rng, "y", [f"y{i}" for i in range(6)], 19)
-    return words1, words2, lex1, lex2, SeedLexicon({f"y{i}": f"x{i}" for i in range(4)})
+    return words1, words2, lex1, lex2, {f"y{i}": f"x{i}" for i in range(4)}
 
 
 def every_output():

@@ -408,7 +408,39 @@ class TestFilePipeline:
         err = capsys.readouterr().err
         assert missing in err
         assert metrics.split(",")[-1] in err
-        assert not (tmp_path / "run" / "report.tsv").exists()
+        assert list((tmp_path / "run").iterdir()) == []
+
+    @pytest.mark.parametrize("command, argv, given, message", [
+        ("pipeline", ("--mode", "large", "--metrics", "phonetic"), (),
+         "large mode requires lexicons"),
+        ("pipeline", ("--weights", "uniform", "--metrics", "phonetic,frequency"), (),
+         "frequency metric requires lexicon statistics"),
+        ("pipeline", ("--weights", "uniform", "--metrics", "phonetic,temporal"), ("freq1", "freq2"),
+         "temporal metric needs L1 daily counts (--daily1), but that side has none"),
+        ("score", ("--metrics", "phonetic,temporal"), ("freq1", "freq2"),
+         "temporal metric needs L1 daily counts (--daily1), but that side has none"),
+    ])
+    def test_missing_metric_input_fails_before_any_output(self, corpus, tmp_path, capsys,
+                                                          command, argv, given, message):
+        out = tmp_path / "run"
+        extra = [a for name in given for a in (f"--{name}", corpus / f"{name}.tsv")]
+        rc = run_cli(command, *(("--source", "files") if command == "pipeline" else ()),
+                     "--out", out, "--gold", corpus / "gold.tsv", *extra, *argv)
+        assert rc == 1
+        assert capsys.readouterr().err == f"cogmatrix: error: {message}\n"
+        assert list(out.iterdir()) == []
+
+    def test_gold_only_phonetic_run(self, corpus, tmp_path):
+        out = tmp_path / "run"
+        rc = run_cli("pipeline", "--source", "files", "--out", out, "--gold", corpus / "gold.tsv",
+                     "--metrics", "phonetic", "--seed", 13, "--seed-fraction", 0.25)
+        assert rc == 0
+        report = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
+        assert [r.split("\t")[0] for r in report] == [
+            "baseline", "rr", "rr_fr_1step", "rr_fr_2step", "max_assignment"
+        ]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["inputs"]) == [str(corpus / "gold.tsv")]
 
     def test_daily_count_beyond_int64_fails_cleanly(self, corpus, tmp_path, capsys):
         daily = corpus / "daily1.tsv"

@@ -10,7 +10,6 @@ from cogmatrix import (
     GoldPairs,
     MetricId,
     ScoreMatrix,
-    SeedLexicon,
     TrainingConfig,
     WeightVector,
     combine,
@@ -206,7 +205,7 @@ def scored_universe(n1=23, n2=19, n_days=12, seed=4):
 
     x_words, lex1 = side(n1, "x")
     y_words, lex2 = side(n2, "y")
-    bridge = SeedLexicon.from_pairs((f"xctx{c}", f"yctx{c}") for c in range(0, 10, 2))
+    bridge = {f"yctx{c}": f"xctx{c}" for c in range(0, 10, 2)}
     return x_words, y_words, lex1, lex2, bridge
 
 

@@ -13,7 +13,6 @@ from scipy.stats import rankdata
 from cogmatrix import (
     LexiconSide,
     MetricId,
-    SeedLexicon,
     burstiness_score,
     context_score,
     frequency_score,
@@ -269,7 +268,7 @@ class TestContext:
                 "geht": {"mann": 2},
             }
         )
-        bridge = SeedLexicon({"brot": "bread", "ofen": "oven", "geht": "walk"})
+        bridge = {"brot": "bread", "ofen": "oven", "geht": "walk"}
         return lex1, lex2, bridge
 
     @staticmethod
@@ -313,7 +312,7 @@ class TestContext:
     def test_empty_bridge_rejected(self):
         lex1, lex2, _ = self.cooc_lexica()
         with pytest.raises(ValueError, match="seed lexicon"):
-            context_score("bake", lex1, "backen", lex2, SeedLexicon({}))
+            context_score("bake", lex1, "backen", lex2, {})
 
     def test_missing_profile_scores_zero(self):
         lex1, lex2, bridge = self.cooc_lexica()
@@ -349,7 +348,7 @@ class TestScoreAllPairs:
             cooc={w: {c: int(rng.integers(1, 9)) for c in ctx2 if rng.random() < 0.7} for w in words2},
             n_days=n_days,
         )
-        bridge = SeedLexicon({"k1": "c1", "k2": "c2", "k3": "c3"})
+        bridge = {"k1": "c1", "k2": "c2", "k3": "c3"}
         scalar = {
             MetricId.PHONETIC: lambda x, y: phonetic_score(x, y),
             MetricId.FREQUENCY: lambda x, y: frequency_score(x, lex1, y, lex2),
@@ -441,13 +440,13 @@ def oracle_temporal(daily1, daily2):
 
 
 def oracle_context(w1, lex1, w2, lex2, bridge):
-    dims = sorted(set(bridge.mapping.values()))
+    dims = sorted(set(bridge.values()))
     cooc1, cooc2 = cooc_dicts(lex1), cooc_dicts(lex2)
     v1 = [TestContext.ppmi_oracle(cooc1, w1, d) for d in dims]
     v2 = [0.0] * len(dims)
     for ctx in sorted(lex2.cooc_profile(w2)):
-        if ctx in bridge.mapping:
-            v2[dims.index(bridge.mapping[ctx])] += TestContext.ppmi_oracle(cooc2, w2, ctx)
+        if ctx in bridge:
+            v2[dims.index(bridge[ctx])] += TestContext.ppmi_oracle(cooc2, w2, ctx)
     n1 = math.sqrt(sum(a * a for a in v1))
     n2 = math.sqrt(sum(b * b for b in v2))
     if n1 == 0.0 or n2 == 0.0:
@@ -493,7 +492,7 @@ def scoring_cases(draw):
     words2, lex2 = draw(corpus_sides(n_days, ctx2))
     # several L2 contexts may share one L1 dimension; some have none
     mapping = draw(st.dictionaries(st.sampled_from(ctx2), st.sampled_from(ctx1), min_size=1))
-    return words1, lex1, words2, lex2, SeedLexicon(mapping)
+    return words1, lex1, words2, lex2, mapping
 
 
 @settings(max_examples=150, deadline=None)
@@ -750,7 +749,7 @@ def context_cases(draw):
     shared = draw(st.lists(st.sampled_from(CTX2), min_size=9, max_size=12, unique=True))
     mapping = {**draw(st.dictionaries(st.sampled_from(CTX2), st.sampled_from(CTX1))),
                **dict.fromkeys(shared, draw(st.sampled_from(CTX1)))}
-    return words1, cooc1, words2, cooc2, SeedLexicon(mapping)
+    return words1, cooc1, words2, cooc2, mapping
 
 
 @settings(max_examples=150, deadline=None)
@@ -767,9 +766,9 @@ def test_context_matrix_equals_dict_loop_oracle(case):
         want = score_all_pairs(MetricId.CONTEXT, words1, words2, *sides, bridge).scores
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     # The association vectors and norms themselves, bit for bit.
-    dims = sorted(set(bridge.mapping.values()))
+    dims = sorted(set(bridge.values()))
     dim_of = {d: i for i, d in enumerate(dims)}
-    bridged = {ctx: dim_of[l1] for ctx, l1 in bridge.mapping.items()}
+    bridged = {ctx: dim_of[l1] for ctx, l1 in bridge.items()}
     for side, words, ctx_dim in zip(sides, (words1, words2), (dim_of, bridged)):
         args = (tuple(words), ctx_dim, len(dims))
         vectors, norms = scorers._associations(side, *args)
