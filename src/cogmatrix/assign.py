@@ -6,8 +6,8 @@ distractors per side rank rescoring does better (``test_distractor_robustness``)
 but on the generated corpus at k = 10^4 (one seed) assignment had the best
 MaxF1: 0.8512, against 0.8347 for ``rr_fr_1step``.
 
-The back-traced curve sweeps a threshold down over the chosen pairs so the
-single assignment point expands into a full precision-recall curve.
+Its curve sweeps a threshold down over the chosen pairs, which are its cells,
+and keeps the same points as every other curve: the gold hits and the last.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .evaluate import PRCurve, _sweep
+from .evaluate import PRCurve, _hit_points
 from .matrix import GoldPairs, ScoreMatrix, _label_ranks
 
 # Refuse to solve beyond this per-side size rather than thrash: the cubic
@@ -85,25 +85,16 @@ def hungarian_max(m: ScoreMatrix, max_side: int = DEFAULT_MAX_SIDE) -> Assignmen
 
 
 def max_assignment_curve(m: ScoreMatrix, a: Assignment, gold: GoldPairs) -> PRCurve:
-    """Precision-recall curve traced back from the full assignment.
-
-    Thresholds sweep down over the assigned pairs' scores (ties broken by
-    row label then column label); each point predicts the pairs scoring at
-    or above the threshold.  The leading point is the empty prediction at
-    recall 0 with precision 1 by convention.
-    """
+    """The curve of the sweep down the assigned pairs by score, ties in row-label
+    order: as from ``hit_curve``, the points where it hits gold, plus its last."""
     if len(gold.pairs) == 0:
         raise ValueError("gold pairs are empty")
     # Each row is assigned once, so row-label order is the whole tie order.
-    row_rank = _label_ranks(m.row_labels)
-    order = np.argsort([row_rank[i] for i, _ in a.pairs])
+    scores = np.array(a.scores)
+    order = np.lexsort((_label_ranks(m.row_labels)[[i for i, _ in a.pairs]], -scores))
     is_gold = np.array([(m.row_labels[i], m.col_labels[j]) in gold.pairs for i, j in a.pairs])
-    curve = _sweep(np.array(a.scores)[order], is_gold[order], len(gold.pairs))
-    return PRCurve(
-        np.append(np.inf, curve.thresholds),
-        np.append(1.0, curve.precisions),
-        np.append(0.0, curve.recalls),
-    )
+    before = np.flatnonzero(is_gold[order])
+    return _hit_points(before, scores[order][before], scores[order[-1]], len(a), len(gold.pairs))
 
 
 def save_assignment(m: ScoreMatrix, a: Assignment, path: str | Path) -> None:

@@ -267,6 +267,13 @@ def _load_corpus(run: RunWriter, cfg: PipelineConfig):
     return gold, lexica, seed, gold_eval, bridge
 
 
+def _require_seed(cfg: PipelineConfig, seed, gold) -> None:
+    """Refuse to learn weights from an empty training seed, before anything is scored."""
+    if not seed.pairs:
+        raise ValueError(f"config key 'seed_fraction': {cfg.seed_fraction!r} of {len(gold)} gold "
+                         "pairs leaves an empty training seed; raise it or use --weights uniform")
+
+
 class _OnAccess(Mapping):
     """A read-only mapping over ``keys`` whose value ``load(key)`` builds on
     each access.  Nothing is cached, so a caller that reads one value at a
@@ -383,8 +390,10 @@ def _metric_matrix_paths(matrices_dir: str) -> dict[MetricId, Path]:
 def cmd_train(run: RunWriter, args: argparse.Namespace) -> None:
     cfg = run.cfg
     paths = _metric_matrix_paths(_require(cfg.matrices, "matrices"))
+    gold = _load_gold(run)
+    seed, _ = split_seed(gold, cfg.seed_fraction, cfg.seed)
+    _require_seed(cfg, seed, gold)
     matrices = {metric: load_matrix(run.track_input(path)) for metric, path in paths.items()}
-    seed, _ = split_seed(_load_gold(run), cfg.seed_fraction, cfg.seed)
     weights = train_weights(matrices, seed, cfg.training_config())
     save_weights(weights, run.out_path("weights.tsv"))
     run.write_manifest()
@@ -444,6 +453,7 @@ def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
         if cfg.weights == "uniform":
             weights = uniform_weights(cfg.metric_ids())
         else:
+            _require_seed(cfg, seed, gold)
             # Weights are fit on a universe over the full gold set (the seed
             # pairs must be present as candidates); evaluation below never
             # sees those matrices.

@@ -16,8 +16,10 @@ precision at any recall level.  ``hit_curve`` therefore returns only those
 hit points plus the sweep's last, with summaries equal to ``pr_curve``'s bit
 for bit.  It ranks each gold pair by counting the cells that precede it, one
 sorted block of rows at a time, in O(B + G) memory per block in flight for
-blocks of B cells and G gold pairs.  ``compare_methods`` evaluates and writes
-curve files with ``hit_curve``.
+blocks of B cells and G gold pairs.  ``assign.max_assignment_curve`` sweeps
+the assigned pairs alone, and both build their points from those counts
+with one function.  ``compare_methods`` evaluates and writes curve files
+with ``hit_curve``.
 """
 
 from __future__ import annotations
@@ -97,13 +99,6 @@ def _gold_cells(m: ScoreMatrix, gold: GoldPairs) -> tuple[np.ndarray, np.ndarray
     return np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
 
 
-def _sweep(scores: np.ndarray, is_gold: np.ndarray, n_gold: int) -> PRCurve:
-    """The curve of cells listed in label order, which a stable sort keeps among ties."""
-    order = np.argsort(-scores, kind="stable")
-    hits = np.cumsum(is_gold[order])
-    return PRCurve(scores[order], hits / np.arange(1, len(hits) + 1), hits / n_gold)
-
-
 def pr_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
     """Full precision-recall curve over every candidate pair of the matrix.
 
@@ -112,13 +107,16 @@ def pr_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
     among the candidates.
     """
     rows, cols = _gold_cells(m, gold)
-    # Each cell moved to its (row label, column label) position.
+    # Each cell moved to its (row label, column label) position, which a
+    # stable sort keeps among ties.
     row_rank, col_rank = _label_ranks(m.row_labels), _label_ranks(m.col_labels)
     scores = np.empty_like(m.scores)
     scores[np.ix_(row_rank, col_rank)] = m.scores
     is_gold = np.zeros(m.shape, dtype=bool)
     is_gold[row_rank[rows], col_rank[cols]] = True
-    return _sweep(scores.ravel(), is_gold.ravel(), len(gold.pairs))
+    order = np.argsort(-scores, axis=None, kind="stable")
+    hits = np.cumsum(is_gold.flat[order])
+    return PRCurve(scores.flat[order], hits / np.arange(1, hits.size + 1), hits / len(gold.pairs))
 
 
 def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
@@ -161,11 +159,18 @@ def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
             np.add(before, part, out=before)
 
     _run_blocks(count, _blocks(*m.shape))
-    order = np.argsort(before)  # the counts are distinct, in sweep order
+    return _hit_points(before, gold_scores, m.scores.min(), m.scores.size, len(gold.pairs))
+
+
+def _hit_points(before, scores, lowest, n_cells: int, n_gold: int) -> PRCurve:
+    """The points where a sweep down ``n_cells`` cells hits gold, plus its last at
+    the ``lowest`` score: ``before[i]`` (all distinct) counts the cells swept
+    before the i-th gold cell hit, whose score is ``scores[i]``."""
+    order = np.argsort(before)
     hits = np.append(np.arange(1, len(order) + 1), len(order))
-    positions = np.append(before[order] + 1, m.scores.size)
-    thresholds = np.append(gold_scores[order], m.scores.min())
-    return PRCurve(thresholds, hits / positions, hits / len(gold.pairs))
+    positions = np.append(before[order] + 1, n_cells)
+    thresholds = np.append(scores[order], lowest)
+    return PRCurve(thresholds, hits / positions, hits / n_gold)
 
 
 def interpolated_precision(curve: PRCurve, r: float) -> float:
@@ -189,20 +194,14 @@ def compare_methods(
     (known methods first, extras in given order).  When ``out_dir`` is set,
     a curve file with the ``hit_curve`` points is written per method.
     """
-    def name_of(key) -> str:
-        return key.value if isinstance(key, RescoreMethod) else str(key)
-
-    canonical = [m.value for m in RescoreMethod]
-    keys = sorted(
-        matrices,
-        key=lambda k: canonical.index(name_of(k)) if name_of(k) in canonical else len(canonical),
-    )
+    names = {key: key.value if isinstance(key, RescoreMethod) else str(key) for key in matrices}
+    canonical = {method.value: i for i, method in enumerate(RescoreMethod)}
     rows = []
-    for key in keys:
+    for key in sorted(matrices, key=lambda k: canonical.get(names[k], len(canonical))):
         curve = hit_curve(matrices[key], gold)
-        rows.append(ReportRow(name_of(key), curve.max_f1, curve.iap11))
+        rows.append(ReportRow(names[key], curve.max_f1, curve.iap11))
         if out_dir is not None:
-            save_curve(curve, Path(out_dir) / f"curve_{name_of(key)}.tsv", name_of(key))
+            save_curve(curve, Path(out_dir) / f"curve_{names[key]}.tsv", names[key])
     return rows
 
 

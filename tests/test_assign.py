@@ -127,14 +127,28 @@ class TestMaxAssignmentCurve:
         assert (curve.precisions == 1.0).all()
         assert curve.recalls[-1] == 1.0
 
-    def test_leading_point_is_empty_prediction(self):
+    def test_no_leading_point(self):
+        # Like every other curve, it starts at its first gold hit.
         m = mat([[0.9, 0.1], [0.2, 0.8]])
         a = hungarian_max(m)
         gold = GoldPairs(frozenset({("r0", "c0")}))
         curve = max_assignment_curve(m, a, gold)
-        assert curve.recalls[0] == 0.0
-        assert curve.precisions[0] == 1.0
-        assert curve.thresholds[0] == np.inf
+        assert curve.thresholds.tolist() == [0.9, 0.8]
+        assert curve.precisions.tolist() == [1.0, 0.5]
+        assert curve.recalls.tolist() == [1.0, 1.0]
+        assert np.isfinite(curve.thresholds).all()
+
+    def test_no_gold_hit_is_one_point(self):
+        # A leading empty-prediction point would make IAP11 1/11 here.
+        m = mat([[0.9, 0.1], [0.2, 0.8]])
+        a = hungarian_max(m)
+        gold = GoldPairs(frozenset({("r0", "c1"), ("out", "out")}))
+        curve = max_assignment_curve(m, a, gold)
+        assert curve.thresholds.tolist() == [0.8]
+        assert curve.precisions.tolist() == [0.0]
+        assert curve.recalls.tolist() == [0.0]
+        assert curve.max_f1 == 0.0
+        assert curve.iap11 == 0.0
 
     def test_three_pair_sweep_by_hand(self):
         # assignment pairs score 0.9 (gold), 0.6 (not), 0.3 (gold); |gold|=3
@@ -147,10 +161,10 @@ class TestMaxAssignmentCurve:
         a = hungarian_max(m)
         gold = GoldPairs(frozenset({("r0", "c0"), ("r2", "c2"), ("r1", "c1x")}))
         curve = max_assignment_curve(m, a, gold)
-        # prefix walk: (1/1, 1/3), (1/2, 1/3), (2/3, 2/3) after the empty point
-        assert curve.thresholds.tolist() == [np.inf, 0.9, 0.6, 0.3]
-        assert curve.precisions.tolist() == [1.0, 1.0, 0.5, 2 / 3]
-        assert curve.recalls.tolist() == [0.0, 1 / 3, 1 / 3, 2 / 3]
+        # prefix walk: (1/1, 1/3), (1/2, 1/3), (2/3, 2/3); the hits and the last
+        assert curve.thresholds.tolist() == [0.9, 0.3, 0.3]
+        assert curve.precisions.tolist() == [1.0, 2 / 3, 2 / 3]
+        assert curve.recalls.tolist() == [1 / 3, 2 / 3, 2 / 3]
 
     def test_tied_scores_swept_in_row_label_order(self):
         # Rows c, b, a assigned to x, y, z; b and a tie at 0.7, so a (not
@@ -159,9 +173,9 @@ class TestMaxAssignmentCurve:
         a = hungarian_max(m)
         gold = GoldPairs(frozenset({("c", "x"), ("b", "y")}))
         curve = max_assignment_curve(m, a, gold)
-        assert curve.thresholds.tolist() == [np.inf, 0.9, 0.7, 0.7]
-        assert curve.precisions.tolist() == [1.0, 1.0, 0.5, 2 / 3]
-        assert curve.recalls.tolist() == [0.0, 0.5, 0.5, 1.0]
+        assert curve.thresholds.tolist() == [0.9, 0.7, 0.7]
+        assert curve.precisions.tolist() == [1.0, 2 / 3, 2 / 3]
+        assert curve.recalls.tolist() == [0.5, 1.0, 1.0]
 
     def test_empty_gold_rejected(self):
         m = mat([[1.0]])

@@ -163,17 +163,27 @@ class TestEvalCommand:
         assert not (tmp_path / "ev" / "report.tsv").exists()
 
 
+def assigned_gold(assignment_path, gold_path):
+    """The assigned pairs that are gold pairs."""
+    gold = cgm.load_gold_pairs(gold_path).pairs
+    lines = Path(assignment_path).read_text(encoding="utf-8").splitlines()
+    return [pair for pair in (tuple(line.split("\t")[:2]) for line in lines) if pair in gold]
+
+
 class TestAssignCommand:
     def test_assignment_and_curve_written(self, tmp_path):
         syn = tmp_path / "syn"
-        run_cli("synth", "--out", syn, "--n-pairs", 6, "--seed", 2)
+        # Partnerless words and noise, so that some assigned pairs are not gold.
+        run_cli("synth", "--out", syn, "--n-pairs", 6, "--distractors", 6, "--noise-sigma", 0.5,
+                "--seed", 2)
         out = tmp_path / "asn"
         assert run_cli("assign", "--out", out, "--matrix", syn / "matrix.tsv",
                        "--gold", syn / "gold.tsv") == 0
-        assert (out / "assignment.tsv").exists()
+        hits = assigned_gold(out / "assignment.tsv", syn / "gold.tsv")
+        assert 0 < len(hits) < 12
         curve, method = cgm.load_curve(out / "curve_max_assignment.tsv")
         assert method == "max_assignment"
-        assert curve.recalls[0] == 0.0
+        assert len(curve) == len(hits) + 1
 
     def test_size_guard_exits_nonzero(self, tmp_path, capsys):
         syn = tmp_path / "syn"
@@ -235,6 +245,24 @@ class TestSyntheticPipeline:
         assert "assignment.tsv" not in outputs
         assert "curve_max_assignment.tsv" not in outputs
         assert not (out / "assignment.tsv").exists()
+
+    def test_every_curve_file_is_its_hits_plus_the_last_point(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("pipeline", "--source", "synth", "--out", out, "--n-pairs", 25,
+                       "--distractors", 25, "--noise-sigma", 0.5, "--seed", 3) == 0
+        gold = cgm.load_gold_pairs(out / "gold.tsv")
+        hits = {name: len(gold) for name in ("baseline", "rr", "rr_fr_1step", "rr_fr_2step")}
+        hits["max_assignment"] = len(assigned_gold(out / "assignment.tsv", out / "gold.tsv"))
+        assert 0 < hits["max_assignment"] < len(gold)
+        assert sorted(p.name for p in out.glob("curve_*.tsv")) == sorted(
+            f"curve_{name}.tsv" for name in hits)
+        for name, n_hits in hits.items():
+            lines = (out / f"curve_{name}.tsv").read_text(encoding="utf-8").splitlines()
+            assert lines[0] == f"#prcurve v1 method={name}"
+            assert len(lines) == 1 + n_hits + 1
+            recalls = [float(line.split("\t")[2]) for line in lines[1:]]
+            assert all(a < b for a, b in zip(recalls[:-1], recalls[1:-1]))
+            assert recalls[-1] == recalls[-2]
 
     def test_two_runs_byte_identical(self, tmp_path):
         args = ("pipeline", "--source", "synth", "--n-pairs", 20, "--noise-sigma", 0.35,
@@ -492,6 +520,25 @@ class TestFilePipeline:
         assert (out / "baseline.tsv").read_bytes() == expected.read_bytes()
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["inputs"]) == sorted(str(path) for path in paths.values())
+
+    @pytest.mark.parametrize("command", ["pipeline", "train"])
+    def test_empty_training_seed_fails_before_scoring(self, corpus, tmp_path, capsys, command):
+        gold = tmp_path / "gold3.tsv"
+        gold.write_text("".join(f"{a}\t{b}\n" for a, b in PAIRS[:3]), encoding="utf-8")
+        out = tmp_path / "run"
+        argv = (("pipeline", "--source", "files", "--metrics", "phonetic") if command == "pipeline"
+                else ("train", "--matrices", tmp_path / "unread"))
+        if command == "train":  # matrices that would be loaded were the seed not checked first
+            (tmp_path / "unread").mkdir()
+            (tmp_path / "unread" / "metric_phonetic.tsv").write_text("not a matrix\n")
+        assert run_cli(*argv, "--out", out, "--gold", gold) == 1
+        assert capsys.readouterr().err == (
+            "cogmatrix: error: config key 'seed_fraction': 0.2 of 3 gold pairs leaves an "
+            "empty training seed; raise it or use --weights uniform\n")
+        assert list(out.iterdir()) == []
+        if command == "pipeline":
+            assert run_cli(*argv, "--out", tmp_path / "uniform", "--gold", gold,
+                           "--weights", "uniform") == 0
 
     def test_uniform_weights_escape_hatch(self, corpus, tmp_path):
         out = tmp_path / "run"

@@ -130,7 +130,7 @@ class TestTieOrder:
         assert hit_curve(m, gold).precisions.tolist() == [1.0, 0.25]
         # (a\x00, v) and (a, u): the gold pair is predicted first.
         a = Assignment(pairs=((0, 1), (1, 0)), scores=(0.5, 0.5), total=1.0)
-        assert max_assignment_curve(m, a, gold).precisions.tolist() == [1.0, 1.0, 0.5]
+        assert max_assignment_curve(m, a, gold).precisions.tolist() == [1.0, 0.5]
 
 
 class TestInterpolatedPrecision:

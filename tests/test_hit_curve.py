@@ -1,13 +1,15 @@
-"""hit_curve against the full-sweep oracle pr_curve, bit for bit."""
+"""The hit-point curves against full-sweep oracles, bit for bit: hit_curve
+against pr_curve, max_assignment_curve against a prefix walk of its pairs."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cogmatrix import GoldPairs, ScoreMatrix, compare_methods, hit_curve, load_curve, pr_curve
+from cogmatrix import (GoldPairs, PRCurve, ScoreMatrix, compare_methods, hit_curve, hungarian_max,
+                       load_curve, max_assignment_curve, pr_curve)
 from cogmatrix import matrix
 
 # Tie-heavy score levels; -0.0 and 0.0 compare equal and must tie.
@@ -117,3 +119,42 @@ def test_compare_methods_writes_hit_point_curve(tmp_path):
     assert np.array_equal(curve.recalls, expected.recalls)
     assert report[0].max_f1 == pr_curve(m, gold).max_f1
     assert report[0].iap11 == pr_curve(m, gold).iap11
+
+
+def prefix_walk(m, a, gold):
+    """Every prefix of the assigned pairs sorted by (-score, row label) as one
+    (threshold, precision, recall, hit) point, in plain Python."""
+    swept = sorted(zip(a.scores, a.pairs), key=lambda sp: (-sp[0], m.row_labels[sp[1][0]]))
+    points, hits = [], 0
+    for k, (score, (i, j)) in enumerate(swept, start=1):
+        hit = (m.row_labels[i], m.col_labels[j]) in gold.pairs
+        hits += hit
+        points.append((score, hits / k, hits / len(gold), hit))
+    return points
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluation_cases(), st.data())
+def test_assignment_curve_matches_prefix_walk(case, data):
+    m, gold, _ = case
+    a = hungarian_max(m)
+    if data.draw(st.booleans()):
+        # Gold drawn from the assigned pairs, so that most sweeps hit it often.
+        assigned = [(m.row_labels[i], m.col_labels[j]) for i, j in a.pairs]
+        picked = data.draw(st.lists(st.sampled_from(assigned), unique=True))
+        outside = {pair for pair in gold.pairs if pair[0].startswith("out")}
+        assume(picked or outside)
+        gold = GoldPairs(frozenset(picked) | outside)
+    walk = prefix_walk(m, a, gold)
+    expected = [point[:3] for point in walk if point[3]] + [walk[-1][:3]]
+    curve = max_assignment_curve(m, a, gold)
+    assert bits(curve.thresholds) == bits([t for t, _, _ in expected])
+    assert bits(curve.precisions) == bits([p for _, p, _ in expected])
+    assert bits(curve.recalls) == bits([r for _, _, r in expected])
+    full = PRCurve(*np.array([point[:3] for point in walk]).T)
+    assert curve.max_f1 == full.max_f1
+    assert curve.iap11 == full.iap11
