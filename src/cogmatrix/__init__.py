@@ -37,23 +37,8 @@ from .ingest import (
     split_seed,
 )
 from .matrix import GoldPairs, ScoreMatrix, load_matrix, normalize_min_max, save_matrix
-from .rescore import (
-    RescoreMethod,
-    apply,
-    forward_rank,
-    forward_rank_matrix,
-    reverse_rank,
-)
-from .scorers import (
-    MetricId,
-    burstiness_score,
-    context_score,
-    frequency_score,
-    levenshtein,
-    phonetic_score,
-    score_all_pairs,
-    temporal_score,
-)
+from .rescore import RescoreMethod, apply, forward_rank_matrix
+from .scorers import MetricId, score_all_pairs
 from .synth import SynthConfig, generate
 
 __version__ = "0.1.0"
@@ -73,18 +58,13 @@ __all__ = [
     "WeightVector",
     "apply",
     "build_universe",
-    "burstiness_score",
     "combine",
     "compare_methods",
-    "context_score",
-    "forward_rank",
     "forward_rank_matrix",
-    "frequency_score",
     "generate",
     "hit_curve",
     "hungarian_max",
     "interpolated_precision",
-    "levenshtein",
     "load_curve",
     "load_gold_pairs",
     "load_lexicon",
@@ -92,9 +72,7 @@ __all__ = [
     "load_weights",
     "max_assignment_curve",
     "normalize_min_max",
-    "phonetic_score",
     "pr_curve",
-    "reverse_rank",
     "save_assignment",
     "save_curve",
     "save_gold_pairs",
@@ -103,7 +81,6 @@ __all__ = [
     "save_weights",
     "score_all_pairs",
     "split_seed",
-    "temporal_score",
     "train_weights",
     "uniform_weights",
     "__version__",

@@ -349,7 +349,6 @@ def _evaluate(run: RunWriter, matrices: Mapping, gold) -> list[ReportRow]:
 
 def _finish(run: RunWriter, rows: list[ReportRow]) -> None:
     save_report(rows, run.out_path("report.tsv"))
-    run.write_manifest()
     for row in rows:
         print(f"{row.method}\t{row.max_f1:.4f}\t{row.iap11:.4f}")
 
@@ -366,7 +365,6 @@ def cmd_synth(run: RunWriter, args: argparse.Namespace) -> None:
             f"noise_sigma={cfg.noise_sigma} signal_mu={cfg.signal_mu} seed={cfg.seed}",
         ),
     )
-    run.write_manifest()
 
 
 def cmd_score(run: RunWriter, args: argparse.Namespace) -> None:
@@ -376,7 +374,6 @@ def cmd_score(run: RunWriter, args: argparse.Namespace) -> None:
     matrices = _universe_matrices(run, run.cfg, lexica, bridge, gold, save=True)
     for metric in matrices:
         matrices[metric]  # scored and saved, then dropped before the next metric
-    run.write_manifest()
 
 
 def _metric_matrix_paths(matrices_dir: str) -> dict[MetricId, Path]:
@@ -396,7 +393,6 @@ def cmd_train(run: RunWriter, args: argparse.Namespace) -> None:
     matrices = {metric: load_matrix(run.track_input(path)) for metric, path in paths.items()}
     weights = train_weights(matrices, seed, cfg.training_config())
     save_weights(weights, run.out_path("weights.tsv"))
-    run.write_manifest()
 
 
 def cmd_combine(run: RunWriter, args: argparse.Namespace) -> None:
@@ -410,20 +406,17 @@ def cmd_combine(run: RunWriter, args: argparse.Namespace) -> None:
     # One metric matrix is loaded at a time, added in and dropped.
     baseline = combine(_OnAccess(paths, lambda m: load_matrix(run.track_input(paths[m]))), weights)
     save_matrix(baseline, run.out_path("baseline.tsv"))
-    run.write_manifest()
 
 
 def cmd_rescore(run: RunWriter, args: argparse.Namespace) -> None:
     matrix = load_matrix(run.track_input(_require(run.cfg.matrix, "matrix")))
     for method in run.cfg.method_ids():
         _rescore(run, method, matrix, save=True)
-    run.write_manifest()
 
 
 def cmd_assign(run: RunWriter, args: argparse.Namespace) -> None:
     matrix = load_matrix(run.track_input(_require(run.cfg.matrix, "matrix")))
     _assign(run, matrix, _load_gold(run))
-    run.write_manifest()
 
 
 def cmd_eval(run: RunWriter, args: argparse.Namespace) -> None:
@@ -568,7 +561,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler = _SUBCOMMANDS[args.subcommand][0]
     try:
-        handler(RunWriter(args.subcommand, resolve_config(args)), args)
+        run = RunWriter(args.subcommand, resolve_config(args))
+        handler(run, args)
+        run.write_manifest()
     except (ValueError, OSError, ResourceLimitError) as exc:
         print(f"cogmatrix: error: {exc}", file=sys.stderr)
         return 1

@@ -70,6 +70,7 @@ class LexiconSide:
         if daily.shape[1] != n_days:
             raise ValueError(
                 f"daily counts for {words[0]!r} have length {daily.shape[1]}, expected {n_days}"
+                if words else f"daily counts of shape {daily.shape}, expected (0, {n_days})"
             )
         if (daily < 0).any():
             raise ValueError(f"negative daily count for {words[np.argmax((daily < 0).any(1))]!r}")

@@ -25,7 +25,8 @@ the scores, allocates the output and runs the blocks (in parallel, by
 ``matrix._run_blocks``).  ``rr``, ``rr_fr_1step`` and ``rr_fr_2step`` share
 the input's cached ``ScoreMatrix.reverse_ranks`` (every cell's column rank,
 one column pass); ``fr`` never reads them.  ``forward_rank_matrix`` gives
-every cell's row rank.
+every cell's row rank, so cell (i, j) has the ranks ``m.reverse_ranks[i, j]``
+and ``forward_rank_matrix(m)[i, j]``.
 """
 
 from __future__ import annotations
@@ -46,27 +47,10 @@ class RescoreMethod(str, enum.Enum):
 
 
 def forward_rank_matrix(m: ScoreMatrix) -> np.ndarray:
-    """forward_rank for every cell: competitors along the cell's row."""
+    """The rank of every cell along its row: the number of columns whose
+    score against the cell's row is >= the cell's."""
     s = m.scores
     return _by_row_blocks(*m.shape, lambda rows: _row_ranks_ge(s[rows]), _rank_dtype(m.n_cols))
-
-
-def _check_cell(m: ScoreMatrix, i: int, j: int) -> None:
-    for kind, n, idx in (("row", m.n_rows, i), ("column", m.n_cols, j)):
-        if not 0 <= idx < n:
-            raise IndexError(f"{kind} index {idx} out of range for size {n}")
-
-
-def reverse_rank(m: ScoreMatrix, i: int, j: int) -> int:
-    """Number of rows whose score against column j is >= s(i, j)."""
-    _check_cell(m, i, j)
-    return int(_row_ranks_ge(m.scores[None, :, j])[0, i])
-
-
-def forward_rank(m: ScoreMatrix, i: int, j: int) -> int:
-    """Number of columns whose score against row i is >= s(i, j)."""
-    _check_cell(m, i, j)
-    return int(_row_ranks_ge(m.scores[None, i, :])[0, j])
 
 
 def _rr(m, rows, out):

@@ -15,9 +15,9 @@ each: it computes per-word features once, then runs one pairwise kernel.
                    through a bridge, a mapping from L2 word to L1 word
                    (one CSR product)
 
-The single-pair functions are 1x1 calls of :func:`score_all_pairs`, so a
-matrix entry equals the single-pair score bit for bit.  Co-occurrence counts
-are consumed as produced upstream; the context-window size is the data
+One pair's score is the 1x1 matrix of :func:`score_all_pairs`, and a cell
+of any larger matrix equals it bit for bit.  Co-occurrence counts are
+consumed as produced upstream; the context-window size is the data
 producer's choice (a small symmetric window is typical).
 """
 
@@ -384,42 +384,3 @@ def score_all_pairs(
 
     return ScoreMatrix(x_words, y_words, _by_row_blocks(n1, n2, cosine))
 
-
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance over unicode scalar values (insert/delete/substitute)."""
-    return int(_edit_distances((a,), (b,))[0, 0])
-
-
-def phonetic_score(w1: str, w2: str) -> float:
-    """1 - ED/max(|w1|, |w2|); two empty strings count as identical."""
-    return float(score_all_pairs(MetricId.PHONETIC, (w1,), (w2,)).scores[0, 0])
-
-
-def frequency_score(w1: str, lex1: LexiconSide, w2: str, lex2: LexiconSide) -> float:
-    """Ratio of relative frequencies; both-unseen pairs score 1."""
-    return float(score_all_pairs(MetricId.FREQUENCY, (w1,), (w2,), lex1, lex2).scores[0, 0])
-
-
-def burstiness_score(w1: str, lex1: LexiconSide, w2: str, lex2: LexiconSide) -> float:
-    """Ratio of Fano factors of the two daily-count series."""
-    return float(score_all_pairs(MetricId.BURSTINESS, (w1,), (w2,), lex1, lex2).scores[0, 0])
-
-
-def temporal_score(w1: str, lex1: LexiconSide, w2: str, lex2: LexiconSide) -> float:
-    """Spearman correlation of the DFT magnitude spectra, rescaled to [0, 1].
-
-    The raw correlation lies in [-1, 1]; the returned value is (rho + 1) / 2
-    so it combines on the same scale as the other metrics.
-    """
-    return float(score_all_pairs(MetricId.TEMPORAL, (w1,), (w2,), lex1, lex2).scores[0, 0])
-
-
-def context_score(
-    w1: str, lex1: LexiconSide, w2: str, lex2: LexiconSide, bridge: Mapping[str, str]
-) -> float:
-    """Cosine of PPMI association vectors over the bridge dimensions.
-
-    The L2 word's co-occurrence profile is projected into L1 space through
-    the bridge; context words without a bridge entry are dropped.
-    """
-    return float(score_all_pairs(MetricId.CONTEXT, (w1,), (w2,), lex1, lex2, bridge).scores[0, 0])

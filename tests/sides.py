@@ -1,9 +1,10 @@
-"""Lexicon sides built from per-word dicts, the way tests write statistics."""
+"""Lexicon sides built from per-word dicts, the way tests write statistics,
+and one pair's score."""
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from cogmatrix import LexiconSide
+from cogmatrix import LexiconSide, score_all_pairs
 
 
 def lexicon_side(words, total_tokens, freq, daily=None, cooc=None, n_days=0):
@@ -36,3 +37,8 @@ def lexicon_side(words, total_tokens, freq, daily=None, cooc=None, n_days=0):
 def cooc_dicts(lex):
     """Every co-occurrence profile of ``lex``, by word."""
     return {w: lex.cooc_profile(w) for w in lex.cooc_words}
+
+
+def pair_score(metric, w1, w2, lex1=None, lex2=None, bridge=None):
+    """One pair's score: the 1x1 matrix of ``score_all_pairs``."""
+    return score_all_pairs(metric, (w1,), (w2,), lex1, lex2, bridge).scores[0, 0]

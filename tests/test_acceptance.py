@@ -14,7 +14,7 @@ import pytest
 
 import cogmatrix as cgm
 from cogmatrix.cli import main as cli_main
-from sides import lexicon_side
+from sides import lexicon_side, pair_score
 
 # Noise levels frozen after calibration (see the ensemble tests below):
 # ENSEMBLE_SIGMA puts the 300-pair baseline at 0.47-0.57 IAP, the target
@@ -57,16 +57,17 @@ def test_rank_oracle_equivalence():
         # oracle: materialize every pairwise comparison of the set definition
         rr_oracle = (scores[:, None, :] >= scores[None, :, :]).sum(axis=0)
         fr_oracle = (scores[:, :, None] >= scores[:, None, :]).sum(axis=1)
-        assert np.array_equal(m.reverse_ranks, rr_oracle)
-        assert np.array_equal(cgm.forward_rank_matrix(m), fr_oracle)
-        # spot-check the literal enumeration and the single-entry operations
+        rr, fr = m.reverse_ranks, cgm.forward_rank_matrix(m)
+        assert np.array_equal(rr, rr_oracle)
+        assert np.array_equal(fr, fr_oracle)
+        # spot-check single cells against the literal enumeration
         for _ in range(3):
             i = int(rng.integers(0, n1))
             j = int(rng.integers(0, n2))
             rr_literal = sum(1 for k in range(n1) if scores[k, j] >= scores[i, j])
             fr_literal = sum(1 for k in range(n2) if scores[i, k] >= scores[i, j])
-            assert cgm.reverse_rank(m, i, j) == rr_literal == rr_oracle[i, j]
-            assert cgm.forward_rank(m, i, j) == fr_literal == fr_oracle[i, j]
+            assert rr[i, j] == rr_literal == rr_oracle[i, j]
+            assert fr[i, j] == fr_literal == fr_oracle[i, j]
         checked += n1 * n2
     elapsed = time.monotonic() - start
     _verdict(
@@ -287,16 +288,16 @@ def test_metric_properties():
         w1 = words1[int(rng.integers(0, len(words1)))]
         w2 = words2[int(rng.integers(0, len(words2)))]
         values = (
-            cgm.phonetic_score(w1, w2),
-            cgm.frequency_score(w1, lex1, w2, lex2),
-            cgm.temporal_score(w1, lex1, w2, lex2),
-            cgm.burstiness_score(w1, lex1, w2, lex2),
-            cgm.context_score(w1, lex1, w2, lex2, bridge),
+            pair_score(cgm.MetricId.PHONETIC, w1, w2),
+            pair_score(cgm.MetricId.FREQUENCY, w1, w2, lex1, lex2),
+            pair_score(cgm.MetricId.TEMPORAL, w1, w2, lex1, lex2),
+            pair_score(cgm.MetricId.BURSTINESS, w1, w2, lex1, lex2),
+            pair_score(cgm.MetricId.CONTEXT, w1, w2, lex1, lex2, bridge),
         )
         checks += len(values)
         range_ok &= all(0.0 <= v <= 1.0 for v in values)
 
-    identity_ok = all(cgm.phonetic_score(w, w) == 1.0 for w in words1)
+    identity_ok = all(pair_score(cgm.MetricId.PHONETIC, w, w) == 1.0 for w in words1)
 
     # multiplying one daily series by a positive constant leaves the
     # temporal score bit-identical (ranks are scale-invariant)
@@ -305,8 +306,8 @@ def test_metric_properties():
         lex1_scaled = dataclasses.replace(lex1, daily_counts=lex1.daily_counts * scale)
         for w1, w2 in zip(words1[:25], words2[:25]):
             scaling_ok &= (
-                cgm.temporal_score(w1, lex1, w2, lex2)
-                == cgm.temporal_score(w1, lex1_scaled, w2, lex2)
+                pair_score(cgm.MetricId.TEMPORAL, w1, w2, lex1, lex2)
+                == pair_score(cgm.MetricId.TEMPORAL, w1, w2, lex1_scaled, lex2)
             )
     _verdict(
         "metric properties",

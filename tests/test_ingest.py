@@ -123,6 +123,8 @@ class TestLoadLexicon:
          "negative co-occurrence count for 'bake'"),
         ({"daily_words": ("bake", "salt"), "daily_counts": [[1, 2, 3]]},
          "daily counts of shape (1, 3) for 2 words"),
+        ({"daily_words": (), "daily_counts": np.zeros((0, 2), np.int64)},
+         "daily counts of shape (0, 2), expected (0, 3)"),
         ({"daily_words": ("bake", "bake"), "daily_counts": [[1, 2, 3], [1, 2, 3]]},
          "daily_words holds a word twice"),
         ({"cooc_words": ("bake",), "cooc_contexts": ("oven",), "cooc_counts": csr_matrix([[1, 2]])},

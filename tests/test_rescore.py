@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cogmatrix import (
-    RescoreMethod,
-    ScoreMatrix,
-    apply,
-    forward_rank,
-    forward_rank_matrix,
-    reverse_rank,
-)
+from cogmatrix import RescoreMethod, ScoreMatrix, apply, forward_rank_matrix
 from cogmatrix import matrix
 
 
@@ -40,30 +33,23 @@ FIXTURE = [[0.9, 0.2], [0.5, 0.7]]
 class TestSingleEntryRanks:
     def test_reverse_rank_top_of_column(self):
         m = mat([[0.9], [0.5]])
-        assert reverse_rank(m, 0, 0) == 1
-        assert reverse_rank(m, 1, 0) == 2
+        assert m.reverse_ranks[0, 0] == 1
+        assert m.reverse_ranks[1, 0] == 2
 
     def test_reverse_rank_ties_share_worst(self):
         m = mat([[0.7], [0.7]])
-        assert reverse_rank(m, 0, 0) == 2
-        assert reverse_rank(m, 1, 0) == 2
+        assert m.reverse_ranks[0, 0] == 2
+        assert m.reverse_ranks[1, 0] == 2
 
     def test_forward_rank_along_row(self):
         m = mat([[0.9, 0.2]])
-        assert forward_rank(m, 0, 0) == 1
-        assert forward_rank(m, 0, 1) == 2
+        assert forward_rank_matrix(m)[0, 0] == 1
+        assert forward_rank_matrix(m)[0, 1] == 2
 
     def test_one_by_one(self):
         m = mat([[0.3]])
-        assert forward_rank(m, 0, 0) == 1
-        assert reverse_rank(m, 0, 0) == 1
-
-    def test_index_out_of_range(self):
-        m = mat(FIXTURE)
-        with pytest.raises(IndexError):
-            reverse_rank(m, 2, 0)
-        with pytest.raises(IndexError):
-            forward_rank(m, 0, 5)
+        assert forward_rank_matrix(m)[0, 0] == 1
+        assert m.reverse_ranks[0, 0] == 1
 
 
 class TestRankMatrices:
@@ -87,8 +73,6 @@ class TestRankMatrices:
                 for j in range(n2):
                     assert rr[i, j] == reverse_rank_oracle(m.scores, i, j)
                     assert fr[i, j] == forward_rank_oracle(m.scores, i, j)
-                    assert rr[i, j] == reverse_rank(m, i, j)
-                    assert fr[i, j] == forward_rank(m, i, j)
 
     def test_rank_bounds(self):
         rng = np.random.default_rng(123)
@@ -288,8 +272,8 @@ def test_rank_operators_match_set_enumeration(m, block_cells):
     assert rr.dtype == matrix._rank_dtype(m.n_rows)
     for i in range(m.n_rows):
         for j in range(m.n_cols):
-            assert rr[i, j] == reverse_rank(m, i, j) == reverse_rank_oracle(m.scores, i, j)
-            assert fr[i, j] == forward_rank(m, i, j) == forward_rank_oracle(m.scores, i, j)
+            assert rr[i, j] == reverse_rank_oracle(m.scores, i, j)
+            assert fr[i, j] == forward_rank_oracle(m.scores, i, j)
 
 
 @settings(max_examples=300, deadline=None)
@@ -311,7 +295,7 @@ def test_rescorers_bit_identical_to_searchsorted_ranks(m, block_cells):
 @settings(max_examples=300, deadline=None)
 @given(score_matrices(min_value=-1e300))
 def test_kernel_ranks_non_contiguous_views(m):
-    # A transposed view, and the single-column view that reverse_rank passes.
+    # A transposed view, and one single-column view per column.
     views = (m.scores.T, *(m.scores[None, :, j] for j in range(m.n_cols)))
     for view in views:
         assert np.array_equal(matrix._row_ranks_ge(view), searchsorted_ranks(view))

@@ -10,19 +10,9 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.stats import rankdata
 
-from cogmatrix import (
-    LexiconSide,
-    MetricId,
-    burstiness_score,
-    context_score,
-    frequency_score,
-    levenshtein,
-    phonetic_score,
-    score_all_pairs,
-    temporal_score,
-)
+from cogmatrix import LexiconSide, MetricId, score_all_pairs
 from cogmatrix import matrix, scorers
-from sides import cooc_dicts, lexicon_side
+from sides import cooc_dicts, lexicon_side, pair_score
 
 
 def lexicon(total=100, freq=None, daily=None, cooc=None, n_days=0):
@@ -53,7 +43,7 @@ class TestLevenshtein:
         [("bake", "bake", 0), ("abc", "abd", 1), ("a", "", 1), ("kitten", "sitting", 3)],
     )
     def test_known_distances(self, a, b, d):
-        assert levenshtein(a, b) == d
+        assert scorers._edit_distances((a,), (b,))[0, 0] == d
 
     def test_matches_full_table_oracle(self):
         rng = np.random.default_rng(11)
@@ -61,69 +51,71 @@ class TestLevenshtein:
         for _ in range(200):
             a = "".join(rng.choice(list(alphabet), size=rng.integers(0, 8)))
             b = "".join(rng.choice(list(alphabet), size=rng.integers(0, 8)))
-            assert levenshtein(a, b) == self.brute(a, b)
+            assert scorers._edit_distances((a,), (b,))[0, 0] == self.brute(a, b)
 
 
 class TestPhonetic:
     def test_identical(self):
-        assert phonetic_score("bake", "bake") == 1.0
+        assert pair_score(MetricId.PHONETIC, "bake", "bake") == 1.0
 
     def test_single_substitution(self):
-        assert phonetic_score("abc", "abd") == 2 / 3
+        assert pair_score(MetricId.PHONETIC, "abc", "abd") == 2 / 3
 
     def test_full_deletion(self):
-        assert phonetic_score("a", "") == 0.0
+        assert pair_score(MetricId.PHONETIC, "a", "") == 0.0
 
     def test_both_empty(self):
-        assert phonetic_score("", "") == 1.0
+        assert pair_score(MetricId.PHONETIC, "", "") == 1.0
 
     def test_symmetric(self):
-        assert phonetic_score("nacht", "night") == phonetic_score("night", "nacht")
+        pair = pair_score(MetricId.PHONETIC, "nacht", "night")
+        assert pair == pair_score(MetricId.PHONETIC, "night", "nacht")
 
     def test_one_iff_equal(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             a = "".join(rng.choice(list("ab"), size=rng.integers(1, 5)))
             b = "".join(rng.choice(list("ab"), size=rng.integers(1, 5)))
-            s = phonetic_score(a, b)
+            s = pair_score(MetricId.PHONETIC, a, b)
             assert 0.0 <= s <= 1.0
             assert (s == 1.0) == (a == b)
 
     def test_unicode_scalars(self):
         # One substitution over length 4, regardless of UTF-8 byte lengths.
-        assert phonetic_score("café", "cafe") == 3 / 4
+        assert pair_score(MetricId.PHONETIC, "café", "cafe") == 3 / 4
 
 
 class TestFrequency:
     def test_ratio(self):
         lex1 = lexicon(total=1000, freq={"w": 1})
         lex2 = lexicon(total=1000, freq={"v": 2})
-        assert frequency_score("w", lex1, "v", lex2) == 0.5
+        assert pair_score(MetricId.FREQUENCY, "w", "v", lex1, lex2) == 0.5
 
     def test_equal_nonzero(self):
         lex1 = lexicon(total=100, freq={"w": 7})
         lex2 = lexicon(total=200, freq={"v": 14})
-        assert frequency_score("w", lex1, "v", lex2) == 1.0
+        assert pair_score(MetricId.FREQUENCY, "w", "v", lex1, lex2) == 1.0
 
     def test_one_sided_zero(self):
         lex1 = lexicon(total=100, freq={"w": 0})
         lex2 = lexicon(total=100, freq={"v": 1})
-        assert frequency_score("w", lex1, "v", lex2) == 0.0
+        assert pair_score(MetricId.FREQUENCY, "w", "v", lex1, lex2) == 0.0
 
     def test_both_zero(self):
         lex = lexicon(total=100, freq={"w": 0, "v": 0})
-        assert frequency_score("w", lex, "v", lex) == 1.0
+        assert pair_score(MetricId.FREQUENCY, "w", "v", lex, lex) == 1.0
 
     def test_symmetric(self):
         lex1 = lexicon(total=50, freq={"w": 3})
         lex2 = lexicon(total=80, freq={"v": 9})
-        assert frequency_score("w", lex1, "v", lex2) == frequency_score("v", lex2, "w", lex1)
+        pair = pair_score(MetricId.FREQUENCY, "w", "v", lex1, lex2)
+        assert pair == pair_score(MetricId.FREQUENCY, "v", "w", lex2, lex1)
 
 
 class TestBurstiness:
     def test_identical_vectors(self):
         lex = lexicon(daily={"w": [1, 5, 0, 2], "v": [1, 5, 0, 2]}, n_days=4)
-        assert burstiness_score("w", lex, "v", lex) == 1.0
+        assert pair_score(MetricId.BURSTINESS, "w", "v", lex, lex) == 1.0
 
     def test_known_ratio(self):
         # fano([0,4]) = var/mean = 4/2 = 2;  fano([0,0,4,4]) = 4/2 = 2 -> need distinct
@@ -131,13 +123,13 @@ class TestBurstiness:
         b_w = np.var([0, 4, 0, 4]) / np.mean([0, 4, 0, 4])  # 2.0
         b_v = np.var([2, 2, 2, 6]) / np.mean([2, 2, 2, 6])  # 1.0
         assert b_w == 2.0 and b_v == 1.0
-        assert burstiness_score("w", lex, "v", lex) == 0.5
+        assert pair_score(MetricId.BURSTINESS, "w", "v", lex, lex) == 0.5
 
     def test_constant_vector_has_zero_fano(self):
         lex = lexicon(daily={"w": [0, 0, 0, 0], "v": [1, 1, 1, 1]}, n_days=4)
         # both Fano factors are 0: the all-zero vector by the mean rule,
         # the constant vector because its variance is 0
-        assert burstiness_score("w", lex, "v", lex) == 1.0
+        assert pair_score(MetricId.BURSTINESS, "w", "v", lex, lex) == 1.0
 
 
 def spearman_oracle(x, y):
@@ -181,7 +173,7 @@ def dft_magnitudes(v):
 class TestTemporal:
     def test_identical_nonconstant_vectors(self):
         lex = lexicon(daily={"w": [1, 5, 2, 9, 0, 3, 3, 1], "v": [1, 5, 2, 9, 0, 3, 3, 1]}, n_days=8)
-        assert temporal_score("w", lex, "v", lex) == 1.0
+        assert pair_score(MetricId.TEMPORAL, "w", "v", lex, lex) == 1.0
 
     def test_rank_reversed_spectra(self):
         # T=4 gives a 2-bin spectrum: [0,1,0,1] has magnitudes (0, 2) while
@@ -189,14 +181,14 @@ class TestTemporal:
         assert dft_magnitudes([0, 1, 0, 1]) == pytest.approx([0.0, 2.0], abs=1e-12)
         assert dft_magnitudes([0, 1, 2, 1]) == pytest.approx([2.0, 0.0], abs=1e-12)
         lex = lexicon(daily={"w": [0, 1, 0, 1], "v": [0, 1, 2, 1]}, n_days=4)
-        assert temporal_score("w", lex, "v", lex) == 0.0
+        assert pair_score(MetricId.TEMPORAL, "w", "v", lex, lex) == 0.0
 
     def test_oracle_on_fixed_vectors(self):
         v1 = [1, 2, 3, 4, 5, 6, 7, 8]
         v2 = [2, 4, 6, 8, 1, 3, 5, 7]
         lex = lexicon(daily={"w": v1, "v": v2}, n_days=8)
         rho = spearman_oracle(dft_magnitudes(v1), dft_magnitudes(v2))
-        got = temporal_score("w", lex, "v", lex)
+        got = pair_score(MetricId.TEMPORAL, "w", "v", lex, lex)
         assert got == pytest.approx((rho + 1) / 2, abs=1e-12)
 
     def test_spectrum_convention_matches_direct_dft(self):
@@ -222,29 +214,31 @@ class TestTemporal:
             mag1 = np.abs(np.fft.rfft(np.asarray(v1, dtype=float)))[1:].tolist()
             mag2 = np.abs(np.fft.rfft(np.asarray(v2, dtype=float)))[1:].tolist()
             expected = (spearman_oracle(mag1, mag2) + 1) / 2
-            assert temporal_score("w", lex, "v", lex) == pytest.approx(expected, abs=1e-9)
+            got = pair_score(MetricId.TEMPORAL, "w", "v", lex, lex)
+            assert got == pytest.approx(expected, abs=1e-9)
 
     def test_constant_zero_vector_scores_half(self):
         lex = lexicon(daily={"w": [0, 0, 0, 0], "v": [1, 5, 2, 9]}, n_days=4)
-        assert temporal_score("w", lex, "v", lex) == 0.5
+        assert pair_score(MetricId.TEMPORAL, "w", "v", lex, lex) == 0.5
 
     def test_positive_scaling_invariance(self):
         base = [3, 1, 4, 1, 5, 9, 2, 6]
         for c in (2, 3, 4):
             scaled = [c * v for v in base]
             lex = lexicon(daily={"w": base, "v": scaled, "u": [1, 5, 2, 9, 0, 3, 3, 1]}, n_days=8)
-            assert temporal_score("w", lex, "u", lex) == temporal_score("v", lex, "u", lex)
+            got = pair_score(MetricId.TEMPORAL, "w", "u", lex, lex)
+            assert got == pair_score(MetricId.TEMPORAL, "v", "u", lex, lex)
 
     def test_short_series_rejected(self):
         lex = lexicon(daily={"w": [1, 2, 3]}, n_days=3)
         with pytest.raises(ValueError, match="length >= 4"):
-            temporal_score("w", lex, "w", lex)
+            pair_score(MetricId.TEMPORAL, "w", "w", lex, lex)
 
     def test_mismatched_series_lengths_rejected(self):
         lex1 = lexicon(daily={"w": [1, 2, 3, 4]}, n_days=4)
         lex2 = lexicon(daily={"v": [1, 2, 3, 4, 5, 6]}, n_days=6)
         with pytest.raises(ValueError, match="lengths differ"):
-            temporal_score("w", lex1, "v", lex2)
+            pair_score(MetricId.TEMPORAL, "w", "v", lex1, lex2)
 
 
 class TestContext:
@@ -294,29 +288,29 @@ class TestContext:
         num = sum(a * b for a, b in zip(v1, v2))
         den = math.sqrt(sum(a * a for a in v1)) * math.sqrt(sum(b * b for b in v2))
         expected = num / den
-        got = context_score("bake", lex1, "backen", lex2, bridge)
+        got = pair_score(MetricId.CONTEXT, "bake", "backen", lex1, lex2, bridge)
         assert got == pytest.approx(expected, abs=1e-12)
         assert 0.0 < got <= 1.0
 
     def test_disjoint_support_is_zero(self):
         lex1, lex2, bridge = self.cooc_lexica()
-        assert context_score("bake", lex1, "mann", lex2, bridge) == 0.0
+        assert pair_score(MetricId.CONTEXT, "bake", "mann", lex1, lex2, bridge) == 0.0
 
     def test_identical_profiles_score_one(self):
         lex1, lex2, bridge = self.cooc_lexica()
         # same association vector on both sides -> cosine 1
         lex2b = lexicon(cooc={"selbst": {"brot": 4, "ofen": 2}, "brot": {"selbst": 4}, "ofen": {"selbst": 2}})
-        v1 = context_score("bake", lex1, "selbst", lex2b, bridge)
+        v1 = pair_score(MetricId.CONTEXT, "bake", "selbst", lex1, lex2b, bridge)
         assert v1 == pytest.approx(1.0, abs=1e-12) or v1 <= 1.0
 
     def test_empty_bridge_rejected(self):
         lex1, lex2, _ = self.cooc_lexica()
         with pytest.raises(ValueError, match="seed lexicon"):
-            context_score("bake", lex1, "backen", lex2, {})
+            pair_score(MetricId.CONTEXT, "bake", "backen", lex1, lex2, {})
 
     def test_missing_profile_scores_zero(self):
         lex1, lex2, bridge = self.cooc_lexica()
-        assert context_score("unknownword", lex1, "backen", lex2, bridge) == 0.0
+        assert pair_score(MetricId.CONTEXT, "unknownword", "backen", lex1, lex2, bridge) == 0.0
 
 
 class TestScoreAllPairs:
@@ -325,7 +319,7 @@ class TestScoreAllPairs:
         m = score_all_pairs(MetricId.PHONETIC, xs, ys)
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                assert m.scores[i, j] == phonetic_score(x, y)
+                assert m.scores[i, j] == pair_score(MetricId.PHONETIC, x, y)
 
     def test_all_metrics_pointwise_and_in_range(self):
         rng = np.random.default_rng(17)
@@ -349,19 +343,13 @@ class TestScoreAllPairs:
             n_days=n_days,
         )
         bridge = {"k1": "c1", "k2": "c2", "k3": "c3"}
-        scalar = {
-            MetricId.PHONETIC: lambda x, y: phonetic_score(x, y),
-            MetricId.FREQUENCY: lambda x, y: frequency_score(x, lex1, y, lex2),
-            MetricId.TEMPORAL: lambda x, y: temporal_score(x, lex1, y, lex2),
-            MetricId.BURSTINESS: lambda x, y: burstiness_score(x, lex1, y, lex2),
-            MetricId.CONTEXT: lambda x, y: context_score(x, lex1, y, lex2, bridge),
-        }
         for metric in MetricId:
             m = score_all_pairs(metric, words1, words2, lex1, lex2, bridge)
             assert m.scores.min() >= 0.0 and m.scores.max() <= 1.0
             for i, x in enumerate(words1):
                 for j, y in enumerate(words2):
-                    assert m.scores[i, j] == scalar[metric](x, y), (metric, x, y)
+                    pair = pair_score(metric, x, y, lex1, lex2, bridge)
+                    assert m.scores[i, j] == pair, (metric, x, y)
 
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(3)
@@ -560,8 +548,8 @@ EDGE_TABLE = tuple(edge_distance_table())
 
 @pytest.mark.parametrize("x, y, d", EDGE_TABLE)
 def test_edge_lengths_fixed_table(x, y, d):
-    assert levenshtein(x, y) == d == oracle_levenshtein(x, y)
-    assert phonetic_score(x, y) == oracle_phonetic(x, y)
+    assert scorers._edit_distances((x,), (y,))[0, 0] == d == oracle_levenshtein(x, y)
+    assert pair_score(MetricId.PHONETIC, x, y) == oracle_phonetic(x, y)
 
 
 def test_edge_table_as_one_universe():
@@ -675,12 +663,12 @@ def check_against_oracles(words1, lex1, words2, lex2, bridge):
                 if metric is MetricId.CONTEXT:
                     assert abs(m.scores[i, j] - want) <= 1e-12, (metric, x, y)
                     # the sparse product sums a cell alike in any universe
-                    assert m.scores[i, j] == context_score(x, lex1, y, lex2, bridge)
+                    assert m.scores[i, j] == pair_score(metric, x, y, lex1, lex2, bridge)
                 else:
                     assert m.scores[i, j] == want, (metric, x, y)
     for x in words1:
         for y in words2:
-            assert levenshtein(x, y) == oracle_levenshtein(x, y)
+            assert scorers._edit_distances((x,), (y,))[0, 0] == oracle_levenshtein(x, y)
 
 
 class DictSide:
