@@ -7,7 +7,7 @@ solve the maximum one-to-one assignment, and evaluate precision-recall
 against gold pairs.
 """
 
-from .assign import Assignment, ResourceLimitError, hungarian_max, max_assignment_curve, save_assignment
+from .assign import ResourceLimitError, hungarian_max, max_assignment_curve, save_assignment
 from .combine import (
     TrainingConfig,
     WeightVector,
@@ -44,7 +44,6 @@ from .synth import SynthConfig, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "GoldPairs",
     "LexiconSide",
     "MetricId",

@@ -12,17 +12,16 @@ and keeps the same points as every other curve: the gold hits and the last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .evaluate import PRCurve, _hit_points
+from .evaluate import PRCurve, _gold_cells, _hit_points
 from .matrix import GoldPairs, ScoreMatrix, _label_ranks
 
-# Refuse to solve beyond this per-side size rather than thrash: the cubic
-# solver is infeasible at the large-data scale.
+# A per-side cap on the solve, not a feasibility limit (10^4 per side solves in
+# about 25 s); it stays until ROADMAP item 2's stage memory estimate replaces it.
 DEFAULT_MAX_SIDE = 20_000
 
 
@@ -30,35 +29,14 @@ class ResourceLimitError(RuntimeError):
     """Raised when an assignment problem exceeds the configured size budget."""
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """One-to-one set of (row index, column index) pairs with their scores."""
-
-    pairs: tuple[tuple[int, int], ...]
-    scores: tuple[float, ...]
-    total: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple((int(i), int(j)) for i, j in self.pairs))
-        object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
-        if len(self.pairs) != len(self.scores):
-            raise ValueError("pairs and scores must have equal length")
-        rows = [i for i, _ in self.pairs]
-        cols = [j for _, j in self.pairs]
-        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-            raise ValueError("assignment violates the one-to-one constraint")
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def hungarian_max(m: ScoreMatrix, max_side: int = DEFAULT_MAX_SIDE) -> Assignment:
-    """Maximum-total assignment of size min(n1, n2).
+def hungarian_max(m: ScoreMatrix, max_side: int = DEFAULT_MAX_SIDE) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum-total assignment of size min(n1, n2), as the ``(rows, cols)``
+    index arrays of its pairs in row order; their scores are
+    ``m.scores[rows, cols]``.
 
     Scores are negated into a standard minimization assignment solve, one
     copy of the matrix; rectangular matrices assign every element of the
-    shorter side, and pairs come in row order.  Raises ResourceLimitError
-    beyond ``max_side`` per side.
+    shorter side.  Raises ResourceLimitError beyond ``max_side`` per side.
     """
     if m.n_rows < 1 or m.n_cols < 1:
         raise ValueError("assignment requires a non-empty matrix")
@@ -73,32 +51,31 @@ def hungarian_max(m: ScoreMatrix, max_side: int = DEFAULT_MAX_SIDE) -> Assignmen
     if tall:
         rows, cols = cols, rows
     order = np.argsort(rows)
-    rows, cols = rows[order], cols[order]
-    scores = m.scores[rows, cols]
-    assignment = Assignment(
-        pairs=tuple(zip(rows.tolist(), cols.tolist())),
-        scores=tuple(scores.tolist()),
-        total=float(scores.sum()),
-    )
-    assert len(assignment) == min(m.n_rows, m.n_cols)
-    return assignment
+    return rows[order], cols[order]
 
 
-def max_assignment_curve(m: ScoreMatrix, a: Assignment, gold: GoldPairs) -> PRCurve:
+def max_assignment_curve(
+    m: ScoreMatrix, assignment: tuple[np.ndarray, np.ndarray], gold: GoldPairs
+) -> PRCurve:
     """The curve of the sweep down the assigned pairs by score, ties in row-label
-    order: as from ``hit_curve``, the points where it hits gold, plus its last."""
-    if len(gold.pairs) == 0:
-        raise ValueError("gold pairs are empty")
+    order: as from ``hit_curve``, the points where it hits gold, plus its last.
+    Like ``hit_curve``, it requires a gold pair among the candidates."""
+    rows, cols = assignment
+    gold_rows, gold_cols = _gold_cells(m, gold)
+    gold_col = np.full(m.n_rows, -1, dtype=np.int64)
+    gold_col[gold_rows] = gold_cols  # gold is one-to-one: at most one per row
     # Each row is assigned once, so row-label order is the whole tie order.
-    scores = np.array(a.scores)
-    order = np.lexsort((_label_ranks(m.row_labels)[[i for i, _ in a.pairs]], -scores))
-    is_gold = np.array([(m.row_labels[i], m.col_labels[j]) in gold.pairs for i, j in a.pairs])
-    before = np.flatnonzero(is_gold[order])
-    return _hit_points(before, scores[order][before], scores[order[-1]], len(a), len(gold.pairs))
+    scores = m.scores[rows, cols]
+    order = np.lexsort((_label_ranks(m.row_labels)[rows], -scores))
+    before = np.flatnonzero((gold_col[rows] == cols)[order])
+    return _hit_points(before, scores[order][before], scores[order[-1]], len(rows), len(gold.pairs))
 
 
-def save_assignment(m: ScoreMatrix, a: Assignment, path: str | Path) -> None:
+def save_assignment(
+    m: ScoreMatrix, assignment: tuple[np.ndarray, np.ndarray], path: str | Path
+) -> None:
     """Write ``row_label<TAB>col_label<TAB>score`` lines, rows in order."""
+    rows, cols = assignment
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for (i, j), score in zip(a.pairs, a.scores):
+        for i, j, score in zip(rows.tolist(), cols.tolist(), m.scores[rows, cols].tolist()):
             f.write(f"{m.row_labels[i]}\t{m.col_labels[j]}\t{score!r}\n")

@@ -188,13 +188,13 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 class RunWriter:
-    """Tracks inputs/outputs of one command and writes the manifest."""
+    """Tracks inputs/outputs of one command and writes the manifest; the output
+    directory is made at the first ``out_path``, so a failed read leaves none."""
 
     def __init__(self, command: str, cfg: PipelineConfig):
         self.command = command
         self.cfg = cfg
         self.out_dir = Path(cfg.out)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
 
@@ -207,6 +207,7 @@ class RunWriter:
         return path
 
     def out_path(self, name: str) -> Path:
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.outputs.append(name)
         return self.out_dir / name
 
@@ -334,8 +335,8 @@ def _rescore(run: RunWriter, method: RescoreMethod, matrix, save: bool):
 def _assign(run: RunWriter, matrix, gold) -> ReportRow:
     """Save the maximum assignment of ``matrix`` and its curve; return its report row."""
     assignment = hungarian_max(matrix, max_side=run.cfg.max_side)
-    save_assignment(matrix, assignment, run.out_path("assignment.tsv"))
     curve = max_assignment_curve(matrix, assignment, gold)
+    save_assignment(matrix, assignment, run.out_path("assignment.tsv"))
     save_curve(curve, run.out_path("curve_max_assignment.tsv"), "max_assignment")
     return ReportRow("max_assignment", curve.max_f1, curve.iap11)
 

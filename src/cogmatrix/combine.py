@@ -66,8 +66,8 @@ _LABELS_DIFFER = "metric matrices must share identical row and column labels"
 
 def _sample_negative_indices(
     rng: np.random.Generator, rows: np.ndarray, cols: np.ndarray, count: int
-) -> list[tuple[int, int]]:
-    """Draw up to ``count`` distinct (row, col) pairs from rows x cols."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Up to ``count`` distinct cells of rows x cols, as (rows, cols) arrays in draw order."""
     grid = len(rows) * len(cols)
     take = min(count, grid)
     chosen: dict[int, None] = {}
@@ -76,7 +76,8 @@ def _sample_negative_indices(
             if len(chosen) == take:
                 break
             chosen.setdefault(int(flat), None)
-    return [(int(rows[f // len(cols)]), int(cols[f % len(cols)])) for f in chosen]
+    flat = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
+    return rows[flat // len(cols)], cols[flat % len(cols)]
 
 
 def train_weights(
@@ -109,22 +110,20 @@ def train_weights(
     if len(seed) == 0:
         raise ValueError("seed set is empty")
 
-    pos_idx = sorted((first.row_index[l1], first.col_index[l2]) for l1, l2 in seed.pairs)
-    seed_rows = {i for i, _ in pos_idx}
-    seed_cols = {j for _, j in pos_idx}
-    free_rows = np.array(sorted(set(range(first.n_rows)) - seed_rows), dtype=np.int64)
-    free_cols = np.array(sorted(set(range(first.n_cols)) - seed_cols), dtype=np.int64)
+    pos = sorted((first.row_index[l1], first.col_index[l2]) for l1, l2 in seed.pairs)
+    pos_rows, pos_cols = np.array(pos, dtype=np.int64).T
+    free_rows = np.setdiff1d(np.arange(first.n_rows, dtype=np.int64), pos_rows)
+    free_cols = np.setdiff1d(np.arange(first.n_cols, dtype=np.int64), pos_cols)
     if len(free_rows) == 0 or len(free_cols) == 0:
         raise ValueError("no candidate pairs left for negative sampling")
 
     rng = np.random.default_rng(cfg.rng_seed)
-    neg_idx = _sample_negative_indices(rng, free_rows, free_cols, cfg.negative_ratio * len(pos_idx))
+    neg_rows, neg_cols = _sample_negative_indices(rng, free_rows, free_cols,
+                                                  cfg.negative_ratio * len(pos_rows))
 
-    all_idx = (*pos_idx, *neg_idx)
-    rows_arr = np.array([i for i, _ in all_idx], dtype=np.int64)
-    cols_arr = np.array([j for _, j in all_idx], dtype=np.int64)
-    features = np.column_stack([metric_matrices[m].scores[rows_arr, cols_arr] for m in metrics])
-    labels = np.array([1.0] * len(pos_idx) + [-1.0] * len(neg_idx))
+    rows, cols = np.concatenate((pos_rows, neg_rows)), np.concatenate((pos_cols, neg_cols))
+    features = np.column_stack([metric_matrices[m].scores[rows, cols] for m in metrics])
+    labels = np.repeat([1.0, -1.0], (len(pos_rows), len(neg_rows)))
 
     w = np.zeros(len(metrics), dtype=np.float64)
     b = 0.0

@@ -191,8 +191,8 @@ def compare_methods(
     """Evaluate several method matrices against one gold set.
 
     Returns one (method, MaxF1, IAP11) row per matrix, ordered canonically
-    (known methods first, extras in given order).  When ``out_dir`` is set,
-    a curve file with the ``hit_curve`` points is written per method.
+    (known methods first, extras in given order).  When ``out_dir`` is set, it
+    is made, and a curve file with the ``hit_curve`` points written per method.
     """
     names = {key: key.value if isinstance(key, RescoreMethod) else str(key) for key in matrices}
     canonical = {method.value: i for i, method in enumerate(RescoreMethod)}
@@ -201,6 +201,7 @@ def compare_methods(
         curve = hit_curve(matrices[key], gold)
         rows.append(ReportRow(names[key], curve.max_f1, curve.iap11))
         if out_dir is not None:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
             save_curve(curve, Path(out_dir) / f"curve_{names[key]}.tsv", names[key])
     return rows
 

@@ -7,10 +7,10 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from cogmatrix import (
-    Assignment,
     GoldPairs,
     ResourceLimitError,
     ScoreMatrix,
+    hit_curve,
     hungarian_max,
     max_assignment_curve,
     save_assignment,
@@ -37,25 +37,30 @@ def brute_force_max_total(scores):
     return best
 
 
+def total(scores, assignment):
+    return np.asarray(scores)[assignment].sum()
+
+
 class TestHungarianMax:
     def test_diagonal_dominance(self):
-        a = hungarian_max(mat([[2.0, 1.0], [1.0, 2.0]]))
-        assert set(a.pairs) == {(0, 0), (1, 1)}
-        assert a.total == 4.0
+        scores = [[2.0, 1.0], [1.0, 2.0]]
+        rows, cols = hungarian_max(mat(scores))
+        assert (rows.tolist(), cols.tolist()) == ([0, 1], [0, 1])
+        assert total(scores, (rows, cols)) == 4.0
 
     def test_anti_diagonal_dominance(self):
-        a = hungarian_max(mat([[1.0, 2.0], [2.0, 1.0]]))
-        assert set(a.pairs) == {(0, 1), (1, 0)}
-        assert a.total == 4.0
+        scores = [[1.0, 2.0], [2.0, 1.0]]
+        rows, cols = hungarian_max(mat(scores))
+        assert (rows.tolist(), cols.tolist()) == ([0, 1], [1, 0])
+        assert total(scores, (rows, cols)) == 4.0
 
     def test_matches_brute_force_on_random_squares(self):
         rng = np.random.default_rng(77)
         for _ in range(60):
             n = int(rng.integers(1, 7))
             scores = rng.normal(size=(n, n))
-            m = mat(scores)
-            a = hungarian_max(m)
-            assert a.total == pytest.approx(brute_force_max_total(scores), abs=1e-10)
+            a = hungarian_max(mat(scores))
+            assert total(scores, a) == pytest.approx(brute_force_max_total(scores), abs=1e-10)
 
     def test_matches_brute_force_on_rectangles(self):
         rng = np.random.default_rng(78)
@@ -64,25 +69,25 @@ class TestHungarianMax:
             n2 = int(rng.integers(1, 6))
             scores = rng.normal(size=(n1, n2))
             a = hungarian_max(mat(scores))
-            assert len(a) == min(n1, n2)
-            assert a.total == pytest.approx(brute_force_max_total(scores), abs=1e-10)
+            assert len(a[0]) == len(a[1]) == min(n1, n2)
+            assert total(scores, a) == pytest.approx(brute_force_max_total(scores), abs=1e-10)
 
     def test_one_to_one_constraints_hold(self):
         rng = np.random.default_rng(79)
         for _ in range(20):
-            a = hungarian_max(mat(rng.random((5, 8))))
-            rows = [i for i, _ in a.pairs]
-            cols = [j for _, j in a.pairs]
-            assert len(set(rows)) == len(rows)
-            assert len(set(cols)) == len(cols)
+            rows, cols = hungarian_max(mat(rng.random((5, 8))))
+            assert np.issubdtype(rows.dtype, np.integer) and np.issubdtype(cols.dtype, np.integer)
+            assert (np.diff(rows) > 0).all()  # row order, each row once
+            assert len(np.unique(cols)) == len(cols)
 
     def test_constant_shift_leaves_argmax_unchanged(self):
         rng = np.random.default_rng(80)
         scores = rng.random((6, 6))
         base = hungarian_max(mat(scores))
         shifted = hungarian_max(mat(scores + 3.7))
-        assert set(base.pairs) == set(shifted.pairs)
-        assert shifted.total == pytest.approx(base.total + 3.7 * 6, abs=1e-9)
+        assert np.array_equal(base, shifted)
+        assert total(scores + 3.7, shifted) == pytest.approx(total(scores, base) + 3.7 * 6,
+                                                             abs=1e-9)
 
     @pytest.mark.parametrize("shape", [(9, 4), (40, 39), (4, 9), (39, 40), (1, 5), (5, 1), (12, 12)])
     @pytest.mark.parametrize("levels", [None, 2, 3])
@@ -94,9 +99,9 @@ class TestHungarianMax:
             scores = rng.random(shape) if levels is None else (
                 rng.integers(0, levels, size=shape).astype(np.float64))
             rows, cols = linear_sum_assignment(-scores)
-            a = hungarian_max(mat(scores))
-            assert a.pairs == tuple(zip(rows.tolist(), cols.tolist()))
-            assert a.scores == tuple(scores[rows, cols].tolist())
+            got_rows, got_cols = hungarian_max(mat(scores))
+            assert got_rows.tolist() == rows.tolist()
+            assert got_cols.tolist() == cols.tolist()
 
     def test_size_guard(self):
         m = mat(np.zeros((3, 2)))
@@ -106,16 +111,6 @@ class TestHungarianMax:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
             hungarian_max(ScoreMatrix((), ("c0",), np.zeros((0, 1))))
-
-
-class TestAssignmentType:
-    def test_duplicate_row_rejected(self):
-        with pytest.raises(ValueError, match="one-to-one"):
-            Assignment(pairs=((0, 0), (0, 1)), scores=(1.0, 2.0), total=3.0)
-
-    def test_duplicate_col_rejected(self):
-        with pytest.raises(ValueError, match="one-to-one"):
-            Assignment(pairs=((0, 1), (2, 1)), scores=(1.0, 2.0), total=3.0)
 
 
 class TestMaxAssignmentCurve:
@@ -182,6 +177,15 @@ class TestMaxAssignmentCurve:
         a = hungarian_max(m)
         with pytest.raises(ValueError, match="gold"):
             max_assignment_curve(m, a, GoldPairs(frozenset()))
+
+    def test_gold_without_candidates_rejected_as_by_hit_curve(self):
+        m = mat([[0.9, 0.1], [0.2, 0.8]])
+        gold = GoldPairs(frozenset({("r0", "out"), ("out", "c1")}))
+        message = "^no gold pairs in candidate universe$"
+        with pytest.raises(ValueError, match=message):
+            hit_curve(m, gold)
+        with pytest.raises(ValueError, match=message):
+            max_assignment_curve(m, hungarian_max(m), gold)
 
 
 class TestPersistence:

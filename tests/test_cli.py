@@ -134,7 +134,7 @@ class TestEvalCommand:
     def test_matches_library_metrics(self, tmp_path, capsys):
         syn = tmp_path / "syn"
         run_cli("synth", "--out", syn, "--n-pairs", 10, "--noise-sigma", 0.4, "--seed", 5)
-        out = tmp_path / "ev"
+        out = tmp_path / "ev" / "b" / "c"  # made, parents too, at the first curve
         assert run_cli("eval", "--out", out, "--gold", syn / "gold.tsv", syn / "matrix.tsv") == 0
         matrix = cgm.load_matrix(syn / "matrix.tsv")
         gold = cgm.load_gold_pairs(syn / "gold.tsv")
@@ -149,6 +149,7 @@ class TestEvalCommand:
                      syn / "matrix.tsv")
         assert rc == 1
         assert "nope.tsv" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
 
     def test_duplicate_matrix_stems_rejected(self, tmp_path, capsys):
         for sub, seed in (("a", 1), ("b", 2)):
@@ -176,7 +177,7 @@ class TestAssignCommand:
         # Partnerless words and noise, so that some assigned pairs are not gold.
         run_cli("synth", "--out", syn, "--n-pairs", 6, "--distractors", 6, "--noise-sigma", 0.5,
                 "--seed", 2)
-        out = tmp_path / "asn"
+        out = tmp_path / "asn" / "b" / "c"
         assert run_cli("assign", "--out", out, "--matrix", syn / "matrix.tsv",
                        "--gold", syn / "gold.tsv") == 0
         hits = assigned_gold(out / "assignment.tsv", syn / "gold.tsv")
@@ -192,6 +193,20 @@ class TestAssignCommand:
                      "--gold", syn / "gold.tsv", "--max-side", 3)
         assert rc == 1
         assert "size limit" in capsys.readouterr().err
+        assert not (tmp_path / "a2").exists()
+
+    def test_gold_without_candidates_fails_as_eval_does(self, tmp_path, capsys):
+        syn = tmp_path / "syn"
+        run_cli("synth", "--out", syn, "--n-pairs", 5, "--seed", 1)
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("absent\tnowhere\n", encoding="utf-8")
+        capsys.readouterr()
+        for command, *args in (("assign", "--matrix"), ("eval",)):
+            out = tmp_path / command
+            assert run_cli(command, "--out", out, "--gold", gold, *args, syn / "matrix.tsv") == 1
+            assert capsys.readouterr().err == (
+                "cogmatrix: error: no gold pairs in candidate universe\n")
+            assert not out.exists()
 
 
 class TestSyntheticPipeline:
@@ -436,7 +451,7 @@ class TestFilePipeline:
         err = capsys.readouterr().err
         assert missing in err
         assert metrics.split(",")[-1] in err
-        assert list((tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command, argv, given, message", [
         ("pipeline", ("--mode", "large", "--metrics", "phonetic"), (),
@@ -456,7 +471,7 @@ class TestFilePipeline:
                      "--out", out, "--gold", corpus / "gold.tsv", *extra, *argv)
         assert rc == 1
         assert capsys.readouterr().err == f"cogmatrix: error: {message}\n"
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_gold_only_phonetic_run(self, corpus, tmp_path):
         out = tmp_path / "run"
@@ -535,7 +550,7 @@ class TestFilePipeline:
         assert capsys.readouterr().err == (
             "cogmatrix: error: config key 'seed_fraction': 0.2 of 3 gold pairs leaves an "
             "empty training seed; raise it or use --weights uniform\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         if command == "pipeline":
             assert run_cli(*argv, "--out", tmp_path / "uniform", "--gold", gold,
                            "--weights", "uniform") == 0
@@ -816,6 +831,7 @@ class TestProcessLevel:
                                  "--matrix", str(tmp_path / "missing.tsv"))
         assert result.returncode == 1
         assert "missing.tsv" in result.stderr
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_subcommand_usage_error(self):
         result = run_cli_process("frobnicate")

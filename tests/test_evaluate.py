@@ -6,7 +6,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cogmatrix import (
-    Assignment,
     GoldPairs,
     PRCurve,
     ScoreMatrix,
@@ -129,7 +128,7 @@ class TestTieOrder:
         assert pr_curve(m, gold).precisions.tolist() == [1.0, 0.5, 1 / 3, 0.25]
         assert hit_curve(m, gold).precisions.tolist() == [1.0, 0.25]
         # (a\x00, v) and (a, u): the gold pair is predicted first.
-        a = Assignment(pairs=((0, 1), (1, 0)), scores=(0.5, 0.5), total=1.0)
+        a = (np.array([0, 1]), np.array([1, 0]))
         assert max_assignment_curve(m, a, gold).precisions.tolist() == [1.0, 0.5]
 
 

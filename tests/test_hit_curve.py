@@ -124,7 +124,7 @@ def test_compare_methods_writes_hit_point_curve(tmp_path):
 def prefix_walk(m, a, gold):
     """Every prefix of the assigned pairs sorted by (-score, row label) as one
     (threshold, precision, recall, hit) point, in plain Python."""
-    swept = sorted(zip(a.scores, a.pairs), key=lambda sp: (-sp[0], m.row_labels[sp[1][0]]))
+    swept = sorted(zip(m.scores[a].tolist(), zip(*a)), key=lambda sp: (-sp[0], m.row_labels[sp[1][0]]))
     points, hits = [], 0
     for k, (score, (i, j)) in enumerate(swept, start=1):
         hit = (m.row_labels[i], m.col_labels[j]) in gold.pairs
@@ -144,11 +144,15 @@ def test_assignment_curve_matches_prefix_walk(case, data):
     a = hungarian_max(m)
     if data.draw(st.booleans()):
         # Gold drawn from the assigned pairs, so that most sweeps hit it often.
-        assigned = [(m.row_labels[i], m.col_labels[j]) for i, j in a.pairs]
+        assigned = [(m.row_labels[i], m.col_labels[j]) for i, j in zip(*a)]
         picked = data.draw(st.lists(st.sampled_from(assigned), unique=True))
         outside = {pair for pair in gold.pairs if pair[0].startswith("out")}
         assume(picked or outside)
         gold = GoldPairs(frozenset(picked) | outside)
+        if not picked:  # no gold pair among the candidates: refused, as by hit_curve
+            with pytest.raises(ValueError, match="no gold pairs in candidate universe"):
+                max_assignment_curve(m, a, gold)
+            return
     walk = prefix_walk(m, a, gold)
     expected = [point[:3] for point in walk if point[3]] + [walk[-1][:3]]
     curve = max_assignment_curve(m, a, gold)
