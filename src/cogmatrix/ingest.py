@@ -268,7 +268,7 @@ def _load_freq(path: Path) -> tuple[dict[str, int], int]:
     total: int | None = None
     for where, fields in _records(path, "word<TAB>count", "total"):
         if isinstance(fields, str):
-            total = _parse_count(fields.strip(), path, where, "total")
+            total, total_line = _parse_count(fields.strip(), path, where, "total"), where
             continue
         words, toks = fields[0::2], fields[1::2]
         counts = _bulk_counts(toks, 1)
@@ -282,6 +282,13 @@ def _load_freq(path: Path) -> tuple[dict[str, int], int]:
             freq.update(zip(words, counts[:, 0].tolist()))
     if total is None:
         raise ValueError(f"{path}: missing '#total <N>' header")
+    if total == 0:
+        raise ValueError(f"{path}:{total_line}: total must be positive, got 0")
+    counted = sum(freq.values())
+    if counted > total:
+        raise ValueError(
+            f"{path}:{total_line}: counts add up to {counted}, more than the total {total}"
+        )
     return freq, total
 
 

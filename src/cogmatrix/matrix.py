@@ -147,21 +147,47 @@ def _rank_dtype(n: int):
 def _row_ranks_ge(a: np.ndarray) -> np.ndarray:
     """For every entry, the count of entries in its row that are >= it.
 
-    One sort per row: in ascending order, count(>= x) is the row length minus
-    the position where x's tie group starts.  Group starts are marked where a
-    sorted value differs from its left neighbour (``-0.0 == 0.0`` ties) and
-    carried along each group by a running maximum.  The sort order plus each
-    row's offset is one flat index, which gathers the block's sorted values and
-    scatters the ranks back.  Ranks are int32 for rows under 2^31 entries.
+    ``a`` is float64 with no NaN, as ``ScoreMatrix`` guarantees.  In ascending
+    order, count(>= x) is the row length ``n`` minus the position where x's
+    tie group starts.  Each cell's key is its float's bits as an int64 that
+    orders like the float (``-0.0`` made ``+0.0`` first), with the column in
+    the low ``(n - 1).bit_length()`` bits; one int64 sort orders each row
+    except among values that share the rest of the key (the prefix).
+
+    * distinct, no sorted neighbours share a prefix: position p has rank n - p;
+    * tied: the block is argsorted as floats and each tie group's start is
+      carried along it by a running maximum.
+
+    Ranks are int32 for rows under 2^31 entries.
     """
+    a = np.ascontiguousarray(a)
     r, n = a.shape
+    shift = (n - 1).bit_length()
+    key = np.add(a, 0.0).view(np.int64)  # -0.0 + 0.0 is +0.0
+    sign = key >> 63
+    sign &= 0x7FFF_FFFF_FFFF_FFFF
+    key ^= sign
+    del sign
+    key &= -1 << shift
+    key |= np.arange(n)
+    key.sort(axis=1)
+    prefix = key >> shift
+    tied = (prefix[:, 1:] == prefix[:, :-1]).any()
+    # Each temporary is dropped once used, which lowers the kernel's peak.
+    del prefix
+    if not tied:
+        flat = np.bitwise_and(key, (1 << shift) - 1, out=key)
+        flat += n * np.arange(r)[:, None]
+        ranks = np.empty(a.shape, dtype=_rank_dtype(n))
+        ranks.ravel()[flat] = np.arange(n, 0, -1, dtype=ranks.dtype)
+        return ranks
+    del key
     flat = np.argsort(a, axis=1)
     flat += n * np.arange(r)[:, None]
     srt = a.ravel()[flat]
     new = np.empty(a.shape, dtype=bool)
     new[:, :1] = True
     np.not_equal(srt[:, 1:], srt[:, :-1], out=new[:, 1:])
-    # Each temporary is dropped once used, which lowers the kernel's peak.
     del srt
     start = np.arange(n, dtype=_rank_dtype(n)) * new
     del new

@@ -184,6 +184,11 @@ READER_FAULTS = [
                  id="freq-two-faults"),
     pytest.param("freq", "#total\t9\nbake\t1\n", "{path}: missing '#total <N>' header",
                  id="freq-header-without-space"),
+    pytest.param("freq", "bake\t0\n#total 0\n", "{path}:2: total must be positive, got 0",
+                 id="freq-zero-total"),
+    pytest.param("freq", "#total 9\nbake\t4\nsalt\t6\n",
+                 "{path}:1: counts add up to 10, more than the total 9",
+                 id="freq-counts-over-total"),
     pytest.param("freq", "#total 9\n \n", "{path}:2: expected 'word<TAB>count', got ' '",
                  id="freq-whitespace-line"),
     pytest.param("daily", "bake\t1,2\n#days 2\n", "{path}:1: data before '#days <T>' header",

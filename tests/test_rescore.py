@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cogmatrix import RescoreMethod, ScoreMatrix, apply, forward_rank_matrix
@@ -212,17 +212,37 @@ class TestRescoreProperties:
 
 # Tie-heavy score levels; -0.0 and 0.0 compare equal and must tie.
 LEVELS = (-0.0, 0.0, 0.25, 0.5, 1.0)
+# The smallest subnormals beside both zeros: distinct values one or two steps
+# apart in the kernel's int64 key order.
+NEAR_ZERO = (-5e-324, -0.0, 0.0, 5e-324)
+
+
+def ulp_ladder(anchor, steps):
+    """``anchor`` and the ``steps`` floats on each side of it."""
+    down = up = np.float64(anchor)
+    ladder = [float(anchor)]
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        ladder += [float(down), float(up)]
+    return ladder
 
 
 @st.composite
 def score_matrices(draw, min_value):
     """Matrices of 0-9 rows and columns: tie-heavy, spread over finite floats,
-    or mixed (spread, with a few cells copied from another cell of the same
-    row, so that tied and tie-free rows share a block)."""
+    mixed (spread, with a few cells copied from another cell of the same
+    row, so that tied and tie-free rows share a block), or near (a few-ulp
+    ladder around one or two anchors plus the values beside zero, so that
+    distinct values share the rank kernel's key prefix, often out of order)."""
     n_rows, n_cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
-    kind = draw(st.sampled_from(("levels", "spread", "mixed")))
+    kind = draw(st.sampled_from(("levels", "spread", "mixed", "near")))
     if kind == "levels":
         values = st.sampled_from([v for v in LEVELS if v >= min_value])
+    elif kind == "near":
+        anchor = st.floats(min_value, 1e300, allow_nan=False, allow_infinity=False)
+        ladders = [ulp_ladder(a, 4) for a in draw(st.lists(anchor, min_size=1, max_size=2))]
+        near = [v for v in (*NEAR_ZERO, *sum(ladders, [])) if v >= min_value]
+        values = st.sampled_from(near)
     else:
         values = st.floats(min_value, 1e300, allow_nan=False, allow_infinity=False)
     cells = draw(st.lists(values, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
@@ -276,8 +296,29 @@ def test_rank_operators_match_set_enumeration(m, block_cells):
             assert fr[i, j] == forward_rank_oracle(m.scores, i, j)
 
 
+def wide_rows():
+    """Four rows of 1025 non-negative scores, wide enough that the rank kernel
+    clears 11 low bits of each key.  Alone in a block, the first row takes
+    the kernel's distinct path and the others its tied path: distinct
+    values; eight exact levels; a shuffled ladder of a few ulps (distinct
+    values out of order in one key prefix); distinct values with one -0.0
+    and one 0.0, which must tie (a rescored zero is zero whatever its rank,
+    so only the rank test sees this row's zeros)."""
+    rng = np.random.default_rng(11)
+    distinct = rng.permutation(np.linspace(0.001, 1.0, 1025))
+    levels = rng.integers(0, 8, 1025) / 8.0
+    near = rng.choice(ulp_ladder(0.6, 6), 1025)
+    zeros = rng.permutation(np.linspace(0.001, 1.0, 1025))
+    zeros[[17, 900]] = -0.0, 0.0
+    return mat([distinct, levels, near, zeros])
+
+
+WIDE = wide_rows()
+
+
 @settings(max_examples=300, deadline=None)
 @given(score_matrices(min_value=0.0), st.integers(1, 50))
+@example(WIDE, 50)  # one row per block
 def test_rescorers_bit_identical_to_searchsorted_ranks(m, block_cells):
     # Three orders of computing the methods: all on one matrix in order, each
     # on a fresh matrix (cold column-rank cache), all on one matrix in reverse.
@@ -294,6 +335,7 @@ def test_rescorers_bit_identical_to_searchsorted_ranks(m, block_cells):
 
 @settings(max_examples=300, deadline=None)
 @given(score_matrices(min_value=-1e300))
+@example(mat(WIDE.scores.T))  # its views are WIDE's rows, together and one by one
 def test_kernel_ranks_non_contiguous_views(m):
     # A transposed view, and one single-column view per column.
     views = (m.scores.T, *(m.scores[None, :, j] for j in range(m.n_cols)))
