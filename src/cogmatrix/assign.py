@@ -15,7 +15,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .evaluate import PRCurve, _gold_cells, _hit_points
 from .matrix import GoldPairs, ScoreMatrix, _label_ranks
@@ -44,6 +43,8 @@ def hungarian_max(m: ScoreMatrix, max_side: int = DEFAULT_MAX_SIDE) -> tuple[np.
         raise ResourceLimitError(
             f"matrix {m.n_rows}x{m.n_cols} exceeds the assignment size limit {max_side}"
         )
+    from scipy.optimize import linear_sum_assignment
+
     # The solver would transpose a tall negated copy into a second one;
     # negating the wide orientation into C order makes one copy in all.
     tall = m.n_rows > m.n_cols

@@ -19,11 +19,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .matrix import GoldPairs, _read_only
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 log = logging.getLogger(__name__)
 
@@ -74,6 +77,8 @@ class LexiconSide:
             )
         if (daily < 0).any():
             raise ValueError(f"negative daily count for {words[np.argmax((daily < 0).any(1))]!r}")
+        from scipy.sparse import csr_matrix
+
         shape = (len(self.cooc_words), len(self.cooc_contexts))
         cooc = csr_matrix(shape, dtype=np.int64) if self.cooc_counts is None else self.cooc_counts
         if cooc.shape != shape or cooc.dtype != np.int64:
@@ -363,6 +368,8 @@ def _load_cooc(path: Path) -> tuple[tuple[str, ...], tuple[str, ...], csr_matrix
     order = np.lexsort((first, rows[first]))
     indptr = np.searchsorted(rows[first[order]], np.arange(len(words) + 1))
     table = (sums[order], cols[first[order]], indptr)
+    from scipy.sparse import csr_matrix
+
     return tuple(words), tuple(contexts), csr_matrix(table, shape=(len(words), len(contexts)))
 
 

@@ -28,12 +28,15 @@ import math
 from collections.abc import Mapping
 from itertools import repeat
 from operator import mul, truediv
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .ingest import LexiconSide
 from .matrix import ScoreMatrix, _by_row_blocks, _label_ranks, _row_ranks_ge
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 class MetricId(str, enum.Enum):
@@ -216,10 +219,17 @@ def _spectrum_ranks(lex: LexiconSide, words: tuple[str, ...]) -> tuple[np.ndarra
     and last positions of its tie group, ``count(<) + 1`` and ``count(<=)``,
     i.e. ``(n + 1 + count(<=) - count(>=)) / 2``, both counts from the rank
     kernel.  Average ranks are half-integers summing to n(n+1)/2, so the
-    centred values and all their dot products are exact.
+    centred values and all their dot products are exact.  The kernel runs on
+    row blocks, so near-equal magnitudes in one spectrum send only its block
+    down the kernel's tied path.
     """
     mags = np.abs(np.fft.rfft(_daily_rows(lex, words), axis=1))[:, 1:]
-    ranks = (mags.shape[1] + 1 + _row_ranks_ge(-mags) - _row_ranks_ge(mags)) / 2
+    n = mags.shape[1]
+
+    def average_ranks(rows):
+        return (n + 1 + _row_ranks_ge(-mags[rows]) - _row_ranks_ge(mags[rows])) / 2
+
+    ranks = _by_row_blocks(len(words), n, average_ranks)
     centred = ranks - ranks.mean(axis=1, keepdims=True)
     return centred, np.einsum("ij,ij->i", centred, centred)
 
@@ -260,6 +270,8 @@ def _associations(
     squares = (data * data).tolist()
     rows_squares = map(squares.__getitem__, map(slice, indptr[:-1].tolist(), indptr[1:].tolist()))
     norms = np.sqrt(np.fromiter(map(math.fsum, rows_squares), np.float64, len(words)))
+    from scipy.sparse import csr_matrix
+
     vectors = csr_matrix((data, dim[new], indptr), shape=(len(words), n_dims), dtype=np.float64)
     return vectors, norms
 

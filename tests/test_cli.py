@@ -811,14 +811,40 @@ def run_cli_process(*args):
 
 
 class TestProcessLevel:
-    def test_cli_import_leaves_out_scipy_stats(self):
-        # The package ranks with its own kernel; importing scipy.stats added
-        # about 0.7 s and 22 MiB to every start on a 2-core VM.
-        result = run_python_process(
-            "-c", "import sys, cogmatrix.cli; print('scipy.stats' in sys.modules)"
-        )
+    @pytest.mark.parametrize("module", ["cogmatrix", "cogmatrix.cli"])
+    def test_import_loads_no_scipy(self, module):
+        # SciPy loads on first use: at import it added about 0.4 s and 46 MiB
+        # to every start on a 2-core VM.
+        result = run_python_process("-c", f"""
+import sys, {module}
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))""")
         assert result.returncode == 0, result.stderr
-        assert result.stdout == "False\n"
+        assert result.stdout == "[]\n"
+
+    def test_subcommands_load_scipy_only_to_assign(self, tmp_path):
+        # One fresh interpreter runs the subcommands that need no SciPy, then
+        # ``assign``, which loads the solver from scipy.optimize.
+        result = run_python_process("-c", f"""
+import sys
+from cogmatrix.cli import main
+out = {str(tmp_path)!r}
+runs = [
+    ["synth", "--out", out + "/synth", "--n-pairs", "8", "--seed", "3"],
+    ["rescore", "--out", out + "/rescore", "--matrix", out + "/synth/matrix.tsv",
+     "--methods", "baseline,rr,fr,rr_fr_1step,rr_fr_2step"],
+    ["eval", "--out", out + "/eval", "--gold", out + "/synth/gold.tsv",
+     out + "/synth/matrix.tsv", out + "/rescore/rr.tsv"],
+    ["pipeline", "--out", out + "/pipeline", "--source", "synth", "--n-pairs", "8",
+     "--seed", "3", "--no-assign"],
+]
+for argv in runs:
+    assert main(argv) == 0, argv
+    assert not any(m.split(".")[0] == "scipy" for m in sys.modules), argv
+assign = ["assign", "--out", out + "/assign", "--matrix", out + "/synth/matrix.tsv",
+          "--gold", out + "/synth/gold.tsv"]
+assert main(assign) == 0
+assert "scipy.optimize" in sys.modules""")
+        assert result.returncode == 0, result.stderr
 
     def test_console_entry_point(self, tmp_path):
         result = run_cli_process("pipeline", "--source", "synth", "--out", str(tmp_path / "run"),

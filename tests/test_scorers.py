@@ -643,6 +643,31 @@ def test_stacked_daily_features_equal_per_word_calls(seed):
             assert np.array_equal(centred[i], ranks[0]) and sq_norms[i] == ranks[1]
 
 
+@pytest.mark.parametrize("block_cells", [1, 16, 100])
+def test_spectrum_row_blocks_equal_one_block(block_cells):
+    # An all-zero series ties every bin of its spectrum, so its block takes
+    # the rank kernel's tied path while the blocks of distinct spectra do not;
+    # the ranks and the temporal matrix are those of one block, bit for bit.
+    rng = np.random.default_rng(2026)
+    daily = {f"w{i}": rng.integers(0, 50, size=30) for i in range(40)}
+    daily["silent"] = np.zeros(30, dtype=np.int64)
+    lex = lexicon(daily=daily, n_days=30)
+    words = tuple(daily)
+
+    def spectra_and_scores():
+        return (*scorers._spectrum_ranks(lex, words),
+                score_all_pairs(MetricId.TEMPORAL, words, words[::-1], lex, lex).scores)
+
+    with mock.patch.object(matrix, "_BLOCK_CELLS", 1 << 30):
+        whole = spectra_and_scores()
+    with mock.patch.object(matrix, "_BLOCK_CELLS", block_cells):
+        assert len(matrix._blocks(len(words), 15)) > 1
+        blocked = spectra_and_scores()
+    for got, want in zip(blocked, whole):
+        assert got.tobytes() == want.tobytes()
+    assert whole[1][words.index("silent")] == 0.0
+
+
 def check_against_oracles(words1, lex1, words2, lex2, bridge):
     oracle = {
         MetricId.PHONETIC: lambda x, y: oracle_phonetic(x, y),
