@@ -12,6 +12,11 @@ and keeps the same points as every other curve: the gold hits and the last.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +25,7 @@ from .evaluate import PRCurve, _gold_cells, _hit_points
 from .matrix import GoldPairs, ScoreMatrix, _label_ranks
 
 # A per-side cap on the solve, not a feasibility limit (10^4 per side solves in
-# about 25 s); it stays until ROADMAP item 2's stage memory estimate replaces it.
+# about 19 s); it stays until ROADMAP item 3's stage memory estimate replaces it.
 DEFAULT_MAX_SIDE = 20_000
 
 
@@ -43,16 +48,35 @@ def hungarian_max(m: ScoreMatrix, max_side: int = DEFAULT_MAX_SIDE) -> tuple[np.
         raise ResourceLimitError(
             f"matrix {m.n_rows}x{m.n_cols} exceeds the assignment size limit {max_side}"
         )
-    from scipy.optimize import linear_sum_assignment
-
     # The solver would transpose a tall negated copy into a second one;
     # negating the wide orientation into C order makes one copy in all.
     tall = m.n_rows > m.n_cols
-    rows, cols = linear_sum_assignment(np.negative(m.scores.T if tall else m.scores, order="C"))
+    rows, cols = _linear_sum_assignment()(np.negative(m.scores.T if tall else m.scores, order="C"))
     if tall:
         rows, cols = cols, rows
     order = np.argsort(rows)
     return rows[order], cols[order]
+
+
+@functools.cache
+def _linear_sum_assignment():
+    """SciPy's ``linear_sum_assignment``, loaded from its compiled module alone.
+
+    The extension needs only numpy; importing it through ``scipy.optimize``
+    loads that whole package first, about 0.37 s and 49 MiB in a fresh
+    process on a 2-vCPU VM.  It is registered under its own name, so a later
+    ``import scipy.optimize`` re-exports this same function.  A SciPy whose
+    ``_lsap`` is missing or not compiled gets the public import.
+    """
+    optimize = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], "optimize")
+    spec = importlib.machinery.PathFinder.find_spec("scipy.optimize._lsap", [optimize])
+    if spec is None or not isinstance(spec.loader, importlib.machinery.ExtensionFileLoader):
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.linear_sum_assignment
 
 
 def max_assignment_curve(

@@ -1,11 +1,13 @@
 """Maximum assignment: optimality against a permutation oracle, constraints, curve."""
 
+import importlib.machinery
 import itertools
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from cogmatrix import assign
 from cogmatrix import (
     GoldPairs,
     ResourceLimitError,
@@ -90,7 +92,7 @@ class TestHungarianMax:
                                                              abs=1e-9)
 
     @pytest.mark.parametrize("shape", [(9, 4), (40, 39), (4, 9), (39, 40), (1, 5), (5, 1), (12, 12)])
-    @pytest.mark.parametrize("levels", [None, 2, 3])
+    @pytest.mark.parametrize("levels", [None, 1, 2, 3])
     def test_same_pairs_as_negated_solve(self, shape, levels):
         # A tall matrix is solved on its transpose; the pairs, tie breaks
         # included, must be those of the plain solve, in row order.
@@ -111,6 +113,37 @@ class TestHungarianMax:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
             hungarian_max(ScoreMatrix((), ("c0",), np.zeros((0, 1))))
+
+
+@pytest.fixture
+def loaded_solver():
+    """``assign._linear_sum_assignment``, its cache cleared before and after."""
+    assign._linear_sum_assignment.cache_clear()
+    yield assign._linear_sum_assignment
+    assign._linear_sum_assignment.cache_clear()
+
+
+class TestCompiledSolver:
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_same_arrays_as_scipy_optimize(self, loaded_solver, monkeypatch, fallback):
+        if fallback:
+            find_spec, asked = importlib.machinery.PathFinder.find_spec, []
+
+            def no_lsap(name, *args):
+                asked.append(name)
+                return None if name == "scipy.optimize._lsap" else find_spec(name, *args)
+
+            monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_lsap)
+        solve = loaded_solver()
+        assert not fallback or "scipy.optimize._lsap" in asked
+        rng = np.random.default_rng(82)
+        for scores in (rng.random((12, 12)), rng.random((4, 9)), rng.random((9, 4)),
+                       np.ones((6, 8)), rng.integers(0, 2, size=(10, 10)).astype(np.float64)):
+            for cost in (scores, -scores):
+                rows, cols = solve(cost)
+                want_rows, want_cols = linear_sum_assignment(cost)
+                assert rows.tolist() == want_rows.tolist()
+                assert cols.tolist() == want_cols.tolist()
 
 
 class TestMaxAssignmentCurve:

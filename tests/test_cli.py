@@ -1,6 +1,9 @@
 """CLI behavior: artifacts, manifests, error contracts, library consistency."""
 
 import argparse
+import importlib.machinery
+import importlib.metadata
+import importlib.util
 import json
 import os
 import subprocess
@@ -810,6 +813,15 @@ def run_cli_process(*args):
     return run_python_process("-m", "cogmatrix.cli", *args)
 
 
+def compiled_solver_found():
+    """Whether this SciPy has the compiled ``scipy.optimize._lsap`` module
+    that ``assign`` loads on its own."""
+    scipy = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.optimize._lsap", [os.path.join(scipy, "optimize")])
+    return spec is not None and isinstance(spec.loader, importlib.machinery.ExtensionFileLoader)
+
+
 class TestProcessLevel:
     @pytest.mark.parametrize("module", ["cogmatrix", "cogmatrix.cli"])
     def test_import_loads_no_scipy(self, module):
@@ -821,30 +833,49 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))""")
         assert result.returncode == 0, result.stderr
         assert result.stdout == "[]\n"
 
-    def test_subcommands_load_scipy_only_to_assign(self, tmp_path):
-        # One fresh interpreter runs the subcommands that need no SciPy, then
-        # ``assign``, which loads the solver from scipy.optimize.
+    @staticmethod
+    def scipy_after_runs(*runs):
+        """Each run's exit code and the SciPy modules loaded after it, all
+        run by ``cli.main`` in one fresh interpreter."""
         result = run_python_process("-c", f"""
-import sys
+import json, sys
 from cogmatrix.cli import main
-out = {str(tmp_path)!r}
-runs = [
-    ["synth", "--out", out + "/synth", "--n-pairs", "8", "--seed", "3"],
-    ["rescore", "--out", out + "/rescore", "--matrix", out + "/synth/matrix.tsv",
-     "--methods", "baseline,rr,fr,rr_fr_1step,rr_fr_2step"],
-    ["eval", "--out", out + "/eval", "--gold", out + "/synth/gold.tsv",
-     out + "/synth/matrix.tsv", out + "/rescore/rr.tsv"],
-    ["pipeline", "--out", out + "/pipeline", "--source", "synth", "--n-pairs", "8",
-     "--seed", "3", "--no-assign"],
-]
-for argv in runs:
-    assert main(argv) == 0, argv
-    assert not any(m.split(".")[0] == "scipy" for m in sys.modules), argv
-assign = ["assign", "--out", out + "/assign", "--matrix", out + "/synth/matrix.tsv",
-          "--gold", out + "/synth/gold.tsv"]
-assert main(assign) == 0
-assert "scipy.optimize" in sys.modules""")
+for argv in {list(runs)!r}:
+    code = main(argv)
+    print("scipy:", json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))""")
         assert result.returncode == 0, result.stderr
+        return [json.loads(line.removeprefix("scipy:"))
+                for line in result.stdout.splitlines() if line.startswith("scipy:")]
+
+    def test_subcommands_load_scipy_only_to_assign(self, tmp_path):
+        # A solve loads SciPy's compiled solver alone: all of scipy.optimize
+        # cost an assigning process about 0.37 s and 49 MiB on a 2-core VM.
+        out = str(tmp_path)
+        synth = ["--matrix", out + "/synth/matrix.tsv", "--gold", out + "/synth/gold.tsv"]
+        no_scipy = self.scipy_after_runs(
+            ["synth", "--out", out + "/synth", "--n-pairs", "8", "--seed", "3"],
+            ["rescore", "--out", out + "/rescore", "--matrix", out + "/synth/matrix.tsv",
+             "--methods", "baseline,rr,fr,rr_fr_1step,rr_fr_2step"],
+            ["eval", "--out", out + "/eval", "--gold", out + "/synth/gold.tsv",
+             out + "/synth/matrix.tsv", out + "/rescore/rr.tsv"],
+            ["pipeline", "--out", out + "/no-assign", "--source", "synth", "--n-pairs", "8",
+             "--seed", "3", "--no-assign"],
+            ["assign", "--out", out + "/refused", *synth, "--max-side", "1"],
+            ["assign", "--out", out + "/assign", *synth],
+        )
+        assert no_scipy[:-1] == [[0, []]] * 4 + [[1, []]]
+        pipeline = self.scipy_after_runs(
+            ["pipeline", "--out", out + "/pipeline", "--source", "synth", "--n-pairs", "8",
+             "--seed", "3"])
+        for code, loaded in (no_scipy[-1], *pipeline):
+            assert code == 0
+            assert "scipy.optimize._lsap" in loaded
+        if not compiled_solver_found():
+            # The fallback imports scipy.optimize, which imports scipy.sparse.
+            pytest.skip(f"SciPy {importlib.metadata.version('scipy')} "
+                        "has no compiled scipy.optimize._lsap")
+        for _, loaded in (no_scipy[-1], *pipeline):
+            assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded
 
     def test_console_entry_point(self, tmp_path):
         result = run_cli_process("pipeline", "--source", "synth", "--out", str(tmp_path / "run"),
