@@ -15,7 +15,8 @@ the hit that starts the run, neither for F1 nor for the interpolated
 precision at any recall level.  ``hit_curve`` therefore returns only those
 hit points plus the sweep's last, with summaries equal to ``pr_curve``'s bit
 for bit.  It ranks each gold pair by counting the cells that precede it, one
-sorted block of rows at a time, in O(B + G) memory per block in flight for
+block of rows at a time, sorting only the block's cells at or above the
+lowest gold score, in O(B + G) memory per block in flight for
 blocks of B cells and G gold pairs.  ``assign.max_assignment_curve`` sweeps
 the assigned pairs alone, and both build their points from those counts
 with one function.  ``compare_methods`` evaluates and writes curve files
@@ -126,9 +127,14 @@ def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
     Rows are walked in label order, in blocks that ``_run_blocks`` runs in
     parallel; each block adds its counts into the total.
     Two searches of the gold scores in a block's sorted scores count its
-    higher cells, and its equal ones for gold rows after it.  Only a gold cell
-    tied within its own block compares cells: the equal ones in the block's
-    earlier rows, and in its own row at a lower column label.
+    higher cells, and its equal ones for gold rows after it.  Only the cells
+    at or above the lowest gold score are sorted: one in-place partition
+    first moves the block's lower ones to its front.  A lower cell precedes
+    no gold cell and lies below every gold score, so dropping it lowers the
+    block's size and both searches by one each, which leaves every count as
+    it was.  Only a gold cell tied within its own block compares cells: the
+    equal ones in the block's earlier rows, and in its own row at a lower
+    column label.
     """
     rows, cols = _gold_cells(m, gold)
     by_score = np.argsort(m.scores[rows, cols])  # sorted keys are searched faster
@@ -141,6 +147,10 @@ def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
 
     def count(block):
         cells = m.scores[row_order[block]].ravel()
+        low = np.count_nonzero(cells < gold_scores[0])
+        if low:  # at k - 1: ``partition(k)`` raises when every cell is below
+            cells.partition(low - 1)
+        cells = cells[low:]
         cells.sort()
         below = np.searchsorted(cells, gold_scores, side="left")
         upto = np.searchsorted(cells, gold_scores, side="right")

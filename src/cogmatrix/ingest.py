@@ -383,6 +383,11 @@ def load_lexicon(
     The frequency file defines the base vocabulary; words that appear only in
     the daily or co-occurrence files are appended with frequency 0.
     """
+    # ``LexiconSide`` needs SciPy's sparse matrices.  Loaded before any file
+    # is read, its modules lie below the parsed arrays, not among them, which
+    # lowers the process's peak memory.
+    import scipy.sparse
+
     freq, total = _load_freq(Path(freq_path))
     side = {}
     if daily_path is not None:

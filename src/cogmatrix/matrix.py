@@ -150,11 +150,14 @@ def _row_ranks_ge(a: np.ndarray) -> np.ndarray:
     ``a`` is float64 with no NaN, as ``ScoreMatrix`` guarantees.  In ascending
     order, count(>= x) is the row length ``n`` minus the position where x's
     tie group starts.  Each cell's key is its float's bits as an int64 that
-    orders like the float (``-0.0`` made ``+0.0`` first), with the column in
-    the low ``(n - 1).bit_length()`` bits; one int64 sort orders each row
-    except among values that share the rest of the key (the prefix).
+    orders like the float (``-0.0`` made ``+0.0`` first, then the low 63
+    bits flipped where the sign bit is set, which only a block holding a
+    negative value needs), with the column in the low
+    ``(n - 1).bit_length()`` bits; one int64 sort orders each row except
+    among values that share the rest of the key (the prefix).
 
-    * distinct, no sorted neighbours share a prefix: position p has rank n - p;
+    * distinct, no sorted neighbours share a prefix: position p has rank
+      n - p, scattered by one flat index from a contiguous copy of the ranks;
     * tied: the block is argsorted as floats and each tie group's start is
       carried along it by a running maximum.
 
@@ -164,10 +167,11 @@ def _row_ranks_ge(a: np.ndarray) -> np.ndarray:
     r, n = a.shape
     shift = (n - 1).bit_length()
     key = np.add(a, 0.0).view(np.int64)  # -0.0 + 0.0 is +0.0
-    sign = key >> 63
-    sign &= 0x7FFF_FFFF_FFFF_FFFF
-    key ^= sign
-    del sign
+    if key.min(initial=0) < 0:  # a negative value: rescored blocks have none
+        sign = key >> 63
+        sign &= 0x7FFF_FFFF_FFFF_FFFF
+        key ^= sign
+        del sign
     key &= -1 << shift
     key |= np.arange(n)
     key.sort(axis=1)
@@ -179,7 +183,7 @@ def _row_ranks_ge(a: np.ndarray) -> np.ndarray:
         flat = np.bitwise_and(key, (1 << shift) - 1, out=key)
         flat += n * np.arange(r)[:, None]
         ranks = np.empty(a.shape, dtype=_rank_dtype(n))
-        ranks.ravel()[flat] = np.arange(n, 0, -1, dtype=ranks.dtype)
+        ranks.ravel()[flat.ravel()] = np.tile(np.arange(n, 0, -1, dtype=ranks.dtype), r)
         return ranks
     del key
     flat = np.argsort(a, axis=1)

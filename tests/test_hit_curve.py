@@ -101,6 +101,46 @@ def test_larger_tie_heavy_matrix_across_blocks(n, levels, block_cells):
         assert_matches_oracle(ScoreMatrix(rows, cols, scores), gold)
 
 
+def one_row_per_block(scores, gold_cells, rows=None):
+    """``assert_matches_oracle`` with every row a block of its own."""
+    n_rows, n_cols = scores.shape
+    rows = rows or tuple(f"r{i}" for i in range(n_rows))
+    cols = tuple(f"c{j}" for j in range(n_cols))
+    gold = GoldPairs(frozenset((rows[i], cols[j]) for i, j in gold_cells))
+    with mock.patch.object(matrix, "_BLOCK_CELLS", 1):
+        assert len(matrix._blocks(n_rows, n_cols)) == n_rows
+        assert_matches_oracle(ScoreMatrix(rows, cols, scores), gold)
+
+
+def test_block_entirely_below_lowest_gold_score():
+    # Every cell of three of the four blocks lies below the one gold cell, so
+    # their partition point is the last cell (partition(k) would raise).
+    scores = np.zeros((4, 6))
+    scores[2, 3] = 1.0
+    one_row_per_block(scores, [(2, 3)])
+
+
+def test_no_cell_below_lowest_gold_score():
+    scores = np.random.default_rng(3).random((4, 6)) + 1.0
+    scores[1, 4] = 0.5
+    scores[3, 0] = 1.5
+    one_row_per_block(scores, [(1, 4), (3, 0)])
+
+
+def test_cells_equal_to_lowest_gold_score_around_its_row():
+    # The lowest gold score 0.3 also lies in rows before and after the gold
+    # row in label order, and beside the gold cell in its own row; the
+    # partition must keep those cells, which precede the gold cell or not by
+    # label order alone.
+    rng = np.random.default_rng(4)
+    scores = rng.choice([0.1, 0.2, 0.6, 0.9], size=(5, 6))
+    scores[2, [1, 3, 5]] = 0.3
+    scores[[0, 4], 2] = 0.3
+    scores[1, 0] = 0.9
+    rows = ("r3", "r0", "r2", "r4", "r1")  # label order differs from index order
+    one_row_per_block(scores, [(2, 3), (1, 0)], rows)
+
+
 def test_compare_methods_writes_hit_point_curve(tmp_path):
     rng = np.random.default_rng(8)
     rows = tuple(f"a{i}" for i in range(7))

@@ -343,6 +343,43 @@ def test_kernel_ranks_non_contiguous_views(m):
         assert np.array_equal(matrix._row_ranks_ge(view), searchsorted_ranks(view))
 
 
+def keys_have_sign_bit(block):
+    """Whether the rank kernel flips the low bits of ``block``'s keys: a key
+    of ``block + 0.0`` (which makes -0.0 zero) has its sign bit set."""
+    return bool((np.add(block, 0.0).view(np.int64) < 0).any())
+
+
+def assert_ranks_match_oracles(block):
+    ranks = matrix._row_ranks_ge(block)
+    assert np.array_equal(ranks, searchsorted_ranks(block))
+    for i, j in np.ndindex(block.shape):
+        assert ranks[i, j] == forward_rank_oracle(block, i, j)
+    return ranks
+
+
+def test_kernel_non_negative_block_ties_signed_zeros():
+    # Distinct values but for one -0.0 and one 0.0 per row, so only the two
+    # zeros' keys can tell the distinct path from the tied one.
+    block = np.array([[0.5, -0.0, 0.25, 0.0, 1.0],
+                      [0.0, 0.75, -0.0, 0.125, 0.875]])
+    assert not keys_have_sign_bit(block)  # no flip
+    ranks = assert_ranks_match_oracles(block)
+    assert ranks[0, 1] == ranks[0, 3] == 5
+    assert ranks[1, 0] == ranks[1, 2] == 5
+
+
+@pytest.mark.parametrize("row", [
+    # The smallest negative float alone among zeros and positives.
+    [0.5, 0.0, -5e-324, 0.25, 1.0],
+    # Distinct negatives, whose order the flip alone gets right.
+    [-5e-324, -1.0, 0.0, -0.25, 0.5, -1e-300, -0.125],
+])
+def test_kernel_flips_a_block_with_a_negative_value(row):
+    block = np.array([row, row[::-1]])
+    assert keys_have_sign_bit(block)  # the flip runs
+    assert_ranks_match_oracles(block)
+
+
 def test_methods_on_one_matrix_share_one_column_rank_pass():
     rng = np.random.default_rng(7)
     m = mat(np.round(rng.random((40, 30)), 1))
