@@ -13,9 +13,10 @@ a child process, without and with ``--keep-intermediates``:
   evaluation universe is 10777 x 10756;
 - ``synth``: ``pipeline --source synth --n-pairs 10000``.
 
-For every run it prints the wall time, the child's ``ru_maxrss`` (what
-``RUSAGE_CHILDREN`` reports for a lone child), the bytes and files written,
-and the SHA-256 of ``report.tsv``.  A run's output directory is removed once
+For every run it prints the ``MemAvailable`` it started with (what
+``hungarian_max`` checks its negated copy against), the wall time, the child's
+``ru_maxrss`` (what ``RUSAGE_CHILDREN`` reports for a lone child), the bytes
+and files written, and the SHA-256 of ``report.tsv``.  A run's output directory is removed once
 measured; its report is kept as ``<run>[-keep].report.tsv`` in ``--work``.
 ``--src`` runs the package of another checkout, e.g. a parent commit's, with
 ``--default-only`` when that checkout has no ``--keep-intermediates`` flag.
@@ -38,8 +39,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
 
+from cogmatrix.assign import _mem_available  # noqa: E402
 from inputs import write_corpus  # noqa: E402
 
 K = 10_000
@@ -64,6 +66,7 @@ def run(src: Path, argv: list[str], out: Path, report_copy: Path) -> dict:
     its ``report.tsv`` is kept as ``report_copy``."""
     env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1",
            "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    available = _mem_available()
     start = time.perf_counter()
     child = subprocess.Popen([sys.executable, "-m", "cogmatrix.cli", *argv, "--out", str(out)],
                              env=env, stdout=subprocess.DEVNULL)
@@ -73,6 +76,7 @@ def run(src: Path, argv: list[str], out: Path, report_copy: Path) -> dict:
     report = out / "report.tsv"
     result = {
         "status": os.waitstatus_to_exitcode(status),
+        "avail_mib": available / 2**20,
         "wall_s": wall,
         "maxrss_mib": usage.ru_maxrss / 1024,
         "out_mb": sum(p.stat().st_size for p in files) / 1e6,
@@ -102,16 +106,16 @@ def main() -> int:
     plans = {"corpus": corpus_argv(data), "synth": SYNTH_ARGV}
     keep_flags = [[]] if args.default_only else [[], ["--keep-intermediates"]]
 
-    print("run\tflags\tstatus\twall_s\tmaxrss_mib\tout_mb\tfiles\treport_sha256")
+    print("run\tflags\tstatus\tavail_mib\twall_s\tmaxrss_mib\tout_mb\tfiles\treport_sha256")
     failed = False
     for name, argv in plans.items():
         for flags in keep_flags:
             label = f"{name}{'-keep' if flags else ''}"
             r = run(args.src, argv + flags, args.work / "out", args.work / f"{label}.report.tsv")
             failed |= r["status"] != 0
-            print(f"{name}\t{' '.join(flags) or '-'}\t{r['status']}\t{r['wall_s']:.1f}\t"
-                  f"{r['maxrss_mib']:.0f}\t{r['out_mb']:.1f}\t{r['files']}\t{r['report_sha256']}",
-                  flush=True)
+            print(f"{name}\t{' '.join(flags) or '-'}\t{r['status']}\t{r['avail_mib']:.0f}\t"
+                  f"{r['wall_s']:.1f}\t{r['maxrss_mib']:.0f}\t{r['out_mb']:.1f}\t{r['files']}\t"
+                  f"{r['report_sha256']}", flush=True)
     return 1 if failed else 0
 
 

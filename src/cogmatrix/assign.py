@@ -1,10 +1,11 @@
 """Maximum-total one-to-one assignment over a score matrix.
 
 Solves the assignment problem: pick min(n1, n2) pairs, no row or column used
-twice, maximizing the summed score.  On planted matrices with 3x partnerless
-distractors per side rank rescoring does better (``test_distractor_robustness``),
-but on the generated corpus at k = 10^4 (one seed) assignment had the best
-MaxF1: 0.8512, against 0.8347 for ``rr_fr_1step``.
+twice, maximizing the summed score, unless its one copy of the matrix would
+not fit in ``MemAvailable``.  Rank rescoring does better on planted matrices
+with 3x partnerless distractors per side (``test_distractor_robustness``), but
+on the generated corpus at k = 10^4 (one seed) assignment had the best MaxF1:
+0.8512, against 0.8347 for ``rr_fr_1step``.
 
 Its curve sweeps a threshold down over the chosen pairs, which are its cells,
 and keeps the same points as every other curve: the gold hits and the last.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from pathlib import Path
@@ -24,30 +26,33 @@ import numpy as np
 from .evaluate import PRCurve, _gold_cells, _hit_points
 from .matrix import GoldPairs, ScoreMatrix, _label_ranks
 
-# A per-side cap on the solve, not a feasibility limit (10^4 per side solves in
-# about 19 s); it stays until ROADMAP item 3's stage memory estimate replaces it.
-DEFAULT_MAX_SIDE = 20_000
+
+class ResourceLimitError(MemoryError):
+    """Raised when an assignment's negated copy would exceed available memory."""
 
 
-class ResourceLimitError(RuntimeError):
-    """Raised when an assignment problem exceeds the configured size budget."""
+def _mem_available() -> float:
+    """``MemAvailable`` in bytes, not seeing cgroups; ``math.inf`` if ``/proc/meminfo`` lacks it."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as f:
+            return next(int(ln.split()[1]) * 1024 for ln in f if ln.startswith("MemAvailable:"))
+    except (OSError, StopIteration):
+        return math.inf
 
 
-def hungarian_max(m: ScoreMatrix, max_side: int = DEFAULT_MAX_SIDE) -> tuple[np.ndarray, np.ndarray]:
-    """Maximum-total assignment of size min(n1, n2), as the ``(rows, cols)``
-    index arrays of its pairs in row order; their scores are
-    ``m.scores[rows, cols]``.
+def hungarian_max(m: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum-total assignment of size min(n1, n2): the ``(rows, cols)`` index
+    arrays of its pairs in row order, whose scores are ``m.scores[rows, cols]``.
 
-    Scores are negated into a standard minimization assignment solve, one
-    copy of the matrix; rectangular matrices assign every element of the
-    shorter side.  Raises ResourceLimitError beyond ``max_side`` per side.
+    Scores are negated into one copy for a solve that needs only O(n1 + n2)
+    more; rectangular matrices assign every element of the shorter side.
+    Raises ResourceLimitError, before SciPy loads, if the copy exceeds MemAvailable.
     """
     if m.n_rows < 1 or m.n_cols < 1:
         raise ValueError("assignment requires a non-empty matrix")
-    if max(m.n_rows, m.n_cols) > max_side:
-        raise ResourceLimitError(
-            f"matrix {m.n_rows}x{m.n_cols} exceeds the assignment size limit {max_side}"
-        )
+    if m.scores.nbytes > (available := _mem_available()):
+        raise ResourceLimitError(f"matrix {m.n_rows}x{m.n_cols} needs {m.scores.nbytes} bytes "
+                                 f"for its assignment copy; {available} bytes available")
     # The solver would transpose a tall negated copy into a second one;
     # negating the wide orientation into C order makes one copy in all.
     tall = m.n_rows > m.n_cols

@@ -27,8 +27,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import __version__
-from .assign import (DEFAULT_MAX_SIDE, ResourceLimitError, hungarian_max, max_assignment_curve,
-                     save_assignment)
+from .assign import hungarian_max, max_assignment_curve, save_assignment
 from .combine import (
     TrainingConfig,
     combine,
@@ -81,7 +80,6 @@ class PipelineConfig:
     seed: int = 13
     seed_fraction: float = 0.2
     assign: bool = True
-    max_side: int = DEFAULT_MAX_SIDE
     n_pairs: int = 300
     distractors: int = 0
     noise_sigma: float = SynthConfig.noise_sigma
@@ -99,7 +97,6 @@ class PipelineConfig:
             ("seed_fraction", 0.0 < self.seed_fraction < 1.0, "a number in (0, 1)"),
             ("epochs", self.epochs > 0, "a positive int"),
             ("negative_ratio", self.negative_ratio > 0, "a positive int"),
-            ("max_side", self.max_side >= 1, "an int >= 1"),
         ):
             if not ok:
                 raise ValueError(f"config key {key!r}: expected {expected}, got {getattr(self, key)!r}")
@@ -334,7 +331,7 @@ def _rescore(run: RunWriter, method: RescoreMethod, matrix, save: bool):
 
 def _assign(run: RunWriter, matrix, gold) -> ReportRow:
     """Save the maximum assignment of ``matrix`` and its curve; return its report row."""
-    assignment = hungarian_max(matrix, max_side=run.cfg.max_side)
+    assignment = hungarian_max(matrix)
     curve = max_assignment_curve(matrix, assignment, gold)
     save_assignment(matrix, assignment, run.out_path("assignment.tsv"))
     save_curve(curve, run.out_path("curve_max_assignment.tsv"), "max_assignment")
@@ -473,7 +470,7 @@ def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
     if cfg.assign:
         try:
             rows.append(_assign(run, baseline, gold_eval))
-        except ResourceLimitError as exc:
+        except MemoryError as exc:
             log.warning("skipping max assignment: %s", exc)
     _finish(run, rows)
 
@@ -494,12 +491,11 @@ _SUBCOMMANDS = {
     "combine": (cmd_combine, "combine metric matrices into the baseline matrix",
                 ("matrices", "weights", "weights_file")),
     "rescore": (cmd_rescore, "rescore a matrix with the selected methods", ("matrix", "methods")),
-    "assign": (cmd_assign, "maximum one-to-one assignment and its curve",
-               ("matrix", "gold", "max_side")),
+    "assign": (cmd_assign, "maximum one-to-one assignment and its curve", ("matrix", "gold")),
     "eval": (cmd_eval, "precision-recall report for saved matrices", ("gold",)),
     "pipeline": (cmd_pipeline, "full run: score, train, combine, rescore, assign, eval",
                  (*_INPUTS, *_UNIVERSE, *_TRAINING, *_SYNTH,
-                  "source", "metrics", "methods", "weights", "max_side")),
+                  "source", "metrics", "methods", "weights")),
 }
 
 _HELP = {
@@ -526,7 +522,6 @@ _HELP = {
     "weights_file": "weights file for --weights learned",
     "matrix": "input matrix file",
     "matrices": "directory containing metric_<name>.tsv files",
-    "max_side": "assignment size guard",
 }
 
 
@@ -565,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
         run = RunWriter(args.subcommand, resolve_config(args))
         handler(run, args)
         run.write_manifest()
-    except (ValueError, OSError, ResourceLimitError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"cogmatrix: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,7 +1,9 @@
 """Maximum assignment: optimality against a permutation oracle, constraints, curve."""
 
 import importlib.machinery
+import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -105,10 +107,20 @@ class TestHungarianMax:
             assert got_rows.tolist() == rows.tolist()
             assert got_cols.tolist() == cols.tolist()
 
-    def test_size_guard(self):
+    def test_memory_guard(self, loaded_solver, monkeypatch):
+        # The solve's one negated copy takes 8 * n1 * n2 bytes; a matrix whose
+        # copy exceeds the available memory is refused before SciPy is loaded.
         m = mat(np.zeros((3, 2)))
-        with pytest.raises(ResourceLimitError, match="exceeds"):
-            hungarian_max(m, max_side=2)
+        monkeypatch.setattr(assign, "_mem_available", lambda: 47)
+        with pytest.raises(ResourceLimitError) as refused:
+            hungarian_max(m)
+        assert str(refused.value) == (
+            "matrix 3x2 needs 48 bytes for its assignment copy; 47 bytes available")
+        assert isinstance(refused.value, MemoryError)
+        assert loaded_solver.cache_info().misses == 0
+        monkeypatch.setattr(assign, "_mem_available", lambda: 48)
+        rows, cols = hungarian_max(m)
+        assert (rows.tolist(), cols.tolist()) == ([0, 1], [0, 1])
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -121,6 +133,36 @@ def loaded_solver():
     assign._linear_sum_assignment.cache_clear()
     yield assign._linear_sum_assignment
     assign._linear_sum_assignment.cache_clear()
+
+
+class TestMemAvailable:
+    MEMINFO = "MemTotal:        8221716 kB\nMemFree:         6654352 kB\n"
+
+    def read(self, monkeypatch, text=None):
+        """``assign._mem_available()`` with ``open`` in ``assign`` serving
+        ``text`` as /proc/meminfo, or failing as a missing file if it is None."""
+        def fake_open(path, *args, **kwargs):
+            assert path == "/proc/meminfo"
+            if text is None:
+                raise FileNotFoundError(path)
+            return io.StringIO(text)
+
+        monkeypatch.setattr(assign, "open", fake_open, raising=False)
+        return assign._mem_available()
+
+    def test_kib_line_read_as_bytes(self, monkeypatch):
+        text = self.MEMINFO + "MemAvailable:    7689472 kB\nBuffers:          102400 kB\n"
+        assert self.read(monkeypatch, text) == 7689472 * 1024
+
+    def test_missing_line_is_unbounded(self, monkeypatch):
+        assert self.read(monkeypatch, self.MEMINFO) == math.inf
+
+    def test_unreadable_file_is_unbounded(self, monkeypatch):
+        assert self.read(monkeypatch) == math.inf
+
+    def test_this_machine(self):
+        available = assign._mem_available()
+        assert available == math.inf or (isinstance(available, int) and available > 0)
 
 
 class TestCompiledSolver:

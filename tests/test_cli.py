@@ -189,13 +189,16 @@ class TestAssignCommand:
         assert method == "max_assignment"
         assert len(curve) == len(hits) + 1
 
-    def test_size_guard_exits_nonzero(self, tmp_path, capsys):
+    def test_memory_guard_exits_nonzero(self, tmp_path, capsys, monkeypatch):
         syn = tmp_path / "syn"
         run_cli("synth", "--out", syn, "--n-pairs", 6, "--seed", 2)
+        capsys.readouterr()
+        monkeypatch.setattr(cgm.assign, "_mem_available", lambda: 287)
         rc = run_cli("assign", "--out", tmp_path / "a2", "--matrix", syn / "matrix.tsv",
-                     "--gold", syn / "gold.tsv", "--max-side", 3)
+                     "--gold", syn / "gold.tsv")
         assert rc == 1
-        assert "size limit" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("cogmatrix: error: matrix 6x6 needs 288 bytes "
+                                           "for its assignment copy; 287 bytes available\n")
         assert not (tmp_path / "a2").exists()
 
     def test_gold_without_candidates_fails_as_eval_does(self, tmp_path, capsys):
@@ -248,13 +251,13 @@ class TestSyntheticPipeline:
         cfg = PipelineConfig(metrics="context,phonetic,context")
         assert cfg.metric_ids() == (cgm.MetricId.CONTEXT, cgm.MetricId.PHONETIC)
 
-    def test_assignment_over_size_limit_is_skipped(self, tmp_path, caplog):
+    def test_assignment_over_available_memory_is_skipped(self, tmp_path, caplog, monkeypatch):
         out = tmp_path / "run"
+        monkeypatch.setattr(cgm.assign, "_mem_available", lambda: 287)
         assert run_cli("pipeline", "--source", "synth", "--out", out, "--n-pairs", 6,
-                       "--seed", 2, "--max-side", 3) == 0
-        assert caplog.messages == [
-            "skipping max assignment: matrix 6x6 exceeds the assignment size limit 3"
-        ]
+                       "--seed", 2) == 0
+        assert caplog.messages == ["skipping max assignment: matrix 6x6 needs 288 bytes "
+                                   "for its assignment copy; 287 bytes available"]
         lines = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
         assert [line.split("\t")[0] for line in lines] == [
             "baseline", "rr", "rr_fr_1step", "rr_fr_2step"
@@ -379,8 +382,8 @@ class TestFilePipeline:
          "config key 'epochs': expected a positive int, got 0"),
         (("pipeline", "--source", "files", "--negative-ratio", -2),
          "config key 'negative_ratio': expected a positive int, got -2"),
-        (("pipeline", "--source", "synth", "--max-side", -1),
-         "config key 'max_side': expected an int >= 1, got -1"),
+        (("pipeline", "--source", "synth", "--config", "max_side = 5"),
+         "{config}:1: unknown config key 'max_side'"),
         (("pipeline", "--config", "source = synt"),
          "config key 'source': expected one of files, synth, got 'synt'"),
         (("pipeline", "--source", "files", "--config", "mode = larg"),
@@ -398,6 +401,7 @@ class TestFilePipeline:
             config = tmp_path / "run.cfg"
             config.write_text(f"{argv[at]}\n", encoding="utf-8")
             argv = (*argv[:at], config, *argv[at + 1:])
+            message = message.replace("{config}", str(config))
         # The gold file does not exist: reading any input first would fail on it.
         rc = run_cli(*argv, "--out", out, *(("--gold", tmp_path / "missing.tsv")
                                             if argv[0] == "pipeline" else ()))
@@ -743,11 +747,11 @@ FLAG_SURFACE = {
     "train": _COMMON + _TRAINING + [_flag("matrices"), _flag("gold")],
     "combine": _COMMON + [_flag("matrices"), _WEIGHTS, _flag("weights-file")],
     "rescore": _COMMON + [_flag("matrix"), _flag("methods")],
-    "assign": _COMMON + [_flag("matrix"), _flag("gold"), _flag("max-side", int)],
+    "assign": _COMMON + [_flag("matrix"), _flag("gold")],
     "eval": _COMMON + [_flag("gold"), ((), "matrix_paths", None, None, None, "+")],
     "pipeline": _COMMON + _INPUTS + _UNIVERSE + _TRAINING + _SYNTH + [
         _flag("source", choices=("files", "synth")), _flag("metrics"), _flag("methods"),
-        _WEIGHTS, (("--no-assign",), "assign", None, None, None, 0), _flag("max-side", int),
+        _WEIGHTS, (("--no-assign",), "assign", None, None, None, 0),
         (("--keep-intermediates",), "keep_intermediates", None, None, None, 0),
     ],
 }
@@ -834,12 +838,14 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))""")
         assert result.stdout == "[]\n"
 
     @staticmethod
-    def scipy_after_runs(*runs):
+    def scipy_after_runs(*runs, patch=""):
         """Each run's exit code and the SciPy modules loaded after it, all
-        run by ``cli.main`` in one fresh interpreter."""
+        run by ``cli.main`` in one fresh interpreter after the ``patch`` line."""
         result = run_python_process("-c", f"""
 import json, sys
+from cogmatrix import assign
 from cogmatrix.cli import main
+{patch}
 for argv in {list(runs)!r}:
     code = main(argv)
     print("scipy:", json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))""")
@@ -860,10 +866,13 @@ for argv in {list(runs)!r}:
              out + "/synth/matrix.tsv", out + "/rescore/rr.tsv"],
             ["pipeline", "--out", out + "/no-assign", "--source", "synth", "--n-pairs", "8",
              "--seed", "3", "--no-assign"],
-            ["assign", "--out", out + "/refused", *synth, "--max-side", "1"],
             ["assign", "--out", out + "/assign", *synth],
         )
-        assert no_scipy[:-1] == [[0, []]] * 4 + [[1, []]]
+        assert no_scipy[:-1] == [[0, []]] * 4
+        # A solve refused for want of memory fails before SciPy loads.
+        assert self.scipy_after_runs(["assign", "--out", out + "/refused", *synth],
+                                     patch="assign._mem_available = lambda: 0") == [[1, []]]
+        assert not (tmp_path / "refused").exists()
         pipeline = self.scipy_after_runs(
             ["pipeline", "--out", out + "/pipeline", "--source", "synth", "--n-pairs", "8",
              "--seed", "3"])
@@ -894,6 +903,27 @@ print("scipy.sparse" in sys.modules)
 ingest.load_lexicon({str(freq)!r})""")
         assert result.returncode == 0, result.stderr
         assert result.stdout == "False\nTrue\n"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_allocation_failure_is_one_error_line(self, tmp_path):
+        # Under an address-space limit 48 MiB above its start, the child loads
+        # the 30.5 MiB matrix but cannot allocate the solver's negated copy;
+        # numpy's MemoryError then ends the run as any other error does.
+        syn, out = tmp_path / "syn", tmp_path / "assign"
+        assert run_cli("synth", "--out", syn, "--n-pairs", 2000, "--seed", 1) == 0
+        result = run_python_process("-c", f"""
+import resource, sys
+from cogmatrix.cli import main
+with open("/proc/self/status") as f:
+    size = next(int(ln.split()[1]) for ln in f if ln.startswith("VmSize:")) * 1024
+resource.setrlimit(resource.RLIMIT_AS,
+                   (size + (48 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(["assign", "--out", {str(out)!r}, "--matrix", {str(syn / "matrix.tsv")!r},
+               "--gold", {str(syn / "gold.tsv")!r}]))""")
+        assert result.returncode == 1
+        assert result.stderr.startswith("cogmatrix: error: Unable to allocate "), result.stderr
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_console_entry_point(self, tmp_path):
         result = run_cli_process("pipeline", "--source", "synth", "--out", str(tmp_path / "run"),
