@@ -22,7 +22,6 @@ import hashlib
 import json
 import logging
 import sys
-from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -122,13 +121,13 @@ class PipelineConfig:
 
 def _parse_ids(enum, key: str, value: str) -> tuple:
     """The members of ``enum`` named in the comma-separated ``value`` of config
-    key ``key``, each once, in the order they are first named."""
-    names = [tok.strip() for tok in value.split(",") if tok.strip()]
+    key ``key``, each once, in the enum's order."""
+    names = {tok.strip() for tok in value.split(",")} - {""}
     valid = [member.value for member in enum]
-    if not names or not set(names) <= set(valid):
+    if not names or not names <= set(valid):
         raise ValueError(f"config key {key!r}: expected one or more of {', '.join(valid)}, "
                          f"got {value!r}")
-    return tuple(dict.fromkeys(map(enum, names)))
+    return tuple(member for member in enum if member.value in names)
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -272,34 +271,9 @@ def _require_seed(cfg: PipelineConfig, seed, gold) -> None:
                          "pairs leaves an empty training seed; raise it or use --weights uniform")
 
 
-class _OnAccess(Mapping):
-    """A read-only mapping over ``keys`` whose value ``load(key)`` builds on
-    each access.  Nothing is cached, so a caller that reads one value at a
-    time holds one at a time."""
-
-    def __init__(self, keys, load):
-        self._keys = tuple(keys)
-        self._load = load
-
-    def __getitem__(self, key):
-        if key not in self._keys:
-            raise KeyError(key)
-        return self._load(key)
-
-    def __contains__(self, key):
-        return key in self._keys
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self):
-        return len(self._keys)
-
-
 def _universe_matrices(run, cfg, lexica, bridge, universe_gold, save, prefix="", exclude=None):
-    """The active metrics' matrices over the universe of ``universe_gold``,
-    each scored when it is read and, with ``save``, saved as
-    ``<prefix>metric_<name>.tsv``."""
+    """A function that scores an active metric's matrix over the universe of
+    ``universe_gold`` and, with ``save``, saves it as ``<prefix>metric_<name>.tsv``."""
     words = build_universe(*lexica, universe_gold, mode=cfg.mode, k=cfg.k, exclude=exclude)
 
     def score(metric: MetricId):
@@ -308,7 +282,7 @@ def _universe_matrices(run, cfg, lexica, bridge, universe_gold, save, prefix="",
             save_matrix(matrix, run.out_path(prefix + _metric_matrix_name(metric)))
         return matrix
 
-    return _OnAccess(cfg.metric_ids(), score)
+    return score
 
 
 def _synth_config(cfg: PipelineConfig) -> SynthConfig:
@@ -338,7 +312,7 @@ def _assign(run: RunWriter, matrix, gold) -> ReportRow:
     return ReportRow("max_assignment", curve.max_f1, curve.iap11)
 
 
-def _evaluate(run: RunWriter, matrices: Mapping, gold) -> list[ReportRow]:
+def _evaluate(run: RunWriter, matrices: dict, gold) -> list[ReportRow]:
     """Report rows for ``matrices``; each one's curve is saved as ``curve_<name>.tsv``."""
     rows = compare_methods(matrices, gold, out_dir=run.out_dir)
     run.outputs += [f"curve_{row.method}.tsv" for row in rows]
@@ -369,9 +343,9 @@ def cmd_score(run: RunWriter, args: argparse.Namespace) -> None:
     # The universe is built from the full gold file, so training pairs are
     # present as candidates.
     gold, lexica, _, _, bridge = _load_corpus(run, run.cfg)
-    matrices = _universe_matrices(run, run.cfg, lexica, bridge, gold, save=True)
-    for metric in matrices:
-        matrices[metric]  # scored and saved, then dropped before the next metric
+    score = _universe_matrices(run, run.cfg, lexica, bridge, gold, save=True)
+    for metric in run.cfg.metric_ids():
+        score(metric)
 
 
 def _metric_matrix_paths(matrices_dir: str) -> dict[MetricId, Path]:
@@ -401,8 +375,14 @@ def cmd_combine(run: RunWriter, args: argparse.Namespace) -> None:
     else:
         weights_path = cfg.weights_file or str(Path(cfg.matrices) / "weights.tsv")
         weights = load_weights(run.track_input(weights_path))
+    unweighted = sorted(m.value for m in paths if m not in weights.weights)
+    if unweighted:
+        raise ValueError(f"no weight for metric {unweighted[0]!r}")
+    unmatched = sorted(m.value for m in weights.weights if m not in paths)
+    if unmatched:
+        raise ValueError(f"no matrix for weighted metric {', '.join(map(repr, unmatched))}")
     # One metric matrix is loaded at a time, added in and dropped.
-    baseline = combine(_OnAccess(paths, lambda m: load_matrix(run.track_input(paths[m]))), weights)
+    baseline = combine(lambda m: load_matrix(run.track_input(paths[m])), weights)
     save_matrix(baseline, run.out_path("baseline.tsv"))
 
 
@@ -449,24 +429,23 @@ def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
             # pairs must be present as candidates); evaluation below never
             # sees those matrices.
             train_cfg = replace(cfg, mode="standard")
-            matrices = _universe_matrices(
-                run, train_cfg, lexica, bridge, gold, keep, prefix="train_"
-            )
-            weights = train_weights(dict(matrices), seed, cfg.training_config())
+            score = _universe_matrices(run, train_cfg, lexica, bridge, gold, keep, prefix="train_")
+            weights = train_weights({m: score(m) for m in cfg.metric_ids()}, seed,
+                                    cfg.training_config())
         save_weights(weights, run.out_path("weights.tsv"))
 
         # Candidates for evaluation come from the eval split only: the seed
         # pairs were consumed by training and are not scored or counted, not
         # even as frequent words in the large-mode top k.  ``combine``
-        # reads one metric at a time, so each matrix is scored, added into
+        # asks for one metric at a time, so each matrix is scored, added into
         # the baseline and dropped before the next one is scored.
-        matrices = _universe_matrices(run, cfg, lexica, bridge, gold_eval, keep, exclude=seed)
-        baseline = combine(matrices, weights)
+        score = _universe_matrices(run, cfg, lexica, bridge, gold_eval, keep, exclude=seed)
+        baseline = combine(score, weights)
 
-    # ``compare_methods`` reads each method once, so each is rescored, saved
-    # if asked and evaluated before the next one is built.
-    rescored = _OnAccess(cfg.method_ids(), lambda method: _rescore(run, method, baseline, keep))
-    rows = _evaluate(run, rescored, gold_eval)
+    # Each method is rescored, saved if asked and evaluated before the next is built.
+    rows = []
+    for method in cfg.method_ids():
+        rows += _evaluate(run, {method: _rescore(run, method, baseline, keep)}, gold_eval)
     if cfg.assign:
         try:
             rows.append(_assign(run, baseline, gold_eval))

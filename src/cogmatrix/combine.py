@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -139,34 +139,27 @@ def train_weights(
 
 
 def combine(
-    metric_matrices: Mapping[MetricId, ScoreMatrix], weights: WeightVector
+    matrix_of: Callable[[MetricId], ScoreMatrix], weights: WeightVector
 ) -> ScoreMatrix:
-    """Entrywise weighted sum of the metric matrices, min-max normalized.
+    """Entrywise weighted sum of the weighted metrics' matrices, min-max normalized.
 
     Normalization maps the combined scores onto [0, 1], which rescoring
-    requires; it preserves the ranking of every row and column.  Every
-    matrix needs a weight and every weighted metric a matrix; both are
-    checked against the mapping's keys before any matrix is read.
+    requires; it preserves the ranking of every row and column.
 
-    The total starts at the bias.  Each matrix, in metric-name order, is read
-    from the mapping once and added into it one row block at a time (so no
-    full-size ``weight * scores`` is built), and no reference to it is kept
-    once it is added: a mapping that builds each matrix on access has at
-    most one alive.  Every cell sees the same operations in the same order
-    as a whole-array sum.
+    The total starts at the bias.  ``matrix_of(metric)`` is called once per
+    weighted metric, in metric-name order, and its matrix is added into the
+    total one row block at a time (so no full-size ``weight * scores`` is
+    built) and dropped before the next call: a ``matrix_of`` that builds or
+    loads each matrix has at most one alive.  For matrices in a dict, pass
+    ``matrices.__getitem__``.  Every cell sees the same operations in the
+    same order as a whole-array sum.
     """
-    metrics = sorted(metric_matrices, key=lambda m: m.value)
+    metrics = sorted(weights.weights, key=lambda m: m.value)
     if not metrics:
-        raise ValueError("no metric matrices given")
-    for metric in metrics:
-        if metric not in weights.weights:
-            raise ValueError(f"no weight for metric {metric.value!r}")
-    unmatched = sorted(m.value for m in weights.weights if m not in metrics)
-    if unmatched:
-        raise ValueError(f"no matrix for weighted metric {', '.join(map(repr, unmatched))}")
+        raise ValueError("no weighted metrics given")
     labels = total = None
     for metric in metrics:
-        m = metric_matrices[metric]
+        m = matrix_of(metric)
         if total is None:
             labels = (m.row_labels, m.col_labels)
             total = np.full(m.shape, weights.bias, dtype=np.float64)

@@ -42,7 +42,7 @@ class LexiconSide:
     ``cooc_words`` x ``cooc_contexts``, one entry per (word, context) at
     most, each row in the order of the word's profile.  Words missing from
     the daily or co-occurrence data implicitly have a zero vector / an empty
-    profile (see :meth:`daily` and :meth:`cooc_profile`).
+    profile.
     """
 
     words: tuple[str, ...]
@@ -99,18 +99,6 @@ class LexiconSide:
 
     def rel_freq(self, word: str) -> float:
         return self.freq.get(word, 0) / self.total_tokens
-
-    def daily(self, word: str) -> np.ndarray:
-        row = self.daily_index.get(word)
-        return np.zeros(self.n_days, dtype=np.int64) if row is None else self.daily_counts[row]
-
-    def cooc_profile(self, word: str) -> dict[str, int]:
-        row = self.cooc_index.get(word)
-        if row is None:
-            return {}
-        entries = slice(*self.cooc_counts.indptr[row : row + 2])
-        contexts = map(self.cooc_contexts.__getitem__, self.cooc_counts.indices[entries].tolist())
-        return dict(zip(contexts, self.cooc_counts.data[entries].tolist()))
 
     # Marginals of the co-occurrence table, shared by all context scoring:
     # int64 sums per row of ``cooc_words`` and per column of ``cooc_contexts``.

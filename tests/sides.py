@@ -34,9 +34,26 @@ def lexicon_side(words, total_tokens, freq, daily=None, cooc=None, n_days=0):
     )
 
 
+def daily_row(lex, word):
+    """``word``'s daily counts in ``lex``: its row of ``daily_counts``, or zeros."""
+    row = lex.daily_index.get(word)
+    return np.zeros(lex.n_days, dtype=np.int64) if row is None else lex.daily_counts[row]
+
+
+def cooc_profile(lex, word):
+    """``word``'s row of ``cooc_counts`` as {context: count} in profile order
+    ({} for a word without one)."""
+    row = lex.cooc_index.get(word)
+    if row is None:
+        return {}
+    entries = slice(*lex.cooc_counts.indptr[row : row + 2])
+    contexts = map(lex.cooc_contexts.__getitem__, lex.cooc_counts.indices[entries].tolist())
+    return dict(zip(contexts, lex.cooc_counts.data[entries].tolist()))
+
+
 def cooc_dicts(lex):
     """Every co-occurrence profile of ``lex``, by word."""
-    return {w: lex.cooc_profile(w) for w in lex.cooc_words}
+    return {w: cooc_profile(lex, w) for w in lex.cooc_words}
 
 
 def pair_score(metric, w1, w2, lex1=None, lex2=None, bridge=None):

@@ -75,7 +75,7 @@ def every_output():
                for metric in MetricId}
     out.update({f"score {metric.value}": mm.scores for metric, mm in metrics.items()})
     weights = WeightVector({metric: 0.1 + k / 7 for k, metric in enumerate(MetricId)}, bias=-0.3)
-    out["combine"] = combine(metrics, weights).scores
+    out["combine"] = combine(metrics.__getitem__, weights).scores
     return out
 
 

@@ -8,12 +8,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cogmatrix as cgm
+from cogmatrix import cli
 from cogmatrix.cli import PipelineConfig, build_parser, main, read_config_file
 
 
@@ -248,8 +250,19 @@ class TestSyntheticPipeline:
         assert manifest["outputs"].count("rr.tsv") == 1
         lines = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
         assert [line.split("\t")[0] for line in lines] == ["baseline", "rr"]
-        cfg = PipelineConfig(metrics="context,phonetic,context")
+
+    def test_ids_and_report_rows_in_enum_order(self, tmp_path):
+        cfg = PipelineConfig(metrics="phonetic,context,phonetic", methods="rr_fr_2step,rr,baseline")
         assert cfg.metric_ids() == (cgm.MetricId.CONTEXT, cgm.MetricId.PHONETIC)
+        assert cfg.method_ids() == (cgm.RescoreMethod.BASELINE, cgm.RescoreMethod.RR,
+                                    cgm.RescoreMethod.RR_FR_2STEP)
+        out = tmp_path / "run"
+        assert run_cli("pipeline", "--source", "synth", "--out", out, "--n-pairs", 20,
+                       "--methods", "rr_fr_2step,rr,baseline") == 0
+        lines = (out / "report.tsv").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in lines] == [
+            "baseline", "rr", "rr_fr_2step", "max_assignment"
+        ]
 
     def test_assignment_over_available_memory_is_skipped(self, tmp_path, caplog, monkeypatch):
         out = tmp_path / "run"
@@ -469,6 +482,9 @@ class TestFilePipeline:
          "temporal metric needs L1 daily counts (--daily1), but that side has none"),
         ("score", ("--metrics", "phonetic,temporal"), ("freq1", "freq2"),
          "temporal metric needs L1 daily counts (--daily1), but that side has none"),
+        # Of several unusable metrics, the first in enum order is named.
+        ("pipeline", ("--weights", "uniform", "--metrics", "temporal,context"), ("freq1", "freq2"),
+         "context metric needs L1 co-occurrence counts (--cooc1), but that side has none"),
     ])
     def test_missing_metric_input_fails_before_any_output(self, corpus, tmp_path, capsys,
                                                           command, argv, given, message):
@@ -538,7 +554,7 @@ class TestFilePipeline:
                  for m in (cgm.MetricId.PHONETIC, cgm.MetricId.FREQUENCY)}
         matrices = {m: cgm.load_matrix(path) for m, path in paths.items()}
         expected = tmp_path / "expected.tsv"
-        cgm.save_matrix(cgm.combine(matrices, cgm.uniform_weights(matrices)), expected)
+        cgm.save_matrix(cgm.combine(matrices.__getitem__, cgm.uniform_weights(matrices)), expected)
         assert (out / "baseline.tsv").read_bytes() == expected.read_bytes()
         manifest = json.loads((out / "manifest.json").read_text())
         assert sorted(manifest["inputs"]) == sorted(str(path) for path in paths.values())
@@ -623,7 +639,7 @@ class TestIntermediates:
                        *ALL_METRICS, "--seed", 13, "--seed-fraction", 0.25,
                        "--keep-intermediates") == 0
         matrices = {m: cgm.load_matrix(out / f"metric_{m.value}.tsv") for m in cgm.MetricId}
-        baseline = cgm.combine(matrices, cgm.load_weights(out / "weights.tsv"))
+        baseline = cgm.combine(matrices.__getitem__, cgm.load_weights(out / "weights.tsv"))
         assert np.array_equal(cgm.load_matrix(out / "baseline.tsv").scores.view(np.uint64),
                               baseline.scores.view(np.uint64))
 
@@ -638,6 +654,74 @@ class TestIntermediates:
         assert manifest["config"]["keep_intermediates"] is True
         for name in METHOD_MATRICES:
             assert name in manifest["outputs"] and (out / name).is_file()
+
+
+class TestOneMatrixAtATime:
+    def test_pipeline_builds_each_matrix_once_the_last_is_dead(self, corpus, tmp_path,
+                                                               monkeypatch):
+        # Inside ``combine`` each metric matrix, and in evaluation each
+        # rescored matrix, is built only once every earlier one of its kind
+        # is dead.
+        built = {"score": [], "rescore": []}
+        overlaps = []
+        combining = []
+
+        def tracked(kind, original):
+            def wrapper(*args):
+                if kind == "score" and not combining:
+                    return original(*args)
+                overlaps.extend((args[0].value, kind) for ref in built[kind] if ref() is not None)
+                result = original(*args)
+                if result is not args[-1]:  # ``baseline`` returns its input
+                    built[kind].append(weakref.ref(result))
+                return result
+
+            return wrapper
+
+        def combine(*args):
+            combining.append(True)
+            try:
+                return cli_combine(*args)
+            finally:
+                combining.clear()
+
+        cli_combine = cli.combine
+        monkeypatch.setattr(cli, "combine", combine)
+        monkeypatch.setattr(cli, "score_all_pairs", tracked("score", cli.score_all_pairs))
+        monkeypatch.setattr(cli, "apply", tracked("rescore", cli.apply))
+        assert run_cli("pipeline", "--source", "files", "--out", tmp_path / "run",
+                       *corpus_files(corpus), *ALL_METRICS, "--mode", "large", "--k", 8,
+                       "--seed", 13, "--seed-fraction", 0.25) == 0
+        assert overlaps == []
+        assert [len(refs) for refs in built.values()] == [len(cgm.MetricId), 3]
+
+
+class TestCombineCommand:
+    @pytest.mark.parametrize("files, weights, message", [
+        (("phonetic",), "frequency\t1.0\n", "no weight for metric 'phonetic'"),
+        # named in metric-name order, not the enum's
+        (("burstiness", "frequency", "phonetic"), "phonetic\t1.0\n",
+         "no weight for metric 'burstiness'"),
+        (("phonetic",), "phonetic\t1.0\ncontext\t5.0\ntemporal\t1.0\n",
+         "no matrix for weighted metric 'context', 'temporal'"),
+    ], ids=["no-weight", "no-weight-first-by-name", "no-matrix"])
+    def test_weights_checked_against_matrix_files_before_loading(
+        self, tmp_path, capsys, monkeypatch, files, weights, message
+    ):
+        matrices = tmp_path / "scored"
+        matrices.mkdir()
+        for name in files:
+            (matrices / f"metric_{name}.tsv").write_text("not a matrix\n")
+        (matrices / "weights.tsv").write_text(weights)
+
+        def load_matrix(path):
+            raise AssertionError(f"loaded {path}")
+
+        monkeypatch.setattr(cli, "load_matrix", load_matrix)
+        out = tmp_path / "run"
+        assert run_cli("combine", "--out", out, "--matrices", matrices) == 1
+        assert capsys.readouterr().err == f"cogmatrix: error: {message}\n"
+        assert not out.exists()
 
 
 class TestConfigFile:

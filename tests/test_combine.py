@@ -1,7 +1,6 @@
 """Weight training and matrix combination."""
 
 import weakref
-from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -95,14 +94,8 @@ class TestTrainWeights:
         assert doubled.weights[MetricId.PHONETIC] == pytest.approx(
             doubled.weights[MetricId.BURSTINESS], abs=1e-12
         )
-        c1 = combine({MetricId.PHONETIC: matrices[MetricId.PHONETIC]}, single)
-        c2 = combine(
-            {
-                MetricId.PHONETIC: matrices[MetricId.PHONETIC],
-                MetricId.BURSTINESS: matrices[MetricId.PHONETIC],
-            },
-            doubled,
-        )
+        c1 = combine(matrices.__getitem__, single)
+        c2 = combine(lambda metric: matrices[MetricId.PHONETIC], doubled)  # one matrix for both
         assert np.array_equal(
             np.argsort(c1.scores.ravel(), kind="stable"),
             np.argsort(c2.scores.ravel(), kind="stable"),
@@ -135,25 +128,25 @@ class TestCombine:
         m1 = labeled([[0.4, 0.0], [1.0, 0.2]], rows, cols)
         m2 = labeled([[0.8, 0.0], [1.0, 0.6]], rows, cols)
         wv = WeightVector({MetricId.PHONETIC: 0.5, MetricId.FREQUENCY: 0.5})
-        out = combine({MetricId.PHONETIC: m1, MetricId.FREQUENCY: m2}, wv)
+        out = combine({MetricId.PHONETIC: m1, MetricId.FREQUENCY: m2}.__getitem__, wv)
         # raw combination: [[0.6, 0.0], [1.0, 0.4]] -> already spans [0, 1]
         assert np.allclose(out.scores, [[0.6, 0.0], [1.0, 0.4]], atol=1e-15)
 
     def test_all_zero_weights_normalize_to_half(self):
         m = labeled([[0.1, 0.9]], ("a",), ("u", "v"))
-        out = combine({MetricId.PHONETIC: m}, WeightVector({MetricId.PHONETIC: 0.0}))
+        out = combine(lambda metric: m, WeightVector({MetricId.PHONETIC: 0.0}))
         assert (out.scores == 0.5).all()
 
     @pytest.mark.parametrize("weight", [np.inf, -np.inf, np.nan])
     def test_non_finite_combination_rejected_not_made_constant(self, weight):
         m = labeled([[0.1, 0.9]], ("a",), ("u", "v"))
         with pytest.raises(ValueError, match="finite"):
-            combine({MetricId.PHONETIC: m}, WeightVector({MetricId.PHONETIC: weight}))
+            combine(lambda metric: m, WeightVector({MetricId.PHONETIC: weight}))
 
     def test_single_metric_preserves_argsort(self):
         rng = np.random.default_rng(9)
         m = labeled(rng.random((5, 5)), [f"a{i}" for i in range(5)], [f"b{i}" for i in range(5)])
-        out = combine({MetricId.PHONETIC: m}, WeightVector({MetricId.PHONETIC: 1.0}))
+        out = combine(lambda metric: m, WeightVector({MetricId.PHONETIC: 1.0}))
         assert np.array_equal(
             np.argsort(m.scores.ravel(), kind="stable"),
             np.argsort(out.scores.ravel(), kind="stable"),
@@ -163,24 +156,12 @@ class TestCombine:
         matrices, _, _ = toy_universe()
         w1 = WeightVector({MetricId.PHONETIC: 0.3, MetricId.FREQUENCY: 0.7})
         w2 = WeightVector({MetricId.PHONETIC: 0.3 * 4, MetricId.FREQUENCY: 0.7 * 4})
-        c1 = combine(matrices, w1)
-        c2 = combine(matrices, w2)
+        c1 = combine(matrices.__getitem__, w1)
+        c2 = combine(matrices.__getitem__, w2)
         assert np.array_equal(
             np.argsort(c1.scores.ravel(), kind="stable"),
             np.argsort(c2.scores.ravel(), kind="stable"),
         )
-
-    def test_missing_weight_rejected(self):
-        m = labeled([[1.0]], ("a",), ("u",))
-        with pytest.raises(ValueError, match="no weight for metric 'phonetic'"):
-            combine({MetricId.PHONETIC: m}, WeightVector({MetricId.FREQUENCY: 1.0}))
-
-    def test_weight_without_matrix_rejected(self):
-        m = labeled([[1.0]], ("a",), ("u",))
-        weights = WeightVector({MetricId.PHONETIC: 1.0, MetricId.CONTEXT: 5.0, MetricId.TEMPORAL: 1.0})
-        with pytest.raises(ValueError) as exc:
-            combine({MetricId.PHONETIC: m}, weights)
-        assert str(exc.value) == "no matrix for weighted metric 'context', 'temporal'"
 
     def test_uniform_weights(self):
         wv = uniform_weights([MetricId.PHONETIC, MetricId.CONTEXT])
@@ -217,29 +198,6 @@ def whole_array_combine(matrices, weights):
     return matrix._normalize_in_place(total)
 
 
-class ScoredOnRead(Mapping):
-    """Metric -> the matrix ``score(metric)`` builds each time it is read.
-
-    Membership tests go through ``__getitem__`` (the ``Mapping`` default),
-    so they count as reads too.
-    """
-
-    def __init__(self, metrics, score):
-        self.metrics = tuple(metrics)
-        self.score = score
-
-    def __getitem__(self, metric):
-        if metric not in self.metrics:
-            raise KeyError(metric)
-        return self.score(metric)
-
-    def __iter__(self):
-        return iter(self.metrics)
-
-    def __len__(self):
-        return len(self.metrics)
-
-
 class TestCombineStreamed:
     # 23 x 19 cells: one block, 8 blocks of up to 3 rows, and one block per row.
     @pytest.mark.parametrize("block_cells", [matrix._BLOCK_CELLS, 40, 1])
@@ -261,11 +219,11 @@ class TestCombineStreamed:
             asked.append(metric)
             return score_all_pairs(metric, x_words, y_words, lex1, lex2, bridge)
 
-        streamed = combine(ScoredOnRead(metrics, score), weights)
+        streamed = combine(score, weights)
         expected = whole_array_combine(scored, weights).view(np.uint64)
         assert asked == sorted(metrics, key=lambda m: m.value)
         assert np.array_equal(streamed.scores.view(np.uint64), expected)
-        assert np.array_equal(combine(scored, weights).scores.view(np.uint64), expected)
+        assert np.array_equal(combine(scored.__getitem__, weights).scores.view(np.uint64), expected)
         assert (streamed.row_labels, streamed.col_labels) == (tuple(x_words), tuple(y_words))
 
     def test_each_matrix_dropped_before_the_next_is_scored(self):
@@ -277,25 +235,15 @@ class TestCombineStreamed:
             scored.append(weakref.ref(m))
             return m
 
-        combine(ScoredOnRead(MetricId, score), uniform_weights(MetricId))
+        combine(score, uniform_weights(MetricId))
         assert len(scored) == len(MetricId)
-
-    def test_weights_checked_before_scoring(self):
-        def score(metric):
-            raise AssertionError("scored before the weights were checked")
-
-        with pytest.raises(ValueError, match="no weight for metric 'context'"):
-            combine(ScoredOnRead([MetricId.CONTEXT], score), WeightVector({MetricId.PHONETIC: 1.0}))
-        both = WeightVector({MetricId.CONTEXT: 1.0, MetricId.PHONETIC: 1.0})
-        with pytest.raises(ValueError, match="no matrix for weighted metric 'phonetic'"):
-            combine(ScoredOnRead([MetricId.CONTEXT], score), both)
 
     def test_label_mismatch_rejected(self):
         a = labeled([[0.1, 0.2]], ("a",), ("u", "v"))
         b = labeled([[0.1, 0.2]], ("a",), ("u", "w"))
         matrices = {MetricId.PHONETIC: a, MetricId.FREQUENCY: b}
         with pytest.raises(ValueError, match="share identical"):
-            combine(matrices, uniform_weights(matrices))
+            combine(matrices.__getitem__, uniform_weights(matrices))
 
 
 class TestWeightsFile:

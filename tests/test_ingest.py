@@ -19,6 +19,7 @@ from cogmatrix import (
     load_weights,
     split_seed,
 )
+from sides import cooc_profile, daily_row
 
 
 def write(path, text):
@@ -48,16 +49,16 @@ class TestLoadLexicon:
         assert lex.freq["bake"] == 10
         assert lex.rel_freq("bake") == 0.1
         assert lex.n_days == 4
-        assert lex.daily("salt").tolist() == [0, 0, 5, 0]
-        assert lex.cooc_profile("bake") == {"bread": 4, "oven": 2}
+        assert daily_row(lex, "salt").tolist() == [0, 0, 5, 0]
+        assert cooc_profile(lex, "bake") == {"bread": 4, "oven": 2}
 
     def test_word_missing_from_daily_gets_zero_vector(self, freq_file, daily_file):
         lex = load_lexicon(freq_file, daily_file)
-        assert lex.daily("rare").tolist() == [0, 0, 0, 0]
+        assert daily_row(lex, "rare").tolist() == [0, 0, 0, 0]
 
     def test_word_missing_from_cooc_gets_empty_profile(self, freq_file, daily_file, cooc_file):
         lex = load_lexicon(freq_file, daily_file, cooc_file)
-        assert lex.cooc_profile("rare") == {}
+        assert cooc_profile(lex, "rare") == {}
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = write(tmp_path / "freq.tsv", "#total 100\nbake ten\n")
@@ -354,12 +355,12 @@ def assert_same_side(got, want):
     assert got.daily_words == tuple(daily)
     assert got.daily_counts.shape == (len(daily), n_days) and not got.daily_counts.flags.writeable
     for word in words:
-        vec = got.daily(word)
+        vec = daily_row(got, word)
         assert vec.dtype == np.int64 and vec.tolist() == daily.get(word, [0] * n_days)
     assert got.cooc_words == tuple(cooc)
     for word in words:
-        assert list(got.cooc_profile(word).items()) == list(cooc.get(word, {}).items())
-    assert all(type(c) is int for w in words for c in got.cooc_profile(w).values())
+        assert list(cooc_profile(got, word).items()) == list(cooc.get(word, {}).items())
+    assert all(type(c) is int for w in words for c in cooc_profile(got, w).values())
     assert got.cooc_word_totals.tolist() == [sum(p.values()) for p in cooc.values()]
     contexts = {}
     for profile in cooc.values():

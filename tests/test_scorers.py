@@ -12,7 +12,7 @@ from scipy.stats import rankdata
 
 from cogmatrix import LexiconSide, MetricId, score_all_pairs
 from cogmatrix import matrix, scorers
-from sides import cooc_dicts, lexicon_side, pair_score
+from sides import cooc_dicts, cooc_profile, daily_row, lexicon_side, pair_score
 
 
 def lexicon(total=100, freq=None, daily=None, cooc=None, n_days=0):
@@ -432,7 +432,7 @@ def oracle_context(w1, lex1, w2, lex2, bridge):
     cooc1, cooc2 = cooc_dicts(lex1), cooc_dicts(lex2)
     v1 = [TestContext.ppmi_oracle(cooc1, w1, d) for d in dims]
     v2 = [0.0] * len(dims)
-    for ctx in sorted(lex2.cooc_profile(w2)):
+    for ctx in sorted(cooc_profile(lex2, w2)):
         if ctx in bridge:
             v2[dims.index(bridge[ctx])] += TestContext.ppmi_oracle(cooc2, w2, ctx)
     n1 = math.sqrt(sum(a * a for a in v1))
@@ -635,8 +635,8 @@ def test_stacked_daily_features_equal_per_word_calls(seed):
     fano = scorers._fano_factors(lex, words)
     centred, sq_norms = scorers._spectrum_ranks(lex, words)
     for i, w in enumerate(words):
-        assert fano[i] == oracle_fano(lex.daily(w))
-        ranks = oracle_rank_vector(lex.daily(w))
+        assert fano[i] == oracle_fano(daily_row(lex, w))
+        ranks = oracle_rank_vector(daily_row(lex, w))
         if ranks is None:
             assert sq_norms[i] == 0.0
         else:
@@ -673,9 +673,9 @@ def check_against_oracles(words1, lex1, words2, lex2, bridge):
         MetricId.PHONETIC: lambda x, y: oracle_phonetic(x, y),
         MetricId.FREQUENCY: lambda x, y: oracle_ratio(lex1.rel_freq(x), lex2.rel_freq(y)),
         MetricId.BURSTINESS: lambda x, y: oracle_ratio(
-            oracle_fano(lex1.daily(x)), oracle_fano(lex2.daily(y))
+            oracle_fano(daily_row(lex1, x)), oracle_fano(daily_row(lex2, y))
         ),
-        MetricId.TEMPORAL: lambda x, y: oracle_temporal(lex1.daily(x), lex2.daily(y)),
+        MetricId.TEMPORAL: lambda x, y: oracle_temporal(daily_row(lex1, x), daily_row(lex2, y)),
         MetricId.CONTEXT: lambda x, y: oracle_context(x, lex1, y, lex2, bridge),
     }
     for metric, expected in oracle.items():
