@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import PRCurve, _gold_cells, _hit_points
-from .matrix import GoldPairs, ScoreMatrix, _label_ranks
+from .matrix import GoldPairs, ScoreMatrix
 
 
 class ResourceLimitError(MemoryError):
@@ -96,7 +96,7 @@ def max_assignment_curve(
     gold_col[gold_rows] = gold_cols  # gold is one-to-one: at most one per row
     # Each row is assigned once, so row-label order is the whole tie order.
     scores = m.scores[rows, cols]
-    order = np.lexsort((_label_ranks(m.row_labels)[rows], -scores))
+    order = np.lexsort((m._labels.ranks[0][rows], -scores))
     before = np.flatnonzero((gold_col[rows] == cols)[order])
     return _hit_points(before, scores[order][before], scores[order[-1]], len(rows), len(gold.pairs))
 

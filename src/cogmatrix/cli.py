@@ -96,6 +96,8 @@ class PipelineConfig:
             ("seed_fraction", 0.0 < self.seed_fraction < 1.0, "a number in (0, 1)"),
             ("epochs", self.epochs > 0, "a positive int"),
             ("negative_ratio", self.negative_ratio > 0, "a positive int"),
+            ("n_pairs", self.n_pairs >= 1, "an int >= 1"),
+            ("distractors", self.distractors >= 0, "an int >= 0"),
         ):
             if not ok:
                 raise ValueError(f"config key {key!r}: expected {expected}, got {getattr(self, key)!r}")
@@ -504,36 +506,44 @@ _HELP = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_flags(p: argparse.ArgumentParser, name: str) -> None:
+    """Add subcommand ``name``'s flags to its parser ``p``."""
+    p.add_argument("--config", help="key = value configuration file")
+    for key in ("out", "seed", *_SUBCOMMANDS[name][2]):
+        p.add_argument("--" + key.replace("_", "-"), type=_TYPES.get(_FIELD_TYPES[key]),
+                       choices=_CHOICES.get(key), help=_HELP[key])
+    if name == "eval":
+        p.add_argument("matrix_paths", nargs="+", metavar="MATRIX", help="saved matrix files")
+    if name == "pipeline":
+        p.add_argument("--no-assign", dest="assign", action="store_false", default=None,
+                       help="skip the maximum assignment stage")
+        p.add_argument("--keep-intermediates", action="store_true", default=None,
+                       help="also write the metric, training and rescored matrices")
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  Every subcommand is registered with its name
+    and help, but only the one ``argv`` names gets its flags: the top-level
+    parser takes no option with a value, so its first token that does not
+    start with '-' is the subcommand."""
     parser = argparse.ArgumentParser(
         prog="cogmatrix",
         description="Score, rescore, assign, and evaluate cross-language word-pair matrices.",
     )
     parser.add_argument("--version", action="version", version=f"cogmatrix {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, help_text, keys) in _SUBCOMMANDS.items():
+    named = next((token for token in argv if not token.startswith("-")), None)
+    for name, (_, help_text, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="key = value configuration file")
-        for key in ("out", "seed", *keys):
-            p.add_argument("--" + key.replace("_", "-"), type=_TYPES.get(_FIELD_TYPES[key]),
-                           choices=_CHOICES.get(key), help=_HELP[key])
-    sub.choices["eval"].add_argument("matrix_paths", nargs="+", metavar="MATRIX",
-                                     help="saved matrix files")
-    sub.choices["pipeline"].add_argument(
-        "--no-assign", dest="assign", action="store_false", default=None,
-        help="skip the maximum assignment stage",
-    )
-    sub.choices["pipeline"].add_argument(
-        "--keep-intermediates", action="store_true", default=None,
-        help="also write the metric, training and rescored matrices",
-    )
+        if name == named:
+            _add_flags(p, name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     handler = _SUBCOMMANDS[args.subcommand][0]
     try:
         run = RunWriter(args.subcommand, resolve_config(args))

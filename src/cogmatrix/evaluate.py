@@ -139,7 +139,7 @@ def hit_curve(m: ScoreMatrix, gold: GoldPairs) -> PRCurve:
     rows, cols = _gold_cells(m, gold)
     by_score = np.argsort(m.scores[rows, cols])  # sorted keys are searched faster
     rows, cols = rows[by_score], cols[by_score]
-    row_rank, col_rank = _label_ranks(m.row_labels), _label_ranks(m.col_labels)
+    row_rank, col_rank = m._labels.ranks
     row_order = np.argsort(row_rank)
     gold_scores, gold_pos, gold_col = m.scores[rows, cols], row_rank[rows], col_rank[cols]
     before = np.zeros(len(rows), dtype=np.int64)

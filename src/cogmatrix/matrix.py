@@ -208,6 +208,25 @@ def _label_ranks(labels: tuple[str, ...]) -> np.ndarray:
     return ranks
 
 
+class _Labels:
+    """The validated row and column labels of one candidate universe, with
+    their indexes and read-only label-order ranks, each pair built on first
+    use.  A matrix derived by ``ScoreMatrix.with_scores`` shares its input's."""
+
+    def __init__(self, rows: tuple[str, ...], cols: tuple[str, ...]):
+        _check_labels(rows, "row")
+        _check_labels(cols, "column")
+        self.rows, self.cols = rows, cols
+
+    @cached_property
+    def index(self) -> tuple[dict[str, int], dict[str, int]]:
+        return tuple({lab: i for i, lab in enumerate(labels)} for labels in (self.rows, self.cols))
+
+    @cached_property
+    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(_read_only(_label_ranks(labels)) for labels in (self.rows, self.cols))
+
+
 @dataclass(frozen=True)
 class ScoreMatrix:
     """Dense n1 x n2 matrix of finite pair scores with word labels.
@@ -226,7 +245,11 @@ class ScoreMatrix:
     def __post_init__(self) -> None:
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
-        scores = np.asarray(self.scores, dtype=np.float64)
+        self._set_scores(self.scores)
+        object.__setattr__(self, "_labels", _Labels(self.row_labels, self.col_labels))
+
+    def _set_scores(self, scores) -> None:
+        scores = np.asarray(scores, dtype=np.float64)
         if scores.ndim != 2:
             raise ValueError(f"scores must be 2-dimensional, got shape {scores.shape}")
         if scores.shape != (len(self.row_labels), len(self.col_labels)):
@@ -236,8 +259,6 @@ class ScoreMatrix:
             )
         if not _all_finite(scores):
             raise ValueError("scores must be finite (no NaN or infinity)")
-        _check_labels(self.row_labels, "row")
-        _check_labels(self.col_labels, "column")
         object.__setattr__(self, "scores", _read_only(scores))
 
     @property
@@ -252,13 +273,13 @@ class ScoreMatrix:
     def shape(self) -> tuple[int, int]:
         return self.scores.shape
 
-    @cached_property
+    @property
     def row_index(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.row_labels)}
+        return self._labels.index[0]
 
-    @cached_property
+    @property
     def col_index(self) -> dict[str, int]:
-        return {lab: j for j, lab in enumerate(self.col_labels)}
+        return self._labels.index[1]
 
     @cached_property
     def reverse_ranks(self) -> np.ndarray:
@@ -274,8 +295,13 @@ class ScoreMatrix:
         return _read_only(ranks)
 
     def with_scores(self, scores: np.ndarray) -> "ScoreMatrix":
-        """New matrix with the same labels and different scores."""
-        return ScoreMatrix(self.row_labels, self.col_labels, scores)
+        """New matrix with different scores and the same labels, whose
+        validation, indexes and label-order ranks it shares."""
+        m = object.__new__(ScoreMatrix)
+        for name in ("row_labels", "col_labels", "_labels"):
+            object.__setattr__(m, name, getattr(self, name))
+        m._set_scores(scores)
+        return m
 
 
 @dataclass(frozen=True)

@@ -359,8 +359,8 @@ class TestFilePipeline:
         ("synth", "--signal-mu", "nan", "signal_mu must be a finite number, got nan"),
         ("files", "--regularization", "-1",
          "regularization must be a finite positive number, got -1.0"),
-        ("synth", "--n-pairs", "0", "n_pairs must be >= 1"),
-        ("synth", "--distractors", "-1", "n_distractors_per_side must be >= 0"),
+        ("synth", "--n-pairs", "0", "config key 'n_pairs': expected an int >= 1, got 0"),
+        ("synth", "--distractors", "-1", "config key 'distractors': expected an int >= 0, got -1"),
     ])
     def test_non_finite_parameter_fails_before_output(self, corpus, tmp_path, capsys,
                                                       source, flag, value, message):
@@ -405,7 +405,8 @@ class TestFilePipeline:
          "config key 'weights': expected one of learned, uniform, got 'unifrom'"),
         (("pipeline", "--source", "files", "--config", "regularization = -1"),
          "regularization must be a finite positive number, got -1.0"),
-        (("pipeline", "--source", "synth", "--config", "n_pairs = 0"), "n_pairs must be >= 1"),
+        (("pipeline", "--source", "synth", "--config", "n_pairs = 0"),
+         "config key 'n_pairs': expected an int >= 1, got 0"),
     ])
     def test_bad_config_value_fails_before_input_or_output(self, tmp_path, capsys, argv, message):
         out = tmp_path / "run"
@@ -841,19 +842,28 @@ FLAG_SURFACE = {
 }
 
 
+def subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 class TestFlagSurface:
     def test_every_subcommand_action_pinned(self):
-        parser = build_parser()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        assert set(sub.choices) == set(FLAG_SURFACE)
         for name, expected in FLAG_SURFACE.items():
+            sub = subparsers(build_parser([name]))
+            assert set(sub) == set(FLAG_SURFACE)
             actual = [
                 (tuple(a.option_strings), a.dest, a.type,
                  tuple(a.choices) if a.choices else None, a.default, a.nargs)
-                for a in sub.choices[name]._actions
+                for a in sub[name]._actions
                 if a.dest != "help"
             ]
             assert sorted(actual, key=str) == sorted(expected, key=str), name
+
+    def test_only_the_named_subcommand_gets_flags(self):
+        sub = subparsers(build_parser(["--version", "synth", "--n-pairs", "8", "pipeline"]))
+        assert len(sub["synth"]._actions) == 1 + len(FLAG_SURFACE["synth"])
+        for name in set(FLAG_SURFACE) - {"synth"}:
+            assert [a.dest for a in sub[name]._actions] == ["help"], name
 
     def test_manifest_lists_exactly_the_outputs(self, corpus, tmp_path):
         files = ["--gold", corpus / "gold.tsv"] + [
@@ -883,6 +893,53 @@ class TestFlagSurface:
             manifest = json.loads((out / "manifest.json").read_text())
             on_disk = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
             assert manifest["outputs"] == on_disk, label
+
+
+# ``--help`` of the top-level parser and of each subcommand at 80 columns,
+# captured from the parser that built every subcommand's flags on each call.
+HELP_TEXTS = Path(__file__).parent / "cli_help"
+
+
+def usage(name):
+    """The usage lines of ``cli_help/<name>.txt``."""
+    return (HELP_TEXTS / f"{name}.txt").read_text(encoding="utf-8").partition("\n\n")[0] + "\n"
+
+
+class TestHelpAndUsage:
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def exit_code(*argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        return exc.value.code
+
+    @pytest.mark.parametrize("argv, name", [
+        (("--help",), "top"), (("-h", "pipeline"), "top"),
+        *(((sub, "--help"), sub) for sub in FLAG_SURFACE),
+    ])
+    def test_help_text_unchanged(self, capsys, argv, name):
+        assert self.exit_code(*argv) == 0
+        assert capsys.readouterr().out == (HELP_TEXTS / f"{name}.txt").read_text(encoding="utf-8")
+
+    def test_version(self, capsys):
+        assert self.exit_code("--version") == 0
+        assert capsys.readouterr().out == f"cogmatrix {cgm.__version__}\n"
+
+    @pytest.mark.parametrize("argv, name, message", [
+        (("bogus",), "top", "cogmatrix: error: argument subcommand: invalid choice: 'bogus'"),
+        ((), "top", "cogmatrix: error: the following arguments are required: subcommand"),
+        (("pipeline", "--bogus"), "top", "cogmatrix: error: unrecognized arguments: --bogus"),
+        (("synth", "--n-pairs", "x"), "synth",
+         "cogmatrix synth: error: argument --n-pairs: invalid int value: 'x'"),
+    ])
+    def test_usage_error(self, capsys, argv, name, message):
+        assert self.exit_code(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(usage(name))
+        assert err.splitlines()[-1].startswith(message)
 
 
 def run_python_process(*args):

@@ -29,7 +29,7 @@ class TestScoreMatrix:
             mat([[np.inf]])
 
     def test_duplicate_row_label_rejected(self):
-        with pytest.raises(ValueError, match="duplicate row"):
+        with pytest.raises(ValueError, match=r"^duplicate row label: 'a'$"):
             ScoreMatrix(("a", "a"), ("u",), np.zeros((2, 1)))
 
     def test_duplicate_col_label_rejected(self):
@@ -45,6 +45,35 @@ class TestScoreMatrix:
         m = mat([[1.0, 2.0]], rows=("word",), cols=("mot", "wort"))
         assert m.row_index == {"word": 0}
         assert m.col_index == {"mot": 0, "wort": 1}
+
+    @pytest.mark.parametrize("scores, message", [
+        ([[0.0, np.nan]], "scores must be finite (no NaN or infinity)"),
+        ([[np.inf, 0.0]], "scores must be finite (no NaN or infinity)"),
+        ([[0.0], [1.0]], "scores shape (2, 1) does not match labels (1, 2)"),
+        ([0.0, 1.0], "scores must be 2-dimensional, got shape (2,)"),
+    ])
+    def test_with_scores_checks_scores_as_the_constructor(self, scores, message):
+        m = mat([[1.0, 2.0]])
+        for build in (m.with_scores, lambda s: ScoreMatrix(m.row_labels, m.col_labels, s)):
+            with pytest.raises(ValueError) as exc:
+                build(np.array(scores))
+            assert str(exc.value) == message
+
+    def test_with_scores_shares_labels_not_column_ranks(self):
+        m = mat([[1.0, 2.0], [3.0, 0.0]], rows=("b", "a"))
+        m.reverse_ranks
+        derived = m.with_scores(np.array([[2.0, 1.0], [0.0, 3.0]]))
+        assert derived._labels is m._labels
+        assert derived.row_index is m.row_index and derived.col_index is m.col_index
+        assert "reverse_ranks" not in vars(derived)
+        assert not derived.scores.flags.writeable
+
+    def test_label_ranks_read_only(self):
+        m = mat([[1.0, 2.0], [3.0, 0.0]], rows=("b", "a"), cols=("y", "x"))
+        for ranks in m._labels.ranks:
+            assert ranks.tolist() == [1, 0]
+            with pytest.raises(ValueError):
+                ranks[0] = 5
 
 
 class TestGoldPairs:
@@ -68,6 +97,10 @@ class TestNormalizeMinMax:
         out = normalize_min_max(mat([[2.0, 4.0], [6.0, 8.0]]))
         expected = np.array([[0.0, 1 / 3], [2 / 3, 1.0]])
         assert np.array_equal(out.scores, expected)
+
+    def test_shares_input_labels(self):
+        m = mat([[2.0, 4.0], [6.0, 8.0]])
+        assert normalize_min_max(m)._labels is m._labels
 
     def test_all_equal_maps_to_half(self):
         out = normalize_min_max(mat([[5.0]]))

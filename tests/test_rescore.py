@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cogmatrix import RescoreMethod, ScoreMatrix, apply, forward_rank_matrix
-from cogmatrix import matrix
+from cogmatrix import evaluate, matrix
+from cogmatrix.cli import main
 
 
 def mat(scores):
@@ -144,6 +145,11 @@ class TestApplyDispatch:
         assert "reverse_ranks" not in vars(m)
         apply("rr", m)
         assert "reverse_ranks" in vars(m)
+
+    def test_every_method_shares_input_labels(self):
+        m = mat(FIXTURE)
+        for method in RescoreMethod:
+            assert apply(method, m)._labels is m._labels, method
 
     def test_accepts_method_names(self):
         m = mat(FIXTURE)
@@ -394,3 +400,13 @@ def test_methods_on_one_matrix_share_one_column_rank_pass():
         m.reverse_ranks
     assert column_blocks > 1
     assert kernel.call_count == column_blocks
+
+
+def test_pipeline_sorts_labels_once_per_side(tmp_path):
+    # Four method curves and the assignment curve over one synth universe.
+    with mock.patch.object(matrix, "_label_ranks", wraps=matrix._label_ranks) as label_ranks, \
+            mock.patch.object(evaluate, "_label_ranks", label_ranks):
+        assert main(["pipeline", "--source", "synth", "--n-pairs", "20", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+    assert label_ranks.call_count == 2
+    assert (tmp_path / "curve_max_assignment.tsv").exists()
