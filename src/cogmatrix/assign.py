@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .evaluate import PRCurve, _gold_cells, _hit_points
-from .matrix import GoldPairs, ScoreMatrix
+from .matrix import GoldPairs, ScoreMatrix, _check_fields
 
 
 class ResourceLimitError(MemoryError):
@@ -106,6 +106,9 @@ def save_assignment(
 ) -> None:
     """Write ``row_label<TAB>col_label<TAB>score`` lines, rows in order."""
     rows, cols = assignment
+    l1 = [m.row_labels[i] for i in rows.tolist()]
+    l2 = [m.col_labels[j] for j in cols.tolist()]
+    _check_fields(l1 + l2, "label not representable in an assignment file")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for i, j, score in zip(rows.tolist(), cols.tolist(), m.scores[rows, cols].tolist()):
-            f.write(f"{m.row_labels[i]}\t{m.col_labels[j]}\t{score!r}\n")
+        for row, col, score in zip(l1, l2, m.scores[rows, cols].tolist()):
+            f.write(f"{row}\t{col}\t{score!r}\n")

@@ -73,16 +73,12 @@ class PipelineConfig:
     metrics: str = "phonetic,frequency"
     methods: str = "baseline,rr,rr_fr_1step,rr_fr_2step"
     weights: str = "learned"
-    regularization: float = TrainingConfig.regularization
-    epochs: int = TrainingConfig.epochs
-    negative_ratio: int = TrainingConfig.negative_ratio
     seed: int = 13
     seed_fraction: float = 0.2
     assign: bool = True
     n_pairs: int = 300
     distractors: int = 0
     noise_sigma: float = SynthConfig.noise_sigma
-    signal_mu: float = SynthConfig.signal_mu
     keep_intermediates: bool = False
     out: str = "."
 
@@ -94,8 +90,6 @@ class PipelineConfig:
             ("seed", self.seed >= 0, "a non-negative int"),
             ("k", self.mode != "large" or self.k >= 1, "an int >= 1 in large mode"),
             ("seed_fraction", 0.0 < self.seed_fraction < 1.0, "a number in (0, 1)"),
-            ("epochs", self.epochs > 0, "a positive int"),
-            ("negative_ratio", self.negative_ratio > 0, "a positive int"),
             ("n_pairs", self.n_pairs >= 1, "an int >= 1"),
             ("distractors", self.distractors >= 0, "an int >= 0"),
         ):
@@ -103,7 +97,6 @@ class PipelineConfig:
                 raise ValueError(f"config key {key!r}: expected {expected}, got {getattr(self, key)!r}")
         self.metric_ids()
         self.method_ids()
-        self.training_config()
         _synth_config(self)
 
     def metric_ids(self) -> tuple[MetricId, ...]:
@@ -111,14 +104,6 @@ class PipelineConfig:
 
     def method_ids(self) -> tuple[RescoreMethod, ...]:
         return _parse_ids(RescoreMethod, "methods", self.methods)
-
-    def training_config(self) -> TrainingConfig:
-        return TrainingConfig(
-            regularization=self.regularization,
-            epochs=self.epochs,
-            negative_ratio=self.negative_ratio,
-            rng_seed=self.seed,
-        )
 
 
 def _parse_ids(enum, key: str, value: str) -> tuple:
@@ -292,7 +277,6 @@ def _synth_config(cfg: PipelineConfig) -> SynthConfig:
         n_pairs=cfg.n_pairs,
         n_distractors_per_side=cfg.distractors,
         noise_sigma=cfg.noise_sigma,
-        signal_mu=cfg.signal_mu,
         rng_seed=cfg.seed,
     )
 
@@ -336,7 +320,7 @@ def cmd_synth(run: RunWriter, args: argparse.Namespace) -> None:
         run.out_path("gold.tsv"),
         comments=(
             f"synth n_pairs={cfg.n_pairs} distractors={cfg.distractors} "
-            f"noise_sigma={cfg.noise_sigma} signal_mu={cfg.signal_mu} seed={cfg.seed}",
+            f"noise_sigma={cfg.noise_sigma} seed={cfg.seed}",
         ),
     )
 
@@ -365,7 +349,7 @@ def cmd_train(run: RunWriter, args: argparse.Namespace) -> None:
     seed, _ = split_seed(gold, cfg.seed_fraction, cfg.seed)
     _require_seed(cfg, seed, gold)
     matrices = {metric: load_matrix(run.track_input(path)) for metric, path in paths.items()}
-    weights = train_weights(matrices, seed, cfg.training_config())
+    weights = train_weights(matrices, seed, TrainingConfig(rng_seed=cfg.seed))
     save_weights(weights, run.out_path("weights.tsv"))
 
 
@@ -433,7 +417,7 @@ def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
             train_cfg = replace(cfg, mode="standard")
             score = _universe_matrices(run, train_cfg, lexica, bridge, gold, keep, prefix="train_")
             weights = train_weights({m: score(m) for m in cfg.metric_ids()}, seed,
-                                    cfg.training_config())
+                                    TrainingConfig(rng_seed=cfg.seed))
         save_weights(weights, run.out_path("weights.tsv"))
 
         # Candidates for evaluation come from the eval split only: the seed
@@ -458,8 +442,7 @@ def cmd_pipeline(run: RunWriter, args: argparse.Namespace) -> None:
 
 _INPUTS = ("gold", "freq1", "daily1", "cooc1", "freq2", "daily2", "cooc2")
 _UNIVERSE = ("mode", "k")
-_TRAINING = ("seed_fraction", "regularization", "epochs", "negative_ratio")
-_SYNTH = ("n_pairs", "distractors", "noise_sigma", "signal_mu")
+_SYNTH = ("n_pairs", "distractors", "noise_sigma")
 
 # Subcommand -> (handler, help, the PipelineConfig fields it takes as flags
 # besides --out and --seed).
@@ -468,14 +451,14 @@ _SUBCOMMANDS = {
     "score": (cmd_score, "score all candidate pairs under each metric",
               (*_INPUTS, *_UNIVERSE, "metrics", "seed_fraction")),
     "train": (cmd_train, "learn combination weights from the seed split",
-              (*_TRAINING, "matrices", "gold")),
+              ("seed_fraction", "matrices", "gold")),
     "combine": (cmd_combine, "combine metric matrices into the baseline matrix",
                 ("matrices", "weights", "weights_file")),
     "rescore": (cmd_rescore, "rescore a matrix with the selected methods", ("matrix", "methods")),
     "assign": (cmd_assign, "maximum one-to-one assignment and its curve", ("matrix", "gold")),
     "eval": (cmd_eval, "precision-recall report for saved matrices", ("gold",)),
     "pipeline": (cmd_pipeline, "full run: score, train, combine, rescore, assign, eval",
-                 (*_INPUTS, *_UNIVERSE, *_TRAINING, *_SYNTH,
+                 (*_INPUTS, *_UNIVERSE, "seed_fraction", *_SYNTH,
                   "source", "metrics", "methods", "weights")),
 }
 
@@ -489,13 +472,9 @@ _HELP = {
     "mode": "candidate universe mode",
     "k": "top-k frequent words per side in large mode",
     "seed_fraction": "fraction of gold pairs reserved for training and the context bridge",
-    "regularization": "L2 regularization strength",
-    "epochs": "training epochs",
-    "negative_ratio": "negative examples per positive",
     "n_pairs": "planted pair count",
     "distractors": "partnerless words per side",
     "noise_sigma": "noise std dev",
-    "signal_mu": "planted signal mean",
     "source": "input source",
     "metrics": "comma-separated metric names",
     "methods": "comma-separated method names",

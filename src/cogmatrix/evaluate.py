@@ -32,11 +32,12 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .matrix import GoldPairs, ScoreMatrix, _blocks, _label_ranks, _read_only, _run_blocks
+from .matrix import (GoldPairs, ScoreMatrix, _all_finite, _blocks, _check_fields, _label_ranks,
+                     _read_only, _run_blocks)
 from .rescore import RescoreMethod
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PRCurve:
     """Ordered (threshold, precision, recall) triples along a score sweep."""
 
@@ -50,6 +51,8 @@ class PRCurve:
         r = np.asarray(self.recalls, dtype=np.float64)
         if not (t.ndim == p.ndim == r.ndim == 1) or not (len(t) == len(p) == len(r)):
             raise ValueError("thresholds, precisions, recalls must be 1-D and equal length")
+        if not (_all_finite(t) and _all_finite(p) and _all_finite(r)):
+            raise ValueError("thresholds, precisions, recalls must be finite (no NaN or infinity)")
         if len(r) and (np.diff(r) < 0).any():
             raise ValueError("recall must be non-decreasing along the sweep")
         if len(p) and ((p < 0).any() or (p > 1).any() or (r < 0).any() or (r > 1).any()):
@@ -218,6 +221,7 @@ def compare_methods(
 
 def save_curve(curve: PRCurve, path: str | Path, method: str) -> None:
     """Write ``threshold<TAB>precision<TAB>recall`` lines for plotting."""
+    _check_fields((method,), "method name not representable in a curve file")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"#prcurve v1 method={method}\n")
         for t, p, r in zip(curve.thresholds, curve.precisions, curve.recalls):
@@ -249,6 +253,7 @@ def load_curve(path: str | Path) -> tuple[PRCurve, str]:
 
 def save_report(rows: list[ReportRow], path: str | Path) -> None:
     """Write ``method<TAB>maxf1<TAB>iap11`` lines, four decimal places."""
+    _check_fields([row[0] for row in rows], "method name not representable in a report file")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for method, best_f1, avg_p in rows:
             f.write(f"{method}\t{best_f1:.4f}\t{avg_p:.4f}\n")

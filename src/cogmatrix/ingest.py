@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .matrix import GoldPairs, _read_only
+from .matrix import GoldPairs, _check_fields, _read_only
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -33,7 +33,7 @@ log = logging.getLogger(__name__)
 UNIVERSE_MODES = ("standard", "large")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LexiconSide:
     """One language's vocabulary with corpus statistics, stored by column.
 
@@ -416,10 +416,12 @@ def load_gold_pairs(path: str | Path) -> GoldPairs:
 
 
 def save_gold_pairs(gold: GoldPairs, path: str | Path, comments: tuple[str, ...] = ()) -> None:
+    pairs = sorted(gold.pairs)
+    _check_fields([word for pair in pairs for word in pair], "word not representable in a gold file")
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for comment in comments:
             f.write(f"# {comment}\n")
-        for l1, l2 in sorted(gold.pairs):
+        for l1, l2 in pairs:
             f.write(f"{l1}\t{l2}\n")
 
 

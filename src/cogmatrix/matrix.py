@@ -37,6 +37,15 @@ def _check_labels(labels: tuple[str, ...], kind: str) -> None:
         seen.add(lab)
 
 
+def _check_fields(fields: list[str] | tuple[str, ...], message: str) -> None:
+    """Refuse the ``fields`` of a tab-separated file, before it is opened, if
+    one holds a tab or a line feed: its reader would split them."""
+    text = "".join(fields)
+    if "\t" in text or "\n" in text:
+        bad = next(field for field in fields if "\t" in field or "\n" in field)
+        raise ValueError(f"{message}: {bad!r}")
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """``arr`` with writing disabled; a view is copied first, so that no
     writable array shares its data."""
@@ -227,7 +236,7 @@ class _Labels:
         return tuple(_read_only(_label_ranks(labels)) for labels in (self.rows, self.cols))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreMatrix:
     """Dense n1 x n2 matrix of finite pair scores with word labels.
 
@@ -373,9 +382,10 @@ def save_matrix(m: ScoreMatrix, path: str | Path) -> None:
     matrices give equal bytes, and ``load_matrix(save_matrix(m))`` reproduces
     the float64 bits exactly.
     """
-    for lab in (*m.row_labels, *m.col_labels):
-        if lab == "" or "\t" in lab or "\n" in lab:
-            raise ValueError(f"label not representable in matrix format: {lab!r}")
+    labels = (*m.row_labels, *m.col_labels)
+    _check_fields(labels, "label not representable in matrix format")
+    if "" in labels:
+        raise ValueError("label not representable in matrix format: ''")
     body = np.ascontiguousarray(m.scores, dtype="<f8")
     with open(path, "wb") as f:
         head = f"{MATRIX_FORMAT_MAGIC} {MATRIX_FORMAT_VERSION} {m.n_rows} {m.n_cols}\n"

@@ -167,8 +167,7 @@ def test_rescoring_beats_baseline_ensemble():
     in_band = rr_wins = one_step_wins = 0
     for seed in range(N_TRIALS):
         matrix, gold = cgm.generate(
-            cgm.SynthConfig(n_pairs=N_PAIRS, noise_sigma=ENSEMBLE_SIGMA,
-                            signal_mu=1.0, rng_seed=seed)
+            cgm.SynthConfig(n_pairs=N_PAIRS, noise_sigma=ENSEMBLE_SIGMA, rng_seed=seed)
         )
         iaps = _method_iaps(
             matrix, gold,
@@ -211,7 +210,6 @@ def test_distractor_robustness():
                 n_pairs=N_PAIRS,
                 n_distractors_per_side=3 * N_PAIRS,
                 noise_sigma=DISTRACTOR_SIGMA,
-                signal_mu=1.0,
                 rng_seed=seed,
             )
         )
@@ -236,7 +234,7 @@ def test_distractor_robustness():
 def test_performance_envelope():
     """Full 2-step rescore of a 10000x10000 matrix: < 10 min, < 16 GiB."""
     matrix, _ = cgm.generate(
-        cgm.SynthConfig(n_pairs=10_000, noise_sigma=0.3, signal_mu=1.0, rng_seed=0)
+        cgm.SynthConfig(n_pairs=10_000, noise_sigma=0.3, rng_seed=0)
     )
     start = time.monotonic()
     out = cgm.apply("rr_fr_2step", matrix)

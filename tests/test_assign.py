@@ -271,3 +271,12 @@ class TestPersistence:
         save_assignment(m, a, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines == ["r0\tc0\t2.0", "r1\tc1\t2.0"]
+
+    @pytest.mark.parametrize("label", ["a\tb", "a\nb"])
+    def test_label_with_separator_refused(self, tmp_path, label):
+        m = ScoreMatrix(("r0", "r1"), ("c0", label), np.array([[2.0, 1.0], [1.0, 2.0]]))
+        path = tmp_path / "assignment.tsv"
+        with pytest.raises(ValueError) as exc:
+            save_assignment(m, hungarian_max(m), path)
+        assert str(exc.value) == f"label not representable in an assignment file: {label!r}"
+        assert not path.exists()

@@ -1,6 +1,7 @@
 """CLI behavior: artifacts, manifests, error contracts, library consistency."""
 
 import argparse
+import dataclasses
 import importlib.machinery
 import importlib.metadata
 import importlib.util
@@ -103,7 +104,7 @@ class TestSynthCommand:
         matrix = cgm.load_matrix(out / "matrix.tsv")
         gold = cgm.load_gold_pairs(out / "gold.tsv")
         lib_matrix, lib_gold = cgm.generate(
-            cgm.SynthConfig(n_pairs=8, noise_sigma=0.3, signal_mu=1.0, rng_seed=3)
+            cgm.SynthConfig(n_pairs=8, noise_sigma=0.3, rng_seed=3)
         )
         assert np.array_equal(matrix.scores, lib_matrix.scores)
         assert gold.pairs == lib_gold.pairs
@@ -155,6 +156,17 @@ class TestEvalCommand:
         assert rc == 1
         assert "nope.tsv" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
+
+    def test_matrix_name_with_tab_fails(self, tmp_path, capsys):
+        syn = tmp_path / "syn"
+        run_cli("synth", "--out", syn, "--n-pairs", 4, "--seed", 1)
+        named = tmp_path / "a\tb.tsv"
+        named.write_bytes((syn / "matrix.tsv").read_bytes())
+        out = tmp_path / "ev"
+        assert run_cli("eval", "--out", out, "--gold", syn / "gold.tsv", named) == 1
+        assert capsys.readouterr().err == (
+            "cogmatrix: error: method name not representable in a curve file: 'a\\tb'\n")
+        assert list(out.iterdir()) == []
 
     def test_duplicate_matrix_stems_rejected(self, tmp_path, capsys):
         for sub, seed in (("a", 1), ("b", 2)):
@@ -353,12 +365,7 @@ class TestFilePipeline:
         assert set(train_matrix.row_labels) == gold.l1_words()
 
     @pytest.mark.parametrize("source, flag, value, message", [
-        ("files", "--regularization", "nan",
-         "regularization must be a finite positive number, got nan"),
         ("synth", "--noise-sigma", "nan", "noise_sigma must be a finite number >= 0, got nan"),
-        ("synth", "--signal-mu", "nan", "signal_mu must be a finite number, got nan"),
-        ("files", "--regularization", "-1",
-         "regularization must be a finite positive number, got -1.0"),
         ("synth", "--n-pairs", "0", "config key 'n_pairs': expected an int >= 1, got 0"),
         ("synth", "--distractors", "-1", "config key 'distractors': expected an int >= 0, got -1"),
     ])
@@ -391,12 +398,17 @@ class TestFilePipeline:
          "config key 'k': expected an int >= 1 in large mode, got 0"),
         (("pipeline", "--source", "files", "--seed-fraction", 2),
          "config key 'seed_fraction': expected a number in (0, 1), got 2.0"),
-        (("pipeline", "--source", "files", "--epochs", 0),
-         "config key 'epochs': expected a positive int, got 0"),
-        (("pipeline", "--source", "files", "--negative-ratio", -2),
-         "config key 'negative_ratio': expected a positive int, got -2"),
         (("pipeline", "--source", "synth", "--config", "max_side = 5"),
          "{config}:1: unknown config key 'max_side'"),
+        (("pipeline", "--source", "files", "--config", "epochs = 5"),
+         "{config}:1: unknown config key 'epochs'"),
+        (("pipeline", "--source", "files", "--config", "negative_ratio = 5"),
+         "{config}:1: unknown config key 'negative_ratio'"),
+        (("pipeline", "--source", "synth", "--config", "signal_mu = 1.0"),
+         "{config}:1: unknown config key 'signal_mu'"),
+        (("train", "--config", "regularization = 0.001"),
+         "{config}:1: unknown config key 'regularization'"),
+        (("synth", "--config", "signal_mu = 2"), "{config}:1: unknown config key 'signal_mu'"),
         (("pipeline", "--config", "source = synt"),
          "config key 'source': expected one of files, synth, got 'synt'"),
         (("pipeline", "--source", "files", "--config", "mode = larg"),
@@ -404,7 +416,7 @@ class TestFilePipeline:
         (("pipeline", "--source", "files", "--config", "weights = unifrom"),
          "config key 'weights': expected one of learned, uniform, got 'unifrom'"),
         (("pipeline", "--source", "files", "--config", "regularization = -1"),
-         "regularization must be a finite positive number, got -1.0"),
+         "{config}:1: unknown config key 'regularization'"),
         (("pipeline", "--source", "synth", "--config", "n_pairs = 0"),
          "config key 'n_pairs': expected an int >= 1, got 0"),
     ])
@@ -746,6 +758,15 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 99
 
+    def test_field_names(self):
+        # One field per setting that changes a result, plus inputs and output.
+        assert [f.name for f in dataclasses.fields(PipelineConfig)] == [
+            "source", "freq1", "daily1", "cooc1", "freq2", "daily2", "cooc2", "gold",
+            "matrix", "matrices", "weights_file", "mode", "k", "metrics", "methods",
+            "weights", "seed", "seed_fraction", "assign", "n_pairs", "distractors",
+            "noise_sigma", "keep_intermediates", "out",
+        ]
+
     def test_unknown_key_rejected(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("sauce = files\n", encoding="utf-8")
@@ -818,10 +839,7 @@ _INPUTS = [_flag("gold")] + [
     _flag(f"{kind}{side}") for side in (1, 2) for kind in ("freq", "daily", "cooc")
 ]
 _UNIVERSE = [_flag("mode", choices=("standard", "large")), _flag("k", int)]
-_TRAINING = [_flag("seed-fraction", float), _flag("regularization", float),
-             _flag("epochs", int), _flag("negative-ratio", int)]
-_SYNTH = [_flag("n-pairs", int), _flag("distractors", int),
-          _flag("noise-sigma", float), _flag("signal-mu", float)]
+_SYNTH = [_flag("n-pairs", int), _flag("distractors", int), _flag("noise-sigma", float)]
 _WEIGHTS = _flag("weights", choices=("learned", "uniform"))
 
 # Every subcommand's actions besides -h/--help:
@@ -829,12 +847,12 @@ _WEIGHTS = _flag("weights", choices=("learned", "uniform"))
 FLAG_SURFACE = {
     "synth": _COMMON + _SYNTH,
     "score": _COMMON + _INPUTS + _UNIVERSE + [_flag("metrics"), _flag("seed-fraction", float)],
-    "train": _COMMON + _TRAINING + [_flag("matrices"), _flag("gold")],
+    "train": _COMMON + [_flag("seed-fraction", float), _flag("matrices"), _flag("gold")],
     "combine": _COMMON + [_flag("matrices"), _WEIGHTS, _flag("weights-file")],
     "rescore": _COMMON + [_flag("matrix"), _flag("methods")],
     "assign": _COMMON + [_flag("matrix"), _flag("gold")],
     "eval": _COMMON + [_flag("gold"), ((), "matrix_paths", None, None, None, "+")],
-    "pipeline": _COMMON + _INPUTS + _UNIVERSE + _TRAINING + _SYNTH + [
+    "pipeline": _COMMON + _INPUTS + _UNIVERSE + [_flag("seed-fraction", float)] + _SYNTH + [
         _flag("source", choices=("files", "synth")), _flag("metrics"), _flag("methods"),
         _WEIGHTS, (("--no-assign",), "assign", None, None, None, 0),
         (("--keep-intermediates",), "keep_intermediates", None, None, None, 0),
@@ -940,6 +958,20 @@ class TestHelpAndUsage:
         err = capsys.readouterr().err
         assert err.startswith(usage(name))
         assert err.splitlines()[-1].startswith(message)
+
+    @pytest.mark.parametrize("sub, flag", [
+        *(("pipeline", flag) for flag in ("--regularization", "--epochs", "--negative-ratio",
+                                          "--signal-mu")),
+        *(("train", flag) for flag in ("--regularization", "--epochs", "--negative-ratio")),
+        ("synth", "--signal-mu"),
+    ])
+    def test_removed_flag_refused(self, tmp_path, capsys, sub, flag):
+        out = tmp_path / "run"
+        assert self.exit_code(sub, flag, "1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(usage("top"))
+        assert err.splitlines()[-1] == f"cogmatrix: error: unrecognized arguments: {flag} 1"
+        assert not out.exists()
 
 
 def run_python_process(*args):

@@ -251,6 +251,39 @@ class TestCurveAndReportFiles:
         assert np.array_equal(back.precisions, ranked_101_curve.precisions)
         assert np.array_equal(back.recalls, ranked_101_curve.recalls)
 
+    @pytest.mark.parametrize("field", ["thresholds", "precisions", "recalls"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_curve_rejected(self, field, value):
+        arrays = {"thresholds": [0.5, 0.25], "precisions": [1.0, 0.5], "recalls": [0.5, 0.5]}
+        arrays[field] = [arrays[field][0], value]
+        with pytest.raises(ValueError) as exc:
+            PRCurve(**arrays)
+        assert str(exc.value) == (
+            "thresholds, precisions, recalls must be finite (no NaN or infinity)")
+
+    @pytest.mark.parametrize("line", ["0.5\tnan\t0.5", "nan\t1.0\t0.5", "0.5\t1.0\tinf"])
+    def test_non_finite_curve_file_rejected(self, tmp_path, line):
+        path = tmp_path / "curve.tsv"
+        path.write_text(f"#prcurve v1 method=rr\n0.9\t1.0\t0.0\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="must be finite"):
+            load_curve(path)
+
+    def test_curve_compared_and_hashed_by_identity(self):
+        curve = PRCurve(np.array([2.0, 1.0]), np.array([1.0, 0.5]), np.array([0.5, 0.5]))
+        twin = PRCurve(curve.thresholds, curve.precisions, curve.recalls)
+        assert (curve == twin) is False
+        assert len({curve, curve, twin}) == 2
+
+    @pytest.mark.parametrize("method", ["a\tb", "a\nb"])
+    def test_method_name_with_separator_refused(self, tmp_path, ranked_101_curve, method):
+        with pytest.raises(ValueError) as exc:
+            save_curve(ranked_101_curve, tmp_path / "curve.tsv", method)
+        assert str(exc.value) == f"method name not representable in a curve file: {method!r}"
+        with pytest.raises(ValueError) as exc:
+            save_report([("rr", 0.5, 0.5), (method, 0.5, 0.5)], tmp_path / "report.tsv")
+        assert str(exc.value) == f"method name not representable in a report file: {method!r}"
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_format(self, tmp_path):
         save_report(
             [("baseline", 0.54921, 0.50994), ("rr", 0.62944, 0.59618)],

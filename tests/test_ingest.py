@@ -17,6 +17,7 @@ from cogmatrix import (
     load_gold_pairs,
     load_lexicon,
     load_weights,
+    save_gold_pairs,
     split_seed,
 )
 from sides import cooc_profile, daily_row
@@ -139,6 +140,16 @@ def test_lexicon_side_rejects_bad_statistics(kwargs, message):
     assert str(exc.value) == message
 
 
+def test_lexicon_side_compared_and_hashed_by_identity():
+    def side():
+        return LexiconSide(words=("bake", "salt"), total_tokens=10, freq={"bake": 1}, n_days=2,
+                           daily_words=("bake",), daily_counts=[[1, 2]])
+
+    a, b = side(), side()
+    assert (a == b) is False
+    assert len({a, a, b}) == 2
+
+
 class TestGoldPairsFile:
     def test_load(self, tmp_path):
         path = write(tmp_path / "gold.tsv", "# pairs\nbake\tbacken\nsalt\tsalz\n")
@@ -154,6 +165,22 @@ class TestGoldPairsFile:
         path = write(tmp_path / "gold.tsv", "bake backen\n")
         with pytest.raises(ValueError, match=r"gold\.tsv:1"):
             load_gold_pairs(path)
+
+    def test_save_round_trip(self, tmp_path):
+        gold = GoldPairs(frozenset({("salt", "salz"), ("bake", "backen")}))
+        save_gold_pairs(gold, tmp_path / "gold.tsv", comments=("two pairs",))
+        assert (tmp_path / "gold.tsv").read_text(encoding="utf-8") == (
+            "# two pairs\nbake\tbacken\nsalt\tsalz\n")
+        assert load_gold_pairs(tmp_path / "gold.tsv") == gold
+
+    @pytest.mark.parametrize("pair", [("a\tb", "c"), ("a", "b\nc")])
+    def test_save_refuses_separator_in_word(self, tmp_path, pair):
+        gold = GoldPairs(frozenset({("bake", "backen"), pair}))
+        with pytest.raises(ValueError) as exc:
+            save_gold_pairs(gold, tmp_path / "gold.tsv")
+        bad = next(word for word in pair if "\t" in word or "\n" in word)
+        assert str(exc.value) == f"word not representable in a gold file: {bad!r}"
+        assert not (tmp_path / "gold.tsv").exists()
 
 
 # Each loader called on a file named after its input kind; daily and

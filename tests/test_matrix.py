@@ -16,6 +16,12 @@ def mat(scores, rows=None, cols=None):
 
 
 class TestScoreMatrix:
+    def test_compared_and_hashed_by_identity(self):
+        m = mat([[1.0, 2.0], [3.0, 4.0]])
+        assert (m == m.with_scores(m.scores.copy())) is False
+        assert m == m
+        assert len({m, m, mat([[1.0, 2.0], [3.0, 4.0]])}) == 2
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             ScoreMatrix(("a",), ("u", "v"), np.zeros((2, 2)))
@@ -179,6 +185,12 @@ class TestPersistence:
         m = mat([[1.0]], rows=("a\tb",))
         with pytest.raises(ValueError, match="not representable"):
             save_matrix(m, tmp_path / "m.tsv")
+        # An empty label or a line feed is refused the same way, before the file is opened.
+        for label in ("", "a\nb"):
+            with pytest.raises(ValueError) as exc:
+                save_matrix(mat([[1.0, 2.0]], cols=("u", label)), tmp_path / "m.tsv")
+            assert str(exc.value) == f"label not representable in matrix format: {label!r}"
+        assert not (tmp_path / "m.tsv").exists()
 
 
 # Values whose bits a decimal or lossy path would disturb.
