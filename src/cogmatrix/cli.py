@@ -38,7 +38,7 @@ from .combine import (
 from .evaluate import ReportRow, compare_methods, save_curve, save_report
 from .ingest import (UNIVERSE_MODES, build_universe, load_gold_pairs, load_lexicon, save_gold_pairs,
                      split_seed)
-from .matrix import load_matrix, save_matrix
+from .matrix import _check_fields, load_matrix, save_matrix
 from .rescore import RescoreMethod, apply
 from .scorers import MetricId, _check_inputs, score_all_pairs
 from .synth import SynthConfig, generate
@@ -394,6 +394,8 @@ def cmd_eval(run: RunWriter, args: argparse.Namespace) -> None:
                 "report rows and curve files are named by file stem"
             )
         sources[name] = path
+    # Each stem names a report row and a curve file: refused before --out is made.
+    _check_fields(tuple(sources), "method name not representable in a curve file")
     matrices = {name: load_matrix(run.track_input(path)) for name, path in sources.items()}
     _finish(run, _evaluate(run, matrices, gold))
 

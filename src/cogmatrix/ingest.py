@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .matrix import GoldPairs, _check_fields, _read_only
+from .matrix import GoldPairs, _check_fields, _read_only, _run_blocks
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -115,8 +115,8 @@ class LexiconSide:
         return int(self.cooc_word_totals.sum())
 
 
-# Data lines are read and converted in chunks of about this many characters,
-# so a loader holds little beyond its result.
+# Data lines are read in chunks of about this many characters, and the counts
+# of a chunk are converted by one numpy call.
 _CHUNK_CHARS = 1 << 16
 
 # Every byte except tab and newline: deleting them from a block leaves its
@@ -155,8 +155,26 @@ def _records(path: Path, shape: str, directive: str | None = None):
     layout = b"\t" * (n_fields - 1) + b"\n"
     header_line = 0
     lineno = 0
+
+    def header_value(line: str) -> str:
+        nonlocal header_line
+        if header_line:
+            raise ValueError(
+                f"{path}:{lineno}: repeated '#{directive}' header (first on line {header_line})"
+            )
+        header_line = lineno
+        return line[len(header):]
+
     with open(path, "r", encoding="utf-8", newline="\n") as f:
         for text in _line_blocks(f):
+            # A header line that opens the block is taken on its own, so the
+            # lines after it can still be one chunk.
+            if header and text.startswith(header):
+                end = text.index("\n")
+                lineno += 1
+                yield lineno, header_value(text[:end])
+                if not (text := text[end + 1:]):
+                    continue
             n_lines = text.count("\n")
             # No comment or header line, and every line has its tabs (so none
             # is blank): the whole block is one chunk.
@@ -178,13 +196,7 @@ def _records(path: Path, shape: str, directive: str | None = None):
                         if linenos:
                             yield linenos, fields
                             linenos, fields = [], []
-                        if header_line:
-                            raise ValueError(
-                                f"{path}:{lineno}: repeated '#{directive}' header"
-                                f" (first on line {header_line})"
-                            )
-                        header_line = lineno
-                        yield lineno, line[len(header):]
+                        yield lineno, header_value(line)
                 elif line:
                     parts = line.split("\t")
                     if len(parts) != n_fields:
@@ -214,16 +226,14 @@ def _parse_count(tok: str, path: Path, lineno: int, what: str, int64: str = "") 
     return value
 
 
-def _bulk_counts(rows: list[str], n_cols: int) -> np.ndarray | None:
-    """The comma-separated counts of ``rows`` as one read-only int64 array of
-    ``n_cols`` columns, converted in one call; None unless every count is
-    plain ASCII digits below the int64 maximum and every row has ``n_cols``
-    of them.
+def _count_text(rows: list[str], n_cols: int) -> str | None:
+    """The comma-separated counts of ``rows`` as one text for ``_convert``;
+    None unless every count is plain ASCII digits and every row has
+    ``n_cols`` of them.
 
     Digits only, because ``np.fromstring`` and ``int()`` differ elsewhere
-    (``1_000``, non-ASCII digits, some control characters, and a count of
-    2^63 or more, which reads as the int64 maximum); on None the caller
-    parses each count with ``int()``, which also names a bad one.
+    (``1_000``, non-ASCII digits, some control characters); on None the
+    caller parses each count with ``int()``, which also names a bad one.
     """
     text = ",".join(rows)
     # Every row holds n_cols - 1 commas; with one column, text holds only the joins.
@@ -233,15 +243,33 @@ def _bulk_counts(rows: list[str], n_cols: int) -> np.ndarray | None:
         ragged = set(map(str.count, rows, repeat(","))) != {n_cols - 1}
     if ragged or not text.isascii() or text.encode().translate(None, b"0123456789,"):
         return None
-    try:
-        counts = np.fromstring(text, dtype=np.int64, sep=",")
-    except ValueError:  # an empty count
-        return None
-    if counts.size != len(rows) * n_cols or (counts == _INT64_MAX).any():
-        return None
-    counts = counts.reshape(len(rows), n_cols)
-    counts.setflags(write=False)
-    return counts
+    return text
+
+
+def _convert(jobs: list[tuple[int, int, str | list]], out: np.ndarray) -> bool:
+    """Write the counts of each ``(start, stop, counts)`` of ``jobs`` into rows
+    ``start:stop`` of ``out``, the jobs run by ``_run_blocks``: counts parsed
+    already, or a ``_count_text`` converted by one numpy call.  False if a
+    text does not fill its rows exactly (it has an empty count) or holds the
+    int64 maximum, which ``np.fromstring`` also reads for any count of 2^63
+    or more; the caller then parses its counts with ``int()``."""
+    failed = []
+
+    def convert(job):
+        start, stop, counts = job
+        rows = out[start:stop]
+        if isinstance(counts, str):
+            try:
+                counts = np.fromstring(counts, dtype=np.int64, sep=",")
+            except ValueError:  # an empty count
+                counts = None
+            if counts is None or counts.size != rows.size or counts.max(initial=0) == _INT64_MAX:
+                failed.append(job)
+                return
+        rows[...] = np.reshape(counts, rows.shape)
+
+    _run_blocks(convert, jobs)
+    return not failed
 
 
 def _add_new(seen: dict, words: list[str], where, path: Path) -> None:
@@ -264,15 +292,16 @@ def _load_freq(path: Path) -> tuple[dict[str, int], int]:
             total, total_line = _parse_count(fields.strip(), path, where, "total"), where
             continue
         words, toks = fields[0::2], fields[1::2]
-        counts = _bulk_counts(toks, 1)
-        if counts is None:
+        text = _count_text(toks, 1)
+        counts = np.empty((len(toks), 1), dtype=np.int64)
+        if text is not None and _convert([(0, len(toks), text)], counts):
+            _add_new(freq, words, where, path)
+            freq.update(zip(words, counts[:, 0].tolist()))
+        else:
             # Line by line, so that the first fault is the one named.
             for lineno, word, tok in zip(where, words, toks):
                 _add_new(freq, [word], [lineno], path)
                 freq[word] = _parse_count(tok, path, lineno, "count")
-        else:
-            _add_new(freq, words, where, path)
-            freq.update(zip(words, counts[:, 0].tolist()))
     if total is None:
         raise ValueError(f"{path}: missing '#total <N>' header")
     if total == 0:
@@ -285,43 +314,67 @@ def _load_freq(path: Path) -> tuple[dict[str, int], int]:
     return freq, total
 
 
-def _load_daily(path: Path) -> tuple[tuple[str, ...], np.ndarray, int]:
+# Reading a daily or co-occurrence file takes two passes.  The first checks
+# every line, its words and the text of its counts, and parses with ``int()``
+# line by line each chunk whose counts are not all plain digits.  The second
+# converts the other chunks on the block pool, straight into the file's one
+# array.  If it rejects a chunk, the file is read again with ``bulk=False``,
+# every count parsed line by line, so that the first fault in the file is the
+# one named, even where the first pass stopped at a later one.
+
+
+def _load_daily(path: Path, bulk: bool = True) -> tuple[tuple[str, ...], np.ndarray, int]:
     """The words of the daily-count file in file order, their counts as one
-    array with a row per word, and the number of days."""
+    read-only array with a row per word, and the number of days."""
     n_days: int | None = None
     words: dict[str, None] = {}
-    blocks: list[np.ndarray] = []
-    for where, fields in _records(path, "word<TAB>c1,c2,...", "days"):
-        if isinstance(fields, str):
-            n_days = _parse_count(fields.strip(), path, where, "day count")
-            continue
+    jobs: list[tuple[int, int, str | list]] = []
+    n_rows = 0
+    fault = None
+    try:
+        for where, fields in _records(path, "word<TAB>c1,c2,...", "days"):
+            if isinstance(fields, str):
+                n_days = _parse_count(fields.strip(), path, where, "day count")
+                continue
+            if n_days is None:
+                raise ValueError(f"{path}:{where[0]}: data before '#days <T>' header")
+            chunk, csvs = fields[0::2], fields[1::2]
+            start, n_rows = n_rows, n_rows + len(chunk)
+            text = _count_text(csvs, n_days) if bulk else None
+            if text is None:
+                rows = []
+                what = ("daily count", "daily count")
+                for lineno, word, csv in zip(where, chunk, csvs):
+                    _add_new(words, [word], [lineno], path)
+                    toks = csv.split(",") if csv != "" else []
+                    if len(toks) != n_days:
+                        raise ValueError(
+                            f"{path}:{lineno}: expected {n_days} daily counts for {word!r},"
+                            f" got {len(toks)}"
+                        )
+                    rows.append([_parse_count(t, path, lineno, *what) for t in toks])
+                jobs.append((start, n_rows, rows))
+            else:
+                # Queued first, so that a count it rejects wins over a
+                # duplicate word later in the chunk.
+                jobs.append((start, n_rows, text))
+                _add_new(words, chunk, where, path)
         if n_days is None:
-            raise ValueError(f"{path}:{where[0]}: data before '#days <T>' header")
-        chunk, csvs = fields[0::2], fields[1::2]
-        # One array for the chunk; without it, each line is checked and each
-        # count parsed with ``int()``, which names a bad one, in line order.
-        rows = _bulk_counts(csvs, n_days)
-        if rows is None:
-            rows = np.empty((len(chunk), n_days), dtype=np.int64)
-            what = ("daily count", "daily count")
-            for i, (lineno, word, csv) in enumerate(zip(where, chunk, csvs)):
-                _add_new(words, [word], [lineno], path)
-                toks = csv.split(",") if csv != "" else []
-                if len(toks) != n_days:
-                    raise ValueError(
-                        f"{path}:{lineno}: expected {n_days} daily counts for {word!r},"
-                        f" got {len(toks)}"
-                    )
-                rows[i] = [_parse_count(t, path, lineno, *what) for t in toks]
-        else:
-            _add_new(words, chunk, where, path)
-        blocks.append(rows)
-    if n_days is None:
-        raise ValueError(f"{path}: missing '#days <T>' header")
-    return tuple(words), np.concatenate([np.empty((0, n_days), np.int64), *blocks]), n_days
+            raise ValueError(f"{path}: missing '#days <T>' header")
+    except ValueError as exc:
+        fault = exc
+    counts = np.empty((n_rows, n_days or 0), dtype=np.int64)
+    if not _convert(jobs, counts):
+        return _load_daily(path, bulk=False)
+    if fault:
+        raise fault
+    counts.setflags(write=False)
+    return tuple(words), counts, n_days
 
 
-def _load_cooc(path: Path) -> tuple[tuple[str, ...], tuple[str, ...], csr_matrix]:
+def _load_cooc(
+    path: Path, bulk: bool = True
+) -> tuple[tuple[str, ...], tuple[str, ...], csr_matrix]:
     """The words and contexts of the co-occurrence file in order of first
     appearance, and their counts as one CSR matrix: repeated lines add up,
     and each row lists its contexts in order of first appearance."""
@@ -330,30 +383,45 @@ def _load_cooc(path: Path) -> tuple[tuple[str, ...], tuple[str, ...], csr_matrix
     # Each key maps to the position of the line it first appears on; a
     # chunk's keys are looked up while the chunk is fresh.
     at_word, at_context = count(), count()
-    blocks = [(np.empty(0, np.int64),) * 3]
-    for linenos, fields in _records(path, "word<TAB>context<TAB>count"):
-        toks = fields[2::3]
-        counts = _bulk_counts(toks, 1)
-        if counts is None:
-            what = ("count", "co-occurrence count")
-            counts = np.array([_parse_count(t, path, n, *what) for n, t in zip(linenos, toks)])
-        blocks.append((
-            np.fromiter(map(words.setdefault, fields[0::3], at_word), np.int64, len(toks)),
-            np.fromiter(map(contexts.setdefault, fields[1::3], at_context), np.int64, len(toks)),
-            counts.reshape(-1),
-        ))
-    rows, cols, counts = map(np.concatenate, zip(*blocks))
+    ids = [(np.empty(0, np.int64),) * 2]
+    jobs: list[tuple[int, int, str | list]] = []
+    n_lines = 0
+    fault = None
+    try:
+        for linenos, fields in _records(path, "word<TAB>context<TAB>count"):
+            toks = fields[2::3]
+            chunk_counts = _count_text(toks, 1) if bulk else None
+            if chunk_counts is None:
+                what = ("count", "co-occurrence count")
+                chunk_counts = [_parse_count(t, path, n, *what) for n, t in zip(linenos, toks)]
+            jobs.append((n_lines, n_lines + len(toks), chunk_counts))
+            n_lines += len(toks)
+            ids.append((
+                np.fromiter(map(words.setdefault, fields[0::3], at_word), np.int64, len(toks)),
+                np.fromiter(map(contexts.setdefault, fields[1::3], at_context), np.int64, len(toks)),
+            ))
+    except ValueError as exc:
+        fault = exc
+    counts = np.empty((n_lines, 1), dtype=np.int64)
+    if not _convert(jobs, counts):
+        return _load_cooc(path, bulk=False)
+    if fault:
+        raise fault
+    counts = counts.reshape(-1)
     # A float64 sum below 2^62 cannot hide an exact sum beyond int64.
     if counts.sum(dtype=np.float64) >= 2.0**62 and (total := sum(counts.tolist())) > _INT64_MAX:
         raise ValueError(f"{path}: co-occurrence total {total} exceeds {_INT64_MAX}")
     # Numbered in order of first appearance.
-    positions = np.arange(len(counts))
-    rows, cols = ((np.cumsum(ids == positions) - 1)[ids] for ids in (rows, cols))
-    # One entry per (row, column), at its first line; ordered by row, then line.
-    _, first, cell = np.unique(rows * len(contexts) + cols, return_index=True, return_inverse=True)
-    sums = np.zeros(len(first), dtype=np.int64)
-    np.add.at(sums, cell, counts)
-    order = np.lexsort((first, rows[first]))
+    positions = np.arange(n_lines)
+    rows, cols = ((np.cumsum(at == positions) - 1)[at] for at in map(np.concatenate, zip(*ids)))
+    # One entry per (row, column): a stable sort by cell puts each cell's
+    # lines together, its first line first.  Ordered by row, then first line.
+    cell = rows * len(contexts) + cols
+    by_cell = np.argsort(cell, kind="stable")
+    starts = np.flatnonzero(np.diff(cell[by_cell], prepend=-1))
+    first = by_cell[starts]
+    sums = np.add.reduceat(counts[by_cell], starts)
+    order = np.argsort(rows[first] * n_lines + first)
     indptr = np.searchsorted(rows[first[order]], np.arange(len(words) + 1))
     table = (sums[order], cols[first[order]], indptr)
     from scipy.sparse import csr_matrix

@@ -1,6 +1,7 @@
 """Lexicon/gold file parsing, seed splitting, and universe construction."""
 
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
-from cogmatrix import ingest
+from cogmatrix import ingest, matrix
 from cogmatrix import (
     GoldPairs,
     LexiconSide,
@@ -477,6 +478,116 @@ def test_chunked_loader_matches_per_line_reference(tmp_path_factory, files, chun
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk_chars):
         got = load_lexicon(*paths)
     assert_same_side(got, reference_lexicon(*paths))
+
+
+# Chunk sizes that put every line, a few lines or the whole file in a chunk,
+# each with one and two block workers converting the counts.
+_CHUNKINGS = [(chars, workers) for chars in (16, 64, 1 << 16) for workers in (1, 2)]
+
+
+@pytest.fixture(params=_CHUNKINGS, ids=lambda p: f"chars{p[0]}-workers{p[1]}")
+def chunking(request, monkeypatch):
+    chars, workers = request.param
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", chars)
+    monkeypatch.setattr(matrix, "_WORKERS", workers)
+
+
+_GOOD_DAYS = "".join(f"w{i}\t{i},{2 * i}\n" for i in range(12))
+
+
+@pytest.mark.parametrize("late", ["#days 2\n", "bake\t5,6\n", "salt\t5\t6\n"],
+                         ids=["repeated-days", "duplicate", "field-count"])
+@pytest.mark.parametrize("early, message", [
+    ("1,x", "unparseable daily count 'x'"),
+    ("1,9223372036854775808", "daily count 9223372036854775808 exceeds 9223372036854775807"),
+], ids=["unparseable", "at-2^63"])
+def test_early_count_fault_wins_over_later_fault(tmp_path, chunking, early, message, late):
+    # The late fault is found by the pass over the lines, the count of 2^63
+    # only by the conversion after it; the early one is named all the same.
+    path = write(tmp_path / "daily.tsv", f"#days 2\nbake\t{early}\n{_GOOD_DAYS}{late}")
+    with pytest.raises(ValueError) as exc:
+        _LOADERS["daily"](path)
+    assert str(exc.value) == f"{path}:2: {message}"
+
+
+@pytest.mark.parametrize("late, message", [
+    ("bake\toven\n", "{path}:14: expected 'word<TAB>context<TAB>count', got 'bake\\toven'"),
+    ("bake\toven\tx\n", "{path}:14: unparseable count 'x'"),
+], ids=["field-count", "unparseable"])
+def test_cooc_count_at_2_63_wins_over_later_fault(tmp_path, chunking, late, message):
+    good = "".join(f"w{i}\tc{i % 3}\t{i}\n" for i in range(12))
+    path = write(tmp_path / "cooc.tsv", f"bake\tbread\t9223372036854775808\n{good}{late}")
+    with pytest.raises(ValueError) as exc:
+        _LOADERS["cooc"](path)
+    assert str(exc.value) == (
+        f"{path}:1: co-occurrence count 9223372036854775808 exceeds 9223372036854775807")
+    # Without the early fault, the late one is named.
+    write(path, f"bake\tbread\t9223372036854775807\n{good}{late}")
+    with pytest.raises(ValueError) as exc:
+        _LOADERS["cooc"](path)
+    assert str(exc.value) == message.replace("{path}", str(path))
+
+
+def test_zero_days_load_as_empty_rows(tmp_path, chunking):
+    daily = write(tmp_path / "daily.tsv", "#days 0\n" + "".join(f"w{i}\t\n" for i in range(9)))
+    lex = _LOADERS["daily"](daily)
+    assert lex.daily_counts.shape == (9, 0) and lex.daily_counts.dtype == np.int64
+    assert lex.daily_words == tuple(f"w{i}" for i in range(9))
+
+
+def test_daily_counts_one_read_only_array(tmp_path, chunking):
+    rng = np.random.default_rng(7)
+    want = rng.integers(0, 10**6, size=(40, 9))
+    want[3, 4] = INT64_MAX  # read as the int64 maximum by one call, so parsed again
+    text = "#days 9\n" + "".join(
+        f"w{i}\t{','.join(map(str, row))}\n" for i, row in enumerate(want.tolist()))
+    lex = _LOADERS["daily"](write(tmp_path / "daily.tsv", text))
+    counts = lex.daily_counts
+    assert not counts.flags.writeable and counts.flags.c_contiguous and counts.dtype == np.int64
+    assert np.array_equal(counts, want)
+    want[3, 4] = 5  # every chunk converted by numpy
+    lex = _LOADERS["daily"](write(tmp_path / "daily.tsv", text.replace(str(INT64_MAX), "5")))
+    assert not lex.daily_counts.flags.writeable and lex.daily_counts.flags.c_contiguous
+    assert np.array_equal(lex.daily_counts, want)
+
+
+def test_daily_counts_under_many_workers(tmp_path, monkeypatch):
+    # More block workers than CPUs, switching threads often: every chunk's
+    # rows are written by exactly one of them, and a rejected chunk is seen.
+    monkeypatch.setattr(ingest, "_CHUNK_CHARS", 32)
+    monkeypatch.setattr(matrix, "_WORKERS", 8)
+    want = np.arange(600, dtype=np.int64).reshape(200, 3)
+    text = "#days 3\n" + "".join(
+        f"w{i}\t{a},{b},{c}\n" for i, (a, b, c) in enumerate(want.tolist()))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        lex = _LOADERS["daily"](write(tmp_path / "daily.tsv", text))
+        assert np.array_equal(lex.daily_counts, want)
+        bad = text.replace("w150\t450,", "w150\t9223372036854775808,")
+        with pytest.raises(ValueError, match=r"daily\.tsv:152: daily count 9223372036854775808"):
+            _LOADERS["daily"](write(tmp_path / "daily.tsv", bad))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_cooc_csr_matches_dict_oracle(tmp_path, chunking):
+    rng = np.random.default_rng(3)
+    lines = [(f"w{rng.integers(9)}", f"c{rng.integers(6)}", int(rng.integers(0, 100)))
+             for _ in range(120)]
+    path = write(tmp_path / "cooc.tsv", "".join(f"{w}\t{c}\t{n}\n" for w, c, n in lines))
+    profiles = {}
+    for w, c, n in lines:
+        profile = profiles.setdefault(w, {})
+        profile[c] = profile.get(c, 0) + n
+    contexts = list(dict.fromkeys(c for _, c, _ in lines))
+    assert len(lines) > len({(w, c) for w, c, _ in lines})  # repeated cells, apart
+    lex = _LOADERS["cooc"](path)
+    csr = lex.cooc_counts
+    assert lex.cooc_words == tuple(profiles) and lex.cooc_contexts == tuple(contexts)
+    assert csr.data.tolist() == [n for p in profiles.values() for n in p.values()]
+    assert csr.indices.tolist() == [contexts.index(c) for p in profiles.values() for c in p]
+    assert csr.indptr.tolist() == np.cumsum([0, *map(len, profiles.values())]).tolist()
 
 
 def make_gold(n):
